@@ -11,10 +11,6 @@ from .forms import (
     MaxParameter,
     MinParameter,
     OddQuadraticSpace,
-    form_eval,
-    heis_act,
-    heis_add,
-    heis_neg,
     make_space,
     orthogonal_sum,
     span_form_parameter,
@@ -28,7 +24,6 @@ from .hyperbolic import (
     HyperbolicSpace,
     commutator_closure,
     enumerate_eu,
-    eps,
     equiv_mod_param,
     eu_generators,
     is_isometry,
@@ -38,13 +33,12 @@ from .hyperbolic import (
 )
 from .matrices import Mat
 from .report import CapExceeded, CheckResult, NotInvertible, Report, WorkbenchError
-from .rings import involve, make_ring, verify_pseudo_involution, verify_ring_axioms
+from .rings import make_ring, verify_pseudo_involution, verify_ring_axioms
 from .steinberg import (
     U1NormalForm,
     eval_word,
     perfect_witness,
     relation_instance,
-    stabilize,
     u1_decompose,
     u1_uniqueness_check,
     verify_relations,

@@ -29,14 +29,11 @@ def _load_config(args):
         text = DEFAULT_CONFIG_N4
     else:
         text = DEFAULT_CONFIG
-    cfg = parse_config(text)
-    if args.strategy:
-        cfg.run["strategy"] = args.strategy
-    if args.seed is not None:
-        cfg.run["seed"] = str(args.seed)
-    if args.cap is not None:
-        cfg.run["cap"] = str(args.cap)
-    return cfg
+    # the command-line options act as one more [run] section, validated alike
+    given = {"strategy": args.strategy, "seed": args.seed, "cap": args.cap}
+    text += "\n[run]\n" + "".join(
+        f"{key} = {value}\n" for key, value in given.items() if value is not None)
+    return parse_config(text)
 
 
 def _run_settings(cfg):
@@ -117,11 +114,8 @@ def cmd_check_perfect(cfg, args) -> Report:
         rep.add("perfect.commutator_closure",
                 "pass" if set(cc) == set(closure.keys()) else "fail",
                 witness=f"order={closure.order}")
-        u1_gens = [
-            m for g, m in hyperbolic.eu_generators(hs)
-            if (isinstance(g, steinberg.Xij) and g.i in (hs.n, -hs.n))
-            or (isinstance(g, steinberg.Xi) and g.i in (hs.n, -hs.n))
-        ]
+        u1_gens = [m for g, m in hyperbolic.eu_generators(hs)
+                   if g.i in (hs.n, -hs.n)]
         sub = hyperbolic.subgroup_closure(hs, u1_gens, cap)
         rep.add("generation.u1_pair_closure",
                 "pass" if set(sub) == set(closure.keys()) else "fail",

@@ -108,9 +108,11 @@ def _validate(cfg: WorkbenchConfig):
         raise ConfigError(f"strategy: unknown value {cfg.run['strategy']!r}")
     for key in ("seed", "cap", "samples"):
         try:
-            int(cfg.run[key])
+            value = int(cfg.run[key])
         except ValueError:
             raise ConfigError(f"{key}: expected an integer") from None
+        if key != "seed" and value < 0:
+            raise ConfigError(f"{key}: must not be negative")
 
 
 def format_config(cfg: WorkbenchConfig) -> str:

@@ -10,32 +10,31 @@ commutators of preimages and verified against every relation family.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 
-from .generators import Xi, Xij
-from .hyperbolic import HyperbolicSpace
+from .generators import Xi, Xij, generators
+from .hyperbolic import HyperbolicSpace, eu_generators, gen_matrix
 from .matrices import Mat
 from .report import DEFAULT_SEED, Report, WorkbenchError
 from .steinberg import (
+    DAGGER,
     RELATION_IDS,
-    describe_params,
-    gen_matrix,
-    relation_cases,
+    family_params,
+    sweep,
+    sweep_relations,
+    witness_index,
 )
 
 
 class ProductExtension:
     """base x Z/a_order; epsilon is the first projection."""
 
-    def __init__(self, hs: HyperbolicSpace, a_order: int, chooser_seed=None,
-                 closure=None):
+    def __init__(self, hs: HyperbolicSpace, a_order: int, chooser_seed=None):
         if a_order < 1:
             raise ValueError("the central factor must have positive order")
         self.hs = hs
         self.a_order = a_order
         self.chooser_seed = chooser_seed
-        self.closure = closure  # optional enumerated base, when it fits the cap
         self.identity = (hs.identity, 0)
 
     def mul(self, x, y):
@@ -77,9 +76,9 @@ class ProductExtension:
         return True
 
 
-def product_extension(hs: HyperbolicSpace, a_order: int, chooser_seed=None,
-                      closure=None) -> ProductExtension:
-    return ProductExtension(hs, a_order, chooser_seed, closure)
+def product_extension(hs: HyperbolicSpace, a_order: int,
+                      chooser_seed=None) -> ProductExtension:
+    return ProductExtension(hs, a_order, chooser_seed)
 
 
 def comm_preimages(E: ProductExtension, x: Mat, y: Mat):
@@ -91,56 +90,26 @@ def comm_preimages(E: ProductExtension, x: Mat, y: Mat):
     return c1
 
 
-def _dagger_quadruples(hs: HyperbolicSpace):
-    for i, j, k, h in itertools.product(hs.omega, repeat=4):
-        if len({i, -i, j, -j, k, -k, h, -h}) == 8:
-            yield (i, j, k, h)
-
-
 def check_dagger(E: ProductExtension, strategy="exhaustive",
                  seed=DEFAULT_SEED, samples=256) -> Report:
     """Preimage commutators vanish on index quadruples with all eight signs distinct."""
     hs = E.hs
     if hs.n < 4:
         raise WorkbenchError("property-dagger needs n >= 4 (no admissible quadruple)")
-    rep = Report()
-    ring_vals = list(hs.ring.elements())
-    if strategy == "exhaustive":
-        cases = (
-            (q, a, b)
-            for q in _dagger_quadruples(hs)
-            for a in ring_vals
-            for b in ring_vals
-        )
-        used_seed = None
-    else:
-        rng = random.Random(f"{seed}|dagger")
-        quads = list(_dagger_quadruples(hs))
-        cases = (
-            (rng.choice(quads), rng.choice(ring_vals), rng.choice(ring_vals))
-            for _ in range(samples)
-        )
-        used_seed = seed
-    count = 0
-    witness = None
-    for (i, j, k, h), a, b in cases:
-        count += 1
+
+    def holds(params):
+        i, j, k, h, a, b = params
         t1 = gen_matrix(hs, Xij(i, j, a))
         t2 = gen_matrix(hs, Xij(k, h, b))
-        if comm_preimages(E, t1, t2) != E.identity:
-            witness = f"(i,j,k,h,a,b)=({i},{j},{k},{h},{a!r},{b!r})"
-            break
-    rep.add("extension.dagger", "pass" if witness is None else "fail",
-            witness=witness if witness else f"{count} quadruple instances",
-            seed=used_seed)
+        return comm_preimages(E, t1, t2) == E.identity
+
+    rep = Report()
+    sweep(rep, "extension.dagger",
+          family_params(hs, DAGGER, "dagger", strategy, seed, samples), holds,
+          lambda p: "(i,j,k,h,a,b)=({},{},{},{},{!r},{!r})".format(*p),
+          unit="quadruple instances",
+          seed=seed if strategy == "sampled" else None)
     return rep
-
-
-def _witness_for(hs, excluded):
-    for l in hs.omega:
-        if l not in excluded:
-            return l
-    raise WorkbenchError("no admissible witness index")
 
 
 def s_ij(E: ProductExtension, i, j, a, witness=None):
@@ -150,7 +119,7 @@ def s_ij(E: ProductExtension, i, j, a, witness=None):
         raise WorkbenchError("section elements need n >= 4")
     if j in (i, -i):
         raise ValueError("S_ij needs j outside {i, -i}")
-    w = witness if witness is not None else _witness_for(hs, {i, -i, j, -j})
+    w = witness if witness is not None else witness_index(hs, {i, -i, j, -j})
     if w in (i, -i, j, -j):
         raise ValueError("witness collides with the target indices")
     x = gen_matrix(hs, Xij(i, w, a))
@@ -165,7 +134,7 @@ def s_i(E: ProductExtension, k, xi, witness=None):
     if hs.n < 4:
         raise WorkbenchError("section elements need n >= 4")
     u, a = xi
-    w = witness if witness is not None else _witness_for(hs, {k, -k})
+    w = witness if witness is not None else witness_index(hs, {k, -k})
     if w in (k, -k):
         raise ValueError("witness collides with the target index")
     abar = r.bar(a)
@@ -173,18 +142,6 @@ def s_i(E: ProductExtension, k, xi, witness=None):
     x = gen_matrix(hs, Xi(w, (u, r.neg(abar))))
     y = gen_matrix(hs, Xij(-w, -k, r.one))
     return E.mul(head, comm_preimages(E, x, y))
-
-
-def section_generators(hs: HyperbolicSpace):
-    for i in hs.omega:
-        for j in hs.omega:
-            if j in (i, -i):
-                continue
-            for a in hs.ring.elements():
-                yield Xij(i, j, a)
-    for k in hs.omega:
-        for xi in hs.l0:
-            yield Xi(k, xi)
 
 
 def build_section(E: ProductExtension) -> dict:
@@ -199,7 +156,7 @@ def build_section(E: ProductExtension) -> dict:
                 f"property-dagger failed: {dag.failures()[0].witness}"
             )
     table = {}
-    for g in section_generators(hs):
+    for g in generators(hs):
         if isinstance(g, Xij):
             table[g] = s_ij(E, g.i, g.j, g.a)
         else:
@@ -221,7 +178,6 @@ def verify_section(E: ProductExtension, table: dict, strategy="exhaustive",
     """Every relation family with S substituted for X, plus eps(sigma) = id."""
     hs = E.hs
     rep = Report()
-    used_seed = seed if strategy == "sampled" else None
     bad = next(
         (g for g, t in table.items() if E.eps(t) != gen_matrix(hs, g)), None
     )
@@ -229,19 +185,11 @@ def verify_section(E: ProductExtension, table: dict, strategy="exhaustive",
             witness=None if bad is None else repr(bad))
     if bad is not None and stop_on_fail:
         return rep
-    for rid in relation_ids:
-        count = 0
-        witness = None
-        for params, lhs, rhs in relation_cases(hs, rid, strategy, seed, samples):
-            count += 1
-            if section_eval(E, table, lhs) != section_eval(E, table, rhs):
-                witness = describe_params(rid, params)
-                break
-        rep.add(f"section.{rid}", "pass" if witness is None else "fail",
-                witness=witness if witness else f"{count} instances",
-                seed=used_seed)
-        if witness is not None and stop_on_fail:
-            break
+    rep.extend(sweep_relations(
+        hs, "section",
+        lambda lhs, rhs: section_eval(E, table, lhs) == section_eval(E, table, rhs),
+        strategy, seed, samples, relation_ids, stop_on_fail,
+    ))
     return rep
 
 
@@ -260,7 +208,7 @@ def chooser_agreement(hs: HyperbolicSpace, a_order: int, seed=DEFAULT_SEED,
     e1 = ProductExtension(hs, a_order, chooser_seed=(seed, 1))
     e2 = ProductExtension(hs, a_order, chooser_seed=(seed, 2))
     rng = random.Random(f"{seed}|pairs")
-    gens = [m for _, m in _pair_pool(hs)]
+    gens = [m for g, m in eu_generators(hs) if isinstance(g, Xij)]
     witness = None
     for _ in range(pairs):
         x = _random_product(hs, gens, rng)
@@ -274,19 +222,6 @@ def chooser_agreement(hs: HyperbolicSpace, a_order: int, seed=DEFAULT_SEED,
     rep.add("extension.central_trick", "pass" if witness is None else "fail",
             witness=witness or f"{pairs} pairs", seed=seed)
     return rep
-
-
-def _pair_pool(hs: HyperbolicSpace):
-    pool = []
-    r = hs.ring
-    for i in hs.omega:
-        for j in hs.omega:
-            if j in (i, -i):
-                continue
-            for a in r.elements():
-                if a != r.zero:
-                    pool.append((Xij(i, j, a), gen_matrix(hs, Xij(i, j, a))))
-    return pool
 
 
 def _random_product(hs, gens, rng, max_len=4):

@@ -176,22 +176,6 @@ def zero_space(ring) -> OddQuadraticSpace:
     return OddQuadraticSpace(ring, (), MinParameter())
 
 
-def form_eval(space, u, v):
-    return space.form(u, v)
-
-
-def heis_add(space, xi, zeta):
-    return space.heis_add(xi, zeta)
-
-
-def heis_neg(space, xi):
-    return space.heis_neg(xi)
-
-
-def heis_act(space, xi, b):
-    return space.heis_act(xi, b)
-
-
 def verify_antihermitian(space, seed=DEFAULT_SEED, pair_cap=10**5) -> Report:
     """Gram anti-Hermitian on basis pairs; B(u, v) = -bar(B(v, u)) on vector pairs."""
     rep = Report()

@@ -2,13 +2,15 @@
 
 Tokens: `Xij(a)` for the two-index generator, `Xi(u;a)` for the one-index
 generator (u = comma-separated coordinates of the anisotropic part, empty
-when that part has rank 0), suffix `'` for a formal inverse.  Indices are
-single signed digits, so ranks up to 9 serialize unambiguously; an optional
-comma between the two indices is accepted on input.
+when that part has rank 0), suffix `'` for a formal inverse.  The two
+indices are written glued together (`X3-1`) while both are single digits,
+and with a comma between them (`X10,1`) otherwise; a comma is always
+accepted on input.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Tuple
@@ -35,6 +37,22 @@ class Xi:
     xi: tuple
 
 
+def generators(hs, nontrivial=False):
+    """X_ij(a) over ordered pairs j outside {i, -i} and scalars a, then
+    X_i(xi) over the V0-supported parameter, in Omega order; `nontrivial`
+    leaves out the zero arguments."""
+    r = hs.ring
+    for i, j in itertools.product(hs.omega, repeat=2):
+        if j not in (i, -i):
+            for a in r.elements():
+                if not (nontrivial and a == r.zero):
+                    yield Xij(i, j, a)
+    for i in hs.omega:
+        for xi in hs.l0:
+            if not (nontrivial and xi == hs.v0.heis_identity):
+                yield Xi(i, xi)
+
+
 def word(*gens) -> Word:
     return tuple((g, 1) for g in gens)
 
@@ -59,7 +77,8 @@ def format_gen(gen, hs=None) -> str:
     """Render a generator as a token; `hs` supplies the scalar formatting."""
     fmt = hs.ring.format_scalar if hs is not None else str
     if isinstance(gen, Xij):
-        return f"X{gen.i}{gen.j}({fmt(gen.a)})"
+        sep = "," if max(abs(gen.i), abs(gen.j)) > 9 else ""
+        return f"X{gen.i}{sep}{gen.j}({fmt(gen.a)})"
     u, a = gen.xi
     u_txt = ",".join(fmt(c) for c in u)
     return f"X{gen.i}({u_txt};{fmt(a)})"

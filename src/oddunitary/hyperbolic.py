@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forms import FormParameter, OddQuadraticSpace, ring_key, zero_space
-from .generators import Xi, Xij, format_word
+from .generators import Xi, Xij, format_word, generators
 from .matrices import Mat
 from .report import DEFAULT_CAP, CapExceeded, NotInvertible, WorkbenchError
 
@@ -220,10 +220,6 @@ def make_hyperbolic(ring, n, v0: OddQuadraticSpace | None = None,
     return HyperbolicSpace(ring, n, v0, parameter)
 
 
-def eps(hs: HyperbolicSpace, i: int):
-    return hs.eps(i)
-
-
 def is_isometry(hs: HyperbolicSpace, f: Mat) -> bool:
     """B(f b_i, f b_j) = B(b_i, b_j) on all basis pairs (enough by sesquilinearity)."""
     if f.dim != hs.dim:
@@ -282,24 +278,17 @@ def unitary_member(hs: HyperbolicSpace, f: Mat, cap=DEFAULT_CAP) -> bool:
     return is_isometry(hs, f) and equiv_mod_param(hs, f, hs.identity, cap)
 
 
+def gen_matrix(hs: HyperbolicSpace, gen) -> Mat:
+    if isinstance(gen, Xij):
+        return hs.transvection_ij(gen.i, gen.j, gen.a)
+    if isinstance(gen, Xi):
+        return hs.transvection_i(gen.i, gen.xi)
+    raise ValueError(f"not a generator: {gen!r}")
+
+
 def eu_generators(hs: HyperbolicSpace):
     """All nontrivial elementary transvections, in canonical index order."""
-    gens = []
-    r = hs.ring
-    for i in hs.omega:
-        for j in hs.omega:
-            if j in (i, -i):
-                continue
-            for a in r.elements():
-                if a == r.zero:
-                    continue
-                gens.append((Xij(i, j, a), hs.transvection_ij(i, j, a)))
-    for i in hs.omega:
-        for xi in hs.l0:
-            if xi == hs.v0.heis_identity:
-                continue
-            gens.append((Xi(i, xi), hs.transvection_i(i, xi)))
-    return gens
+    return [(g, gen_matrix(hs, g)) for g in generators(hs, nontrivial=True)]
 
 
 @dataclass

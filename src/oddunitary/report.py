@@ -29,7 +29,7 @@ class ConfigError(WorkbenchError):
 @dataclass(frozen=True)
 class CheckResult:
     check: str
-    status: str  # "pass" | "fail" | "error"
+    status: str  # "pass" | "fail" | "error" | "vacuous" (a sweep with no case)
     witness: Optional[str] = None
     seed: Optional[int] = None
 

@@ -27,13 +27,6 @@ class Ring:
     def elements(self):
         raise NotImplementedError
 
-    def is_unit(self, a) -> bool:
-        try:
-            self.inv(a)
-            return True
-        except NotInvertible:
-            return False
-
     @property
     def lam(self):
         return self.bar(self.one)
@@ -213,14 +206,6 @@ def make_ring(kind="residue", modulus=2, degree=1, involution="identity", table=
             )
         return MatrixRing(modulus, degree, entry, table)
     raise ValueError(f"unsupported ring kind {kind!r}")
-
-
-def involve(ring, a):
-    """bar(a); the element must belong to the carrier."""
-    if ring.kind == "residue":
-        if not (isinstance(a, int) and 0 <= a < ring.modulus):
-            raise ValueError(f"{a!r} is not in the carrier of {ring!r}")
-    return ring.bar(a)
 
 
 def _pairs(ring, seed):

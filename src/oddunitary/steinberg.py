@@ -7,15 +7,15 @@ matrices (formal inverses become genuine matrix inverses), left-to-right.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from typing import Callable, Optional
 
-from .generators import Word, Xi, Xij, commutator_word, wmul, word
-from .hyperbolic import HyperbolicSpace
+from .generators import Word, Xi, Xij, commutator_word, generators, wmul, word
+from .hyperbolic import HyperbolicSpace, gen_matrix
 from .matrices import Mat
 from .report import DEFAULT_SEED, Report, WorkbenchError
-
-RELATION_IDS = ("R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9")
 
 
 def validate_gen(hs: HyperbolicSpace, gen):
@@ -30,14 +30,6 @@ def validate_gen(hs: HyperbolicSpace, gen):
             raise WorkbenchError(f"{gen!r}: argument outside the form parameter")
     else:
         raise ValueError(f"not a generator: {gen!r}")
-
-
-def gen_matrix(hs: HyperbolicSpace, gen) -> Mat:
-    if isinstance(gen, Xij):
-        return hs.transvection_ij(gen.i, gen.j, gen.a)
-    if isinstance(gen, Xi):
-        return hs.transvection_i(gen.i, gen.xi)
-    raise ValueError(f"not a generator: {gen!r}")
 
 
 def eval_word(hs: HyperbolicSpace, w: Word, rep=None, cache=None) -> Mat:
@@ -60,237 +52,218 @@ def eval_word(hs: HyperbolicSpace, w: Word, rep=None, cache=None) -> Mat:
     return acc
 
 
-# -- relation instances -----------------------------------------------------
+# -- relation families --------------------------------------------------------
+
+
+def _r0(hs, i, j, a):
+    r = hs.ring
+    rhs_val = r.prod(hs.eps(-j), r.bar(a), hs.eps(i))
+    return word(Xij(i, j, a)), word(Xij(-j, -i, rhs_val))
+
+
+def _r1(hs, i, j, a, b):
+    return word(Xij(i, j, a), Xij(i, j, b)), word(Xij(i, j, hs.ring.add(a, b)))
+
+
+def _r2(hs, i, xi, zeta):
+    return word(Xi(i, xi), Xi(i, zeta)), word(Xi(i, hs.v0.heis_add(xi, zeta)))
+
+
+def _r3(hs, i, j, h, k, a, b):
+    return commutator_word(word(Xij(i, j, a)), word(Xij(h, k, b))), ()
+
+
+def _r4(hs, i, j, k, xi, a):
+    return commutator_word(word(Xi(i, xi)), word(Xij(j, k, a))), ()
+
+
+def _r5(hs, i, j, k, a, b):
+    return (
+        commutator_word(word(Xij(i, j, a)), word(Xij(j, k, b))),
+        word(Xij(i, k, hs.ring.mul(a, b))),
+    )
+
+
+def _r6(hs, i, j, xi, zeta):
+    r = hs.ring
+    (u, _), (v, _) = xi, zeta
+    return (
+        commutator_word(word(Xi(i, xi)), word(Xi(j, zeta))),
+        word(Xij(i, -j, r.mul(hs.eps(i), hs.v0.form(u, v)))),
+    )
+
+
+def _r7(hs, i, xi, zeta):
+    (u, _), (v, _) = xi, zeta
+    val = hs.ring.sub(hs.v0.form(u, v), hs.v0.form(v, u))
+    return (
+        commutator_word(word(Xi(i, xi)), word(Xi(i, zeta))),
+        word(Xi(i, (hs.v0.zero_vec, val))),
+    )
+
+
+def _r8(hs, i, j, xi, b):
+    r = hs.ring
+    u, a = xi
+    acted = hs.v0.heis_act((u, r.neg(r.bar(a))), b)
+    return (
+        commutator_word(word(Xi(i, xi)), word(Xij(-i, j, b))),
+        word(Xij(i, j, r.prod(hs.eps(i), a, b)), Xi(-j, acted)),
+    )
+
+
+def _r9(hs, i, j, a, b):
+    r = hs.ring
+    val = r.add(
+        r.neg(r.prod(hs.eps(-i), r.lam, a, b)),
+        r.prod(r.bar(b), r.lam_inv, r.bar(a), hs.eps(i)),
+    )
+    return (
+        commutator_word(word(Xij(i, j, a)), word(Xij(j, -i, b))),
+        word(Xi(i, (hs.v0.zero_vec, val))),
+    )
+
+
+def _pair(i, j):
+    return j not in (i, -i)
+
+
+def _any(i):
+    return True
+
+
+def _disjoint(*idx):
+    """The signed indices +-i of every index in idx are pairwise distinct."""
+    return len({s * i for i in idx for s in (1, -1)}) == 2 * len(idx)
+
+
+@dataclass(frozen=True)
+class Family:
+    """A family of parameter tuples: `arity` indices from Omega satisfying
+    `admits`, then one argument per domain ("ring": a scalar, "l0": an
+    element of the V0-supported parameter).  `sides` turns a parameter
+    tuple into the two words of a relation instance."""
+
+    arity: int
+    admits: Callable
+    domains: tuple
+    sides: Optional[Callable] = None
+
+
+# Adding a relation family means adding one entry here.
+FAMILIES = {
+    "R0": Family(2, _pair, ("ring",), _r0),
+    "R1": Family(2, _pair, ("ring", "ring"), _r1),
+    "R2": Family(1, _any, ("l0", "l0"), _r2),
+    "R3": Family(4, lambda i, j, h, k: _pair(i, j) and h not in (j, -i)
+                 and k not in (h, -h, i, -j), ("ring", "ring"), _r3),
+    "R4": Family(3, lambda i, j, k: j != -i and k not in (j, -j, i),
+                 ("l0", "ring"), _r4),
+    "R5": Family(3, _disjoint, ("ring", "ring"), _r5),
+    "R6": Family(2, _pair, ("l0", "l0"), _r6),
+    "R7": Family(1, _any, ("l0", "l0"), _r7),
+    "R8": Family(2, _pair, ("l0", "ring"), _r8),
+    "R9": Family(2, _pair, ("ring", "ring"), _r9),
+}
+RELATION_IDS = tuple(FAMILIES)
+
+# Property-dagger: index quadruples with all eight signed indices distinct.
+DAGGER = Family(4, _disjoint, ("ring", "ring"))
+
+
+def _family(rid: str) -> Family:
+    try:
+        return FAMILIES[rid]
+    except KeyError:
+        raise ValueError(f"unknown relation id {rid!r}") from None
+
+
+def family_params(hs: HyperbolicSpace, fam: Family, tag: str,
+                  strategy="exhaustive", seed=DEFAULT_SEED, samples=256):
+    """Parameter tuples (indices, then arguments) of one family.
+
+    Exhaustive: every admissible index tuple in Omega order, times every
+    argument tuple, lazily.  Sampled: `samples` draws from a generator
+    seeded with `seed|tag`, one for the index tuple, then one per domain.
+    A family without admissible index tuples has no parameters at all.
+    """
+    pools = {"ring": list(hs.ring.elements()), "l0": list(hs.l0)}
+    domains = [pools[d] for d in fam.domains]
+    indices = [
+        idx for idx in itertools.product(hs.omega, repeat=fam.arity)
+        if fam.admits(*idx)
+    ]
+    if strategy == "exhaustive":
+        return (idx + args for idx in indices
+                for args in itertools.product(*domains))
+    if strategy == "sampled":
+        rng = random.Random(f"{seed}|{tag}")
+        return (
+            rng.choice(indices) + tuple(rng.choice(d) for d in domains)
+            for _ in range(samples if indices else 0)
+        )
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def relation_instance(hs: HyperbolicSpace, rid: str, params) -> tuple[Word, Word]:
     """Both sides of one relation, commutators expanded as a b a' b'."""
-    r = hs.ring
-    if rid == "R0":
-        i, j, a = params
-        rhs_val = r.prod(hs.eps(-j), r.bar(a), hs.eps(i))
-        return word(Xij(i, j, a)), word(Xij(-j, -i, rhs_val))
-    if rid == "R1":
-        i, j, a, b = params
-        return (
-            word(Xij(i, j, a), Xij(i, j, b)),
-            word(Xij(i, j, r.add(a, b))),
-        )
-    if rid == "R2":
-        i, xi, zeta = params
-        return (
-            word(Xi(i, xi), Xi(i, zeta)),
-            word(Xi(i, hs.v0.heis_add(xi, zeta))),
-        )
-    if rid == "R3":
-        i, j, h, k, a, b = params
-        if h in (j, -i) or k in (i, -j):
-            raise ValueError("R3 side condition violated")
-        return commutator_word(word(Xij(i, j, a)), word(Xij(h, k, b))), ()
-    if rid == "R4":
-        i, xi, j, k, a = params
-        if j == -i or k == i:
-            raise ValueError("R4 side condition violated")
-        return commutator_word(word(Xi(i, xi)), word(Xij(j, k, a))), ()
-    if rid == "R5":
-        i, j, k, a, b = params
-        if len({i, -i, j, -j, k, -k}) != 6:
-            raise ValueError("R5 needs pairwise disjoint index pairs")
-        return (
-            commutator_word(word(Xij(i, j, a)), word(Xij(j, k, b))),
-            word(Xij(i, k, r.mul(a, b))),
-        )
-    if rid == "R6":
-        i, j, xi, zeta = params
-        if j in (i, -i):
-            raise ValueError("R6 needs i outside {j, -j}")
-        u, _ = xi
-        v, _ = zeta
-        return (
-            commutator_word(word(Xi(i, xi)), word(Xi(j, zeta))),
-            word(Xij(i, -j, r.mul(hs.eps(i), hs.v0.form(u, v)))),
-        )
-    if rid == "R7":
-        i, xi, zeta = params
-        u, _ = xi
-        v, _ = zeta
-        val = r.sub(hs.v0.form(u, v), hs.v0.form(v, u))
-        return (
-            commutator_word(word(Xi(i, xi)), word(Xi(i, zeta))),
-            word(Xi(i, (hs.v0.zero_vec, val))),
-        )
-    if rid == "R8":
-        i, j, xi, b = params
-        if j in (i, -i):
-            raise ValueError("R8 needs j outside {i, -i}")
-        u, a = xi
-        acted = hs.v0.heis_act((u, r.neg(r.bar(a))), b)
-        return (
-            commutator_word(word(Xi(i, xi)), word(Xij(-i, j, b))),
-            word(Xij(i, j, r.prod(hs.eps(i), a, b)), Xi(-j, acted)),
-        )
-    if rid == "R9":
-        i, j, a, b = params
-        if j in (i, -i):
-            raise ValueError("R9 needs j outside {i, -i}")
-        val = r.add(
-            r.neg(r.prod(hs.eps(-i), r.lam, a, b)),
-            r.prod(r.bar(b), r.lam_inv, r.bar(a), hs.eps(i)),
-        )
-        return (
-            commutator_word(word(Xij(i, j, a)), word(Xij(j, -i, b))),
-            word(Xi(i, (hs.v0.zero_vec, val))),
-        )
-    raise ValueError(f"unknown relation id {rid!r}")
-
-
-def _index_tuples(hs: HyperbolicSpace, rid: str):
-    om = hs.omega
-    if rid in ("R0", "R1", "R9"):
-        for i in om:
-            for j in om:
-                if j not in (i, -i):
-                    yield (i, j)
-    elif rid in ("R2", "R7"):
-        for i in om:
-            yield (i,)
-    elif rid == "R3":
-        for i in om:
-            for j in om:
-                if j in (i, -i):
-                    continue
-                for h in om:
-                    if h in (j, -i):
-                        continue
-                    for k in om:
-                        if k in (h, -h, i, -j):
-                            continue
-                        yield (i, j, h, k)
-    elif rid == "R4":
-        for i in om:
-            for j in om:
-                if j == -i:
-                    continue
-                for k in om:
-                    if k in (j, -j, i):
-                        continue
-                    yield (i, j, k)
-    elif rid == "R5":
-        for i in om:
-            for j in om:
-                if j in (i, -i):
-                    continue
-                for k in om:
-                    if k in (i, -i, j, -j):
-                        continue
-                    yield (i, j, k)
-    elif rid in ("R6", "R8"):
-        for i in om:
-            for j in om:
-                if j not in (i, -i):
-                    yield (i, j)
-    else:
-        raise ValueError(f"unknown relation id {rid!r}")
-
-
-def relation_params(hs: HyperbolicSpace, rid: str):
-    """Every admissible parameter tuple, exhaustively."""
-    ring_vals = list(hs.ring.elements())
-    l0 = list(hs.l0)
-    for idx in _index_tuples(hs, rid):
-        if rid == "R0":
-            for a in ring_vals:
-                yield idx + (a,)
-        elif rid in ("R1", "R9"):
-            for a in ring_vals:
-                for b in ring_vals:
-                    yield idx + (a, b)
-        elif rid in ("R2", "R7"):
-            for xi in l0:
-                for zeta in l0:
-                    yield idx + (xi, zeta)
-        elif rid == "R3":
-            for a in ring_vals:
-                for b in ring_vals:
-                    yield idx + (a, b)
-        elif rid == "R4":
-            i, j, k = idx
-            for xi in l0:
-                for a in ring_vals:
-                    yield (i, xi, j, k, a)
-        elif rid == "R5":
-            for a in ring_vals:
-                for b in ring_vals:
-                    yield idx + (a, b)
-        elif rid == "R6":
-            for xi in l0:
-                for zeta in l0:
-                    yield idx + (xi, zeta)
-        elif rid == "R8":
-            for xi in l0:
-                for b in ring_vals:
-                    yield idx + (xi, b)
-
-
-def sample_relation_params(hs: HyperbolicSpace, rid: str, rng: random.Random):
-    idx_pool = list(_index_tuples(hs, rid))
-    idx = rng.choice(idx_pool)
-    ring_vals = list(hs.ring.elements())
-    l0 = list(hs.l0)
-    if rid == "R0":
-        return idx + (rng.choice(ring_vals),)
-    if rid in ("R1", "R3", "R5", "R9"):
-        return idx + (rng.choice(ring_vals), rng.choice(ring_vals))
-    if rid in ("R2", "R6", "R7"):
-        return idx + (rng.choice(l0), rng.choice(l0))
-    if rid == "R4":
-        i, j, k = idx
-        return (i, rng.choice(l0), j, k, rng.choice(ring_vals))
-    if rid == "R8":
-        return idx + (rng.choice(l0), rng.choice(ring_vals))
-    raise ValueError(rid)
+    fam = _family(rid)
+    if (len(params) != fam.arity + len(fam.domains)
+            or not fam.admits(*params[:fam.arity])):
+        raise ValueError(f"{rid}{tuple(params)!r} violates the side condition")
+    return fam.sides(hs, *params)
 
 
 def relation_cases(hs, rid, strategy="exhaustive", seed=DEFAULT_SEED, samples=256):
     """Yield (params, lhs, rhs) for one relation family."""
-    if strategy == "exhaustive":
-        for params in relation_params(hs, rid):
-            yield (params,) + relation_instance(hs, rid, params)
-    elif strategy == "sampled":
-        rng = random.Random(f"{seed}|{rid}")
-        for _ in range(samples):
-            params = sample_relation_params(hs, rid, rng)
-            yield (params,) + relation_instance(hs, rid, params)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    for params in family_params(hs, _family(rid), rid, strategy, seed, samples):
+        yield (params,) + relation_instance(hs, rid, params)
 
 
-def describe_params(rid, params):
-    return f"{rid}{params!r}"
+def sweep(report: Report, check: str, cases, holds, witness,
+          unit="instances", seed=None) -> bool:
+    """Add one record for `check`: fail at the first case that does not hold,
+    vacuous when there is no case at all; False on a failure."""
+    count = 0
+    for case in cases:
+        count += 1
+        if not holds(case):
+            report.add(check, "fail", witness=witness(case), seed=seed)
+            return False
+    report.add(check, "pass" if count else "vacuous",
+               witness=f"{count} {unit}", seed=seed)
+    return True
+
+
+def sweep_relations(hs: HyperbolicSpace, prefix: str, holds, strategy, seed,
+                    samples, relation_ids=RELATION_IDS,
+                    stop_on_fail=False) -> Report:
+    """One record `prefix.rid` per family; holds(lhs, rhs) on every case."""
+    report = Report()
+    used_seed = seed if strategy == "sampled" else None
+    for rid in relation_ids:
+        ok = sweep(
+            report, f"{prefix}.{rid}",
+            relation_cases(hs, rid, strategy, seed, samples),
+            lambda case: holds(case[1], case[2]),
+            lambda case: f"{rid}{case[0]!r}",
+            seed=used_seed,
+        )
+        if not ok and stop_on_fail:
+            break
+    return report
 
 
 def verify_relations(hs: HyperbolicSpace, strategy="exhaustive",
                      seed=DEFAULT_SEED, samples=256, rep=None,
                      relation_ids=RELATION_IDS) -> Report:
     """Evaluate every relation instance in the defining representation."""
-    report = Report()
     cache = {}
-    used_seed = seed if strategy == "sampled" else None
-    for rid in relation_ids:
-        count = 0
-        witness = None
-        for params, lhs, rhs in relation_cases(hs, rid, strategy, seed, samples):
-            count += 1
-            if eval_word(hs, lhs, rep, cache) != eval_word(hs, rhs, rep, cache):
-                witness = describe_params(rid, params)
-                break
-        report.add(
-            f"relations.{rid}",
-            "pass" if witness is None else "fail",
-            witness=witness if witness is not None else f"{count} instances",
-            seed=used_seed,
-        )
-    return report
+    return sweep_relations(
+        hs, "relations",
+        lambda lhs, rhs: eval_word(hs, lhs, rep, cache) == eval_word(hs, rhs, rep, cache),
+        strategy, seed, samples, relation_ids,
+    )
 
 
 # -- U1 normal form ----------------------------------------------------------
@@ -323,11 +296,9 @@ def _u1_swap_scalar(hs: HyperbolicSpace, j, c, b):
 
 
 def u1_alphabet(hs: HyperbolicSpace):
-    gens = [Xi(hs.n, xi) for xi in hs.l0]
-    for i in u1_order(hs):
-        for a in hs.ring.elements():
-            gens.append(Xij(hs.n, i, a))
-    return gens
+    """Every X_n(zeta), then every X_{n,i}(a) in collection order."""
+    return sorted((g for g in generators(hs) if g.i == hs.n),
+                  key=lambda g: isinstance(g, Xij))
 
 
 def u1_decompose(hs: HyperbolicSpace, w: Word) -> U1NormalForm:
@@ -387,7 +358,7 @@ def u1_uniqueness_check(hs: HyperbolicSpace, w1: Word, w2: Word) -> bool:
 # -- perfectness and stabilization -------------------------------------------
 
 
-def _pick(hs, excluded):
+def witness_index(hs, excluded):
     for l in hs.omega:
         if l not in excluded:
             return l
@@ -404,7 +375,7 @@ def perfect_witness(hs: HyperbolicSpace, gen) -> Word:
     if isinstance(gen, Xij):
         if gen.a == r.zero:
             return ()
-        l = _pick(hs, {gen.i, -gen.i, gen.j, -gen.j})
+        l = witness_index(hs, {gen.i, -gen.i, gen.j, -gen.j})
         return commutator_word(
             word(Xij(gen.i, l, gen.a)), word(Xij(l, gen.j, r.one))
         )
@@ -413,8 +384,8 @@ def perfect_witness(hs: HyperbolicSpace, gen) -> Word:
             return ()
         k = gen.i
         u, c = gen.xi
-        i0 = _pick(hs, {k, -k})
-        m0 = _pick(hs, {k, -k, i0, -i0})
+        i0 = witness_index(hs, {k, -k})
+        m0 = witness_index(hs, {k, -k, i0, -i0})
         cbar = r.bar(c)
         part1 = commutator_word(
             word(Xij(i0, m0, r.mul(hs.eps(i0), cbar))),
@@ -425,11 +396,6 @@ def perfect_witness(hs: HyperbolicSpace, gen) -> Word:
         )
         return wmul(part1, part2)
     raise ValueError(f"not a generator: {gen!r}")
-
-
-def stabilize(w: Word) -> Word:
-    """Reinterpret a rank-n word at rank n+1 (the generator data is unchanged)."""
-    return tuple(w)
 
 
 def embed_matrix(small: HyperbolicSpace, big: HyperbolicSpace, m: Mat) -> Mat:

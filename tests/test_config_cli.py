@@ -208,3 +208,44 @@ def test_cli_fail_stream_exits_1(capsys, tmp_path):
     assert code == 1
     assert any(l["status"] == "fail" for l in lines)
     assert any(l["check"] == "ring.bar_involutive" for l in lines)
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "sampled"])
+def test_cli_rank_2_reports_r5_vacuous(capsys, tmp_path, strategy):
+    # no three disjoint index pairs exist at n = 2, so R5 has no instance
+    cfg = tmp_path / "n2.cfg"
+    cfg.write_text(DEFAULT_CONFIG.replace("n = 3", "n = 2"))
+    code, lines = run_cli(capsys, "--config", str(cfg), "--strategy", strategy,
+                          "verify-relations")
+    assert code == 1
+    status = {l["check"]: l["status"] for l in lines}
+    assert status.pop("relations.R5") == "vacuous"
+    assert set(status.values()) == {"pass"}
+    assert len(status) == 9
+
+
+def test_cli_zero_samples_are_vacuous(capsys, tmp_path):
+    cfg = tmp_path / "s0.cfg"
+    cfg.write_text(DEFAULT_CONFIG.replace("strategy = exhaustive",
+                                          "strategy = sampled\nsamples = 0"))
+    code, lines = run_cli(capsys, "--config", str(cfg), "verify-relations")
+    assert code == 1
+    assert len(lines) == 10
+    assert all(l["status"] == "vacuous" for l in lines)
+    assert all(l["witness"] == "0 instances" for l in lines)
+    cfg.write_text(cfg.read_text().replace("n = 3", "n = 4"))
+    code, lines = run_cli(capsys, "--config", str(cfg), "check-dagger")
+    assert code == 1
+    assert lines == [{"check": "extension.dagger", "status": "vacuous",
+                      "witness": "0 quadruple instances", "seed": 3293}]
+
+
+def test_negative_cap_and_samples_are_config_errors(capsys):
+    with pytest.raises(ConfigError, match="samples"):
+        parse_config("[run]\nsamples = -1\n")
+    with pytest.raises(ConfigError, match="cap"):
+        parse_config("[run]\ncap = -1\n")
+    code, lines = run_cli(capsys, "--cap", "-5", "enumerate-eu")
+    assert code == 2
+    assert lines[0]["status"] == "error"
+    assert lines[0]["witness"].startswith("cap")

@@ -15,12 +15,8 @@ from oddunitary import (
     s_ij,
     verify_section,
 )
-from oddunitary.extensions import (
-    chooser_agreement,
-    mutate_section,
-    section_generators,
-)
-from oddunitary.generators import Xi, Xij
+from oddunitary.extensions import chooser_agreement, mutate_section
+from oddunitary.generators import Xi, Xij, generators
 from oddunitary.steinberg import gen_matrix
 
 
@@ -206,8 +202,14 @@ def test_verify_section_passes(ext_z2, section_z2, ext_z3, section_z3):
     assert rep.ok
 
 
+def test_section_without_samples_is_vacuous(ext_z2, section_z2):
+    rep = verify_section(ext_z2, section_z2, strategy="sampled", samples=0)
+    assert not rep.ok
+    assert [r.status for r in rep] == ["pass"] + ["vacuous"] * 10
+
+
 def test_section_covers_all_generators(hs_z2_n4, section_z2):
-    gens = list(section_generators(hs_z2_n4))
+    gens = list(generators(hs_z2_n4))
     assert len(gens) == len(section_z2)
     assert all(g in section_z2 for g in gens)
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,7 +12,16 @@ from oddunitary import (
     u1_uniqueness_check,
     verify_relations,
 )
-from oddunitary.generators import Xi, Xij, format_word, parse_word, winv, wmul, word
+from oddunitary.generators import (
+    Xi,
+    Xij,
+    format_word,
+    generators,
+    parse_word,
+    winv,
+    wmul,
+    word,
+)
 from oddunitary.steinberg import (
     U1NormalForm,
     embed_matrix,
@@ -19,9 +29,8 @@ from oddunitary.steinberg import (
     gen_matrix,
     normal_form_word,
     perfect_witness,
-    relation_params,
+    relation_cases,
     remark2_witness_search,
-    stabilize,
     u1_alphabet,
     validate_gen,
 )
@@ -89,6 +98,52 @@ def test_relation_side_conditions_raise(hs_z2_n3):
         relation_instance(hs_z2_n3, "R5", (1, 2, -1, 1, 1))
     with pytest.raises(ValueError):
         relation_instance(hs_z2_n3, "Rx", ())
+    with pytest.raises(ValueError):
+        relation_instance(hs_z2_n3, "R0", (1, 1, 1))  # j = i
+    with pytest.raises(ValueError):
+        relation_instance(hs_z2_n3, "R1", (1, -1, 1, 1))  # j = -i
+
+
+def test_relation_instance_r4_params_are_indices_then_arguments(hs_rich):
+    xi = hs_rich.l0[-1]
+    lhs, rhs = relation_instance(hs_rich, "R4", (1, 2, 3, xi, 2))
+    assert lhs[0] == (Xi(1, xi), 1)
+    assert lhs[1] == (Xij(2, 3, 2), 1)
+    assert rhs == ()
+
+
+# Instance count and sha256(repr([(lhs, rhs), ...]))[:12] per family, as
+# produced before the families became one table: exhaustive on Z/2 with
+# n = 4, then seed 3293 with 64 samples on Z/2 (n = 4) and on M_2(Z/2)
+# with transpose (n = 3).
+PINNED_CASE_STREAMS = {
+    "R0": (96, "e62779ddb391", "4fe3ffdddaf3", "6a998db94b7d"),
+    "R1": (192, "5728a2458126", "e97285cbcc1f", "82837cabf8d8"),
+    "R2": (8, "6548d6f300fc", "d1ec04aa2f1a", "2047fdfcfcfe"),
+    "R3": (4992, "e4cada7170d0", "a62771eecc8a", "8c09ef08adf7"),
+    "R4": (576, "bfc9b7bd03e7", "a39910642c5c", "7b35691250b3"),
+    "R5": (768, "b47731b38a08", "94390e8dc57f", "0f27b5266f5d"),
+    "R6": (48, "3b52df8365a6", "dc2aa4cd29b3", "fdcea0e41b14"),
+    "R7": (8, "f8052d976419", "bc480a9d7847", "b0a228ad824c"),
+    "R8": (96, "95276bbf4782", "ad0dab7bf5c4", "d25e06e3db6c"),
+    "R9": (192, "e8c9516a4d07", "2404ba9e1ce0", "d4e8dfd3112e"),
+}
+
+
+def test_case_streams_are_pinned(hs_z2_n4, m2z2):
+    hs_m2 = make_hyperbolic(m2z2, 3)
+
+    def digest(cases):
+        sides = [(lhs, rhs) for _, lhs, rhs in cases]
+        return len(sides), hashlib.sha256(repr(sides).encode()).hexdigest()[:12]
+
+    for rid, expected in PINNED_CASE_STREAMS.items():
+        got = (
+            *digest(relation_cases(hs_z2_n4, rid)),
+            digest(relation_cases(hs_z2_n4, rid, "sampled", 3293, 64))[1],
+            digest(relation_cases(hs_m2, rid, "sampled", 3293, 64))[1],
+        )
+        assert got == expected, rid
 
 
 @pytest.mark.parametrize("preset", ["z2", "z3n", "z3", "rich"])
@@ -241,21 +296,17 @@ def test_perfect_witnesses_evaluate(hs_z3_n3, hs_rich):
 
 
 def test_stabilize(hs_z2_n3, hs_z2_n4, z2):
-    assert stabilize(()) == ()
+    # rank stabilization is the identity on words
     w = word(Xij(1, 2, 1))
-    assert stabilize(w) == w
-    assert eval_word(hs_z2_n4, stabilize(w)) == embed_matrix(
+    assert eval_word(hs_z2_n4, w) == embed_matrix(
         hs_z2_n3, hs_z2_n4, eval_word(hs_z2_n3, w)
     )
 
 
 def test_stabilized_relations_still_hold(hs_z2_n3, hs_z2_n4):
     for rid in ("R1", "R5", "R9"):
-        params = next(iter(relation_params(hs_z2_n3, rid)))
-        lhs, rhs = relation_instance(hs_z2_n3, rid, params)
-        assert eval_word(hs_z2_n4, stabilize(lhs)) == eval_word(
-            hs_z2_n4, stabilize(rhs)
-        )
+        _, lhs, rhs = next(relation_cases(hs_z2_n3, rid))
+        assert eval_word(hs_z2_n4, lhs) == eval_word(hs_z2_n4, rhs)
 
 
 # -- word grammar -------------------------------------------------------------
@@ -271,6 +322,16 @@ def test_word_tokens_roundtrip(hs_z2_n3, hs_rich):
     w2 = wmul(word(Xi(-2, xi)), winv(word(Xij(1, -3, 2))))
     text2 = format_word(w2, hs_rich)
     assert parse_word(text2, hs_rich) == w2
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_word_tokens_roundtrip_every_rank(n, z3, hs_rich):
+    # two-digit indices get a comma (X10,1); one-digit ones stay glued (X31)
+    hs = make_hyperbolic(z3, n, hs_rich.v0)
+    w = tuple((g, e) for g in generators(hs) for e in (1, -1))
+    text = format_word(w, hs)
+    assert parse_word(text, hs) == w
+    assert (f"X{n},1(0)" in text.split()) == (n > 9)
 
 
 def test_parse_word_rejects_garbage(hs_z2_n3):

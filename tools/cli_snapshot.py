@@ -1,0 +1,101 @@
+#!/usr/bin/env python3
+"""Write the CLI output of every shipped preset to OUTDIR, one file per run.
+
+Usage, from anywhere:
+
+    python3 tools/cli_snapshot.py OUTDIR
+
+Each file holds the run's stdout followed by a final `exit=<code>` line.
+The runs are every subcommand on each `configs/*.cfg` under both
+strategies, every subcommand on the built-in default config, the README's
+`decompose-u1` example and the `enumerate-eu --out` dump on
+`configs/z2_n3.cfg`.  Run it on two checkouts and compare with
+`diff -r OUTDIR1 OUTDIR2`: a refactor that keeps the behaviour leaves no
+difference, exit codes included.
+
+The closure subcommands (`enumerate-eu`, `check-perfect`) get
+`--cap 30000`.  EU(6, Z/2) has 20160 elements and fits; the groups of the
+larger presets have millions, which would hold gigabytes of matrices, so
+those runs stop at the cap with the same error record on both sides.
+
+The package is run from `src/` next to this script, one process per run,
+so that an uncaught exception shows up as a changed exit code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBCOMMANDS = (
+    "verify-ring", "verify-space", "verify-relations", "decompose-u1",
+    "enumerate-eu", "check-perfect", "free-identities", "check-dagger",
+    "split-demo",
+)
+CLOSURE_SUBCOMMANDS = ("enumerate-eu", "check-perfect")
+CLOSURE_CAP = 30000
+STRATEGIES = ("exhaustive", "sampled")
+DEFAULT_RANK = 3  # the built-in config's n
+README_WORD = "X3-1(1) X31(1)"
+
+
+def subcommand_args(name, n):
+    """Global options the subcommand needs, and its own arguments."""
+    opts = ["--cap", str(CLOSURE_CAP)] if name in CLOSURE_SUBCOMMANDS else []
+    if name == "decompose-u1":
+        return opts, [f"X{n}-1(1) X{n}1(1)"]
+    if name == "split-demo":
+        return opts, ["3"]
+    return opts, []
+
+
+def config_rank(path: Path) -> int:
+    m = re.search(r"^\s*n\s*=\s*(\d+)", path.read_text(), re.MULTILINE)
+    return int(m.group(1)) if m else DEFAULT_RANK
+
+
+def runs():
+    """(file name, CLI arguments) for every run, in a fixed order."""
+    for cfg in sorted((ROOT / "configs").glob("*.cfg")):
+        n = config_rank(cfg)
+        for strategy in STRATEGIES:
+            for name in SUBCOMMANDS:
+                opts, tail = subcommand_args(name, n)
+                yield (f"{cfg.stem}.{strategy}.{name}",
+                       ["--config", str(cfg), "--strategy", strategy, *opts,
+                        name, *tail])
+    for name in SUBCOMMANDS:
+        opts, tail = subcommand_args(name, DEFAULT_RANK)
+        yield f"default.{name}", [*opts, name, *tail]
+    yield "default.decompose-u1.readme", ["decompose-u1", README_WORD]
+    # a relative --out path, so the dump record's witness is the same everywhere
+    yield ("z2_n3.enumerate-eu.out",
+           ["--config", str(ROOT / "configs" / "z2_n3.cfg"),
+            "--cap", str(CLOSURE_CAP),
+            "--out", "z2_n3.closure.dump", "enumerate-eu"])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", type=Path)
+    args = parser.parse_args(argv)
+    outdir = args.outdir.resolve()
+    outdir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for fname, cli_args in runs():
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddunitary", *cli_args],
+            cwd=outdir, env=env, capture_output=True, text=True,
+        )
+        (outdir / f"{fname}.txt").write_text(f"{proc.stdout}exit={proc.returncode}\n")
+        print(f"{fname}: exit={proc.returncode}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
