@@ -108,20 +108,21 @@ def cmd_check_perfect(cfg, args) -> Report:
     rep.add("perfect.generator_witnesses",
             "pass" if bad is None else "fail",
             witness=repr(bad) if bad else f"{count} generators")
+    u1_gens = [m for g, m in hyperbolic.eu_generators(hs) if g.i in (hs.n, -hs.n)]
     try:
         closure = hyperbolic.enumerate_eu(hs, cap)
         cc = hyperbolic.commutator_closure(hs, cap=cap)
-        rep.add("perfect.commutator_closure",
-                "pass" if set(cc) == set(closure.keys()) else "fail",
-                witness=f"order={closure.order}")
-        u1_gens = [m for g, m in hyperbolic.eu_generators(hs)
-                   if g.i in (hs.n, -hs.n)]
         sub = hyperbolic.subgroup_closure(hs, u1_gens, cap)
-        rep.add("generation.u1_pair_closure",
-                "pass" if set(sub) == set(closure.keys()) else "fail",
-                witness=f"order={len(sub)}")
     except CapExceeded as exc:
-        rep.add("perfect.commutator_closure", "error", witness=str(exc))
+        for check in ("perfect.commutator_closure", "generation.u1_pair_closure"):
+            rep.add(check, "error", witness=str(exc))
+        return rep
+    rep.add("perfect.commutator_closure",
+            "pass" if set(cc) == set(closure.keys()) else "fail",
+            witness=f"order={closure.order}")
+    rep.add("generation.u1_pair_closure",
+            "pass" if set(sub) == set(closure.keys()) else "fail",
+            witness=f"order={len(sub)}")
     return rep
 
 

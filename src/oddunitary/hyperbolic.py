@@ -8,8 +8,7 @@ left-to-right (first generator applied first).
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -136,6 +135,7 @@ class HyperbolicSpace:
         self.l0 = tuple(sorted(l0))
         self.l0_set = frozenset(self.l0)
         self.identity = Mat.identity(ring, self.dim)
+        self.gen_mats = {}  # generator -> its transvection, filled by gen_matrix
 
     # -- indices -----------------------------------------------------------
 
@@ -279,11 +279,18 @@ def unitary_member(hs: HyperbolicSpace, f: Mat, cap=DEFAULT_CAP) -> bool:
 
 
 def gen_matrix(hs: HyperbolicSpace, gen) -> Mat:
-    if isinstance(gen, Xij):
-        return hs.transvection_ij(gen.i, gen.j, gen.a)
-    if isinstance(gen, Xi):
-        return hs.transvection_i(gen.i, gen.xi)
-    raise ValueError(f"not a generator: {gen!r}")
+    """The transvection of a generator, built once per space (a `Mat` is
+    immutable); an invalid generator raises on every call."""
+    if not isinstance(gen, (Xij, Xi)):
+        raise ValueError(f"not a generator: {gen!r}")
+    mat = hs.gen_mats.get(gen)
+    if mat is None:
+        if isinstance(gen, Xij):
+            mat = hs.transvection_ij(gen.i, gen.j, gen.a)
+        else:
+            mat = hs.transvection_i(gen.i, gen.xi)
+        hs.gen_mats[gen] = mat
+    return mat
 
 
 def eu_generators(hs: HyperbolicSpace):
@@ -291,98 +298,207 @@ def eu_generators(hs: HyperbolicSpace):
     return [(g, gen_matrix(hs, g)) for g in generators(hs, nontrivial=True)]
 
 
-@dataclass
+BLOCK = 8192  # products per numpy block of the closure engine
+
+
+class _LazyMap(Mapping):
+    """Read-only view of a key -> index dict that builds a value when read."""
+
+    def __init__(self, index, build):
+        self._index = index
+        self._build = build
+
+    def __getitem__(self, key):
+        return self._build(self._index[key])
+
+    def __contains__(self, key):
+        return key in self._index
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return len(self._index)
+
+
 class GroupClosure:
-    hs: HyperbolicSpace
-    gens: list  # [(generator, Mat)]
-    mats: dict = field(default_factory=dict)   # key -> Mat
-    words: dict = field(default_factory=dict)  # key -> tuple of gen indices
+    """Closure of generator matrices under right multiplication, breadth first.
+
+    Elements are the rows of one packed unsigned array over Z/m (`Mat.arr`
+    flattened, so a row's bytes are `Mat.key()`), numbered in discovery order by one
+    dict from row bytes, so `mat.key() in closure` tests membership.  Each
+    element stores its parent, the index in `gens` of the generator that
+    reached it, and its depth, the length of that word; `mats` and `words`
+    build a `Mat` or a word only when one is read.
+    """
+
+    def __init__(self, hs: HyperbolicSpace, cap=DEFAULT_CAP, what="closure"):
+        self.hs = hs
+        self.gens = []  # [(label, Mat)]; subgroup closures have label None
+        self._cap = cap
+        self._what = what
+        ident = hs.identity
+        self._m = hs.ring.base_modulus
+        self._d = ident.arr.shape[0]
+        # products are taken in float64, exact while every entry of an
+        # unreduced product, at most d (m-1)^2, is an integer below 2^52;
+        # see _expand for the reduction mod m
+        if self._d * (self._m - 1) ** 2 >= 2**52:
+            raise WorkbenchError(f"modulus {self._m} too large for exact closure products")
+        self._gen_arr = np.zeros((self._d, 0))
+        self._index = {ident.key(): 0}
+        self._rows = ident.arr.reshape(1, -1).copy()
+        self._parent = np.array([-1])
+        self._gen = np.array([-1], dtype=np.int32)
+        self._depth = np.array([0], dtype=np.int32)
+
+    @property
+    def mats(self):
+        """Key -> `Mat`, in discovery order."""
+        return _LazyMap(self._index, self._mat)
+
+    @property
+    def words(self):
+        """Key -> tuple of generator indices, in discovery order."""
+        return _LazyMap(self._index, self._word)
 
     @property
     def order(self):
-        return len(self.mats)
+        return len(self._index)
+
+    def __len__(self):
+        return len(self._index)
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __contains__(self, key):
+        return key in self._index
 
     def keys(self):
-        return self.mats.keys()
+        return self._index.keys()
+
+    @property
+    def layers(self):
+        """Number of elements at each word length; for a closure from the
+        identity under all generators, the breadth-first layer sizes."""
+        return np.bincount(self._depth[:self.order]).tolist()
 
     def word_tokens(self, key) -> str:
+        """The element's word as tokens; the generators must be labelled by
+        Steinberg generators, as in `enumerate_eu`."""
         w = tuple((self.gens[k][0], 1) for k in self.words[key])
         return format_word(w, self.hs)
+
+    def _mat(self, i):
+        return Mat.from_arr(self.hs.ring, self._rows[i].reshape(self._d, self._d))
+
+    def _word(self, i):
+        w = []
+        while i > 0:
+            w.append(int(self._gen[i]))
+            i = self._parent[i]
+        return tuple(reversed(w))
+
+    def extend(self, gens):
+        """Add generators [(label, Mat)] and close: every element times each
+        new generator, then every new element times all generators, in queue
+        order, until no new element appears."""
+        if not gens:
+            return
+        old, first = self.order, len(self.gens)
+        self.gens.extend(gens)
+        self._gen_arr = np.hstack(
+            [self._gen_arr] + [m.arr.astype(np.float64) for _, m in gens])
+        self._expand(0, old, first)
+        head = old
+        while head < self.order:
+            head = self._expand(head, self.order, 0)
+
+    def _expand(self, lo, hi, first):
+        """Multiply elements lo..hi-1 by generators first.. and keep the new
+        products, checked in (element, generator) order; returns hi."""
+        d, m, index = self._d, self._m, self._index
+        gens = self._gen_arr[:, first * d:]
+        ng = gens.shape[1] // d
+        step = max(1, BLOCK // ng)
+        for start in range(lo, hi, step):
+            stop = min(hi, start + step)
+            prod = self._rows[start:stop].reshape(-1, d).astype(np.float64) @ gens
+            # p / m is correctly rounded, so its floor is the exact quotient;
+            # reduced in place, since temporaries of this size cost more
+            q = prod / m
+            np.floor(q, out=q)
+            q *= m
+            prod -= q
+            prod = prod.reshape(stop - start, d, ng, d).transpose(0, 2, 1, 3)
+            prod = prod.astype(self._rows.dtype).reshape(-1, d * d)
+            keys = prod.view(np.dtype((np.void, prod.strides[0]))).ravel().tolist()
+            fresh = []
+            for p, k in enumerate(keys):
+                if k not in index:
+                    index[k] = len(index)
+                    fresh.append(p)
+                    if len(index) > self._cap:
+                        raise CapExceeded(f"{self._what} exceeded cap {self._cap}")
+            if fresh:
+                fresh = np.array(fresh)
+                self._append(prod[fresh], start + fresh // ng, first + fresh % ng)
+        return hi
+
+    def _append(self, rows, parent, gen):
+        """Store the rows whose keys were just added to the index."""
+        end = self.order
+        if end > len(self._rows):
+            size = max(2 * len(self._rows), end)
+            self._rows, self._parent, self._gen, self._depth = (
+                _grown(a, size)
+                for a in (self._rows, self._parent, self._gen, self._depth))
+        new = slice(end - len(rows), end)
+        self._rows[new] = rows
+        self._parent[new] = parent
+        self._gen[new] = gen
+        self._depth[new] = self._depth[parent] + 1
+
+
+def _grown(a, size):
+    out = np.empty((size,) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    return out
 
 
 def enumerate_eu(hs: HyperbolicSpace, cap=DEFAULT_CAP, gens=None) -> GroupClosure:
     """Breadth-first closure of the transvection generators under product."""
-    if gens is None:
-        gens = eu_generators(hs)
-    cl = GroupClosure(hs, list(gens))
-    ident = hs.identity
-    cl.mats[ident.key()] = ident
-    cl.words[ident.key()] = ()
-    queue = deque([ident])
-    gen_mats = [m for _, m in cl.gens]
-    while queue:
-        x = queue.popleft()
-        wx = cl.words[x.key()]
-        for gi, g in enumerate(gen_mats):
-            y = x * g
-            k = y.key()
-            if k not in cl.mats:
-                cl.mats[k] = y
-                cl.words[k] = wx + (gi,)
-                queue.append(y)
-                if len(cl.mats) > cap:
-                    raise CapExceeded(f"EU closure exceeded cap {cap}")
+    cl = GroupClosure(hs, cap, "EU closure")
+    cl.extend(eu_generators(hs) if gens is None else list(gens))
     return cl
 
 
-def subgroup_closure(hs: HyperbolicSpace, mats, cap=DEFAULT_CAP) -> dict:
+def subgroup_closure(hs: HyperbolicSpace, mats, cap=DEFAULT_CAP) -> GroupClosure:
     """Closure of the given matrices under product, adding generators lazily.
 
     Generators already inside the running closure are skipped, which keeps
     the breadth-first work proportional to the effective generating set.
     """
-    ident = hs.identity
-    S = {ident.key(): ident}
-    G: list[Mat] = []
+    cl = GroupClosure(hs, cap)
     for g in mats:
-        if g.key() in S:
-            continue
-        G.append(g)
-        work = deque()
-        for x in list(S.values()):
-            y = x * g
-            if y.key() not in S:
-                S[y.key()] = y
-                work.append(y)
-        while work:
-            x = work.popleft()
-            for h in G:
-                y = x * h
-                k = y.key()
-                if k not in S:
-                    S[k] = y
-                    work.append(y)
-                    if len(S) > cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
-    return S
+        if g.key() not in cl:
+            cl.extend([(None, g)])
+    return cl
 
 
-def commutator_closure(hs: HyperbolicSpace, gens=None, cap=DEFAULT_CAP) -> dict:
+def commutator_closure(hs: HyperbolicSpace, gens=None, cap=DEFAULT_CAP) -> GroupClosure:
     """Closure of all commutators of the generating transvections."""
     if gens is None:
         gens = eu_generators(hs)
     mats = [m for _, m in gens]
-    seeds = []
-    seen = set()
-    for a in mats:
-        ai = a.inv()
-        for b in mats:
-            c = a * b * ai * b.inv()
-            k = c.key()
-            if k not in seen:
-                seen.add(k)
-                seeds.append(c)
-    return subgroup_closure(hs, seeds, cap)
+    pairs = [(m, m.inv()) for m in mats]
+    seeds = {}
+    for a, ai in pairs:
+        for b, bi in pairs:
+            c = a * b * ai * bi
+            seeds.setdefault(c.key(), c)
+    return subgroup_closure(hs, seeds.values(), cap)
 
 
 def dump_closure(cl: GroupClosure, stream):

@@ -62,12 +62,22 @@ def invert_rows_mod(rows, m: int):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def _packed(a, m: int):
+    """`a` reduced mod m, read-only, in the smallest unsigned dtype that
+    holds every residue."""
+    a = (a % m).astype(np.min_scalar_type(m - 1))
+    a.flags.writeable = False
+    return a
+
+
 class Mat:
     """Immutable square matrix over a ring descriptor.
 
-    Residue rings get a cached numpy mirror for fast products; rings with
-    non-integer element values (matrix-entry scalars) use the generic path
-    through the ring's add/mul.
+    `arr` is the one numeric form of a matrix: its entries over Z/m in the
+    smallest unsigned dtype that holds them, with a matrix over M_k(Z/m)
+    flattened to its (nk) x (nk) block matrix; `key()` is its bytes.  Products and inverses
+    go through it; `rows` holds the ring values for entrywise access and
+    formatting.
     """
 
     __slots__ = ("ring", "rows", "_arr", "_hash")
@@ -84,9 +94,15 @@ class Mat:
 
     @classmethod
     def from_arr(cls, ring, arr):
-        arr = arr % ring.modulus
-        arr.flags.writeable = False
-        return cls(ring, tuple(map(tuple, arr.tolist())), arr)
+        """From an integer array laid out as `arr`, reduced mod m."""
+        arr = _packed(arr, ring.base_modulus)
+        if ring.modulus is not None:
+            return cls(ring, tuple(map(tuple, arr.tolist())), arr)
+        k = ring.degree
+        n = arr.shape[0] // k
+        blocks = arr.reshape(n, k, n, k).transpose(0, 2, 1, 3).tolist()
+        rows = tuple(tuple(tuple(map(tuple, e)) for e in row) for row in blocks)
+        return cls(ring, rows, arr)
 
     @classmethod
     def identity(cls, ring, dim):
@@ -103,46 +119,19 @@ class Mat:
     def arr(self):
         if self._arr is None:
             a = np.array(self.rows, dtype=np.int64)
-            a.flags.writeable = False
-            self._arr = a
+            if a.ndim == 4:  # k x k entries: flatten to the block matrix
+                n, _, k, _ = a.shape
+                a = a.transpose(0, 2, 1, 3).reshape(n * k, n * k)
+            self._arr = _packed(a, self.ring.base_modulus)
         return self._arr
 
     def __mul__(self, other: "Mat") -> "Mat":
-        r = self.ring
-        if r.modulus is not None:
-            return Mat.from_arr(r, self.arr @ other.arr)
-        n = self.dim
-        a, b = self.rows, other.rows
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = r.zero
-                for k in range(n):
-                    acc = r.add(acc, r.mul(a[i][k], b[k][j]))
-                row.append(acc)
-            rows.append(tuple(row))
-        return Mat(r, tuple(rows))
+        return Mat.from_arr(self.ring, self.arr.astype(np.int64) @ other.arr)
 
     def inv(self) -> "Mat":
         r = self.ring
-        if r.modulus is not None:
-            return Mat.from_rows(r, invert_rows_mod(self.rows, r.modulus))
-        # entries are k x k tuples over a residue ring: flatten, invert, unflatten
-        k = r.degree
-        m = r.base_modulus
-        n = self.dim
-        flat = [[self.rows[i // k][j // k][i % k][j % k] for j in range(n * k)]
-                for i in range(n * k)]
-        finv = invert_rows_mod(flat, m)
-        rows = tuple(
-            tuple(
-                tuple(tuple(finv[i * k + a][j * k + b] for b in range(k)) for a in range(k))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return Mat(r, rows)
+        flat = invert_rows_mod(self.arr.tolist(), r.base_modulus)
+        return Mat.from_arr(r, np.array(flat))
 
     def apply(self, vec):
         """Matrix times column coordinate vector (tuple of ring values)."""
@@ -160,10 +149,10 @@ class Mat:
     def is_identity(self) -> bool:
         return self == Mat.identity(self.ring, self.dim)
 
-    def key(self):
-        if self.ring.modulus is not None:
-            return self.arr.tobytes()
-        return self.rows
+    def key(self) -> bytes:
+        """The bytes of `arr`: the row bytes that the closure engine keys its
+        elements by, for every ring."""
+        return self.arr.tobytes()
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.rows == other.rows

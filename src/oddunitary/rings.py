@@ -22,18 +22,18 @@ SAMPLE_PAIRS = 4096
 class Ring:
     """Common interface; element values are hashable immutables, fully reduced."""
 
-    modulus = None  # set for residue rings (numpy fast path for matrices over them)
+    modulus = None  # set for residue rings, whose elements are plain ints
 
     def elements(self):
         raise NotImplementedError
 
     @property
     def lam(self):
-        return self.bar(self.one)
+        return self._lam
 
     @property
     def lam_inv(self):
-        return self.inv(self.lam)
+        return self._lam_inv
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -67,7 +67,7 @@ class ResidueRing(Ring):
     def __init__(self, m, involution="identity", table=None):
         if m < 2:
             raise ValueError("modulus must be at least 2")
-        self.modulus = m
+        self.modulus = self.base_modulus = m
         self.degree = 1
         self.kind = "residue"
         self.involution = involution
@@ -88,6 +88,7 @@ class ResidueRing(Ring):
         self._lam = self.bar(1)
         if gcd(self._lam, m) != 1:
             raise NotInvertible("bar(1) is not invertible")
+        self._lam_inv = inv_mod(self._lam, m)
 
     @property
     def card(self):
@@ -138,7 +139,7 @@ class MatrixRing(Ring):
         )
         self._lam = self.bar(self.one)
         try:
-            self.inv(self._lam)
+            self._lam_inv = self.inv(self._lam)
         except NotInvertible:
             raise NotInvertible("bar(1) is not invertible")
 

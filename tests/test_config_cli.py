@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +188,32 @@ def test_cli_enumerate_eu_dump(capsys, tmp_path):
     assert code == 0
     assert lines[0]["witness"] == "order=1"
     assert out.read_text() == "\t1 0 0 1\n"
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_cli_enumerate_eu_dump_z2_n3(capsys, tmp_path):
+    out = tmp_path / "closure.dump"
+    code, lines = run_cli(capsys, "--config", str(CONFIGS / "z2_n3.cfg"),
+                          "--out", str(out), "enumerate-eu")
+    assert code == 0
+    assert lines[0]["witness"] == "order=20160"
+    # pinned before the batched closure engine replaced the per-element loop
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "2c55e4fe7a5e0c6fdad06f3adb2e3c4a3f5b3ab8b4f34148f8da0d07ac4c93b9")
+
+
+def test_cli_check_perfect_cap_reports_every_closure_check(capsys):
+    code, lines = run_cli(capsys, "--config", str(CONFIGS / "z2_n3.cfg"),
+                          "--cap", "100", "check-perfect")
+    assert code == 1
+    assert [(l["check"], l["status"]) for l in lines] == [
+        ("perfect.generator_witnesses", "pass"),
+        ("perfect.commutator_closure", "error"),
+        ("generation.u1_pair_closure", "error"),
+    ]
+    assert lines[1]["witness"] == lines[2]["witness"] == "EU closure exceeded cap 100"
 
 
 def test_cli_split_demo(capsys):

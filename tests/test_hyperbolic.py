@@ -1,21 +1,26 @@
 import io
+from collections import deque
 
+import numpy as np
 import pytest
 
 from oddunitary import (
     CapExceeded,
     Mat,
     WorkbenchError,
+    Xi,
+    Xij,
     commutator_closure,
     enumerate_eu,
     eu_generators,
     equiv_mod_param,
     is_isometry,
     make_hyperbolic,
+    make_ring,
     subgroup_closure,
     unitary_member,
 )
-from oddunitary.hyperbolic import dump_closure
+from oddunitary.hyperbolic import dump_closure, gen_matrix
 
 
 def test_gram_n1_z5(z5):
@@ -260,3 +265,94 @@ def test_dump_roundtrip_nontrivial(z3):
         vals = [int(v) for v in entries.split()]
         mat = Mat.from_rows(z3, (tuple(vals[:2]), tuple(vals[2:])))
         assert eval_word(hs, parse_word(tokens, hs)) == mat
+
+
+def naive_closure(hs, gens):
+    """Oracle: breadth first, one `Mat` product per (element, generator)."""
+    ident = hs.identity
+    mats, words = {ident.key(): ident}, {ident.key(): ()}
+    queue = deque([ident])
+    while queue:
+        x = queue.popleft()
+        for gi, (_, g) in enumerate(gens):
+            y = x * g
+            if y.key() not in mats:
+                mats[y.key()] = y
+                words[y.key()] = words[x.key()] + (gi,)
+                queue.append(y)
+    return mats, words
+
+
+@pytest.mark.parametrize("ring_name,n,order", [
+    ("z3", 1, 24),
+    ("z3n", 2, 288),
+    ("m2z2", 1, 6),
+])
+def test_engine_matches_naive_bfs(request, ring_name, n, order):
+    hs = make_hyperbolic(request.getfixturevalue(ring_name), n)
+    cl = enumerate_eu(hs)
+    mats, words = naive_closure(hs, cl.gens)
+    assert cl.order == len(mats) == len(cl.mats) == order
+    assert list(cl) == list(cl.keys()) == list(mats)  # same discovery order
+    assert dict(cl.words) == words
+    assert dict(cl.mats) == mats
+    assert sum(cl.layers) == order
+    assert cl.layers == [sum(len(w) == d for w in words.values())
+                         for d in range(len(cl.layers))]
+
+
+def test_closure_layers(eu_z2_n3, z3n):
+    assert eu_z2_n3.layers == [1, 12, 96, 542, 2058, 5316, 7530, 4058, 541, 6]
+    cl = enumerate_eu(make_hyperbolic(z3n, 2))
+    assert cl.order == 288
+    assert cl.layers == [1, 8, 32, 84, 121, 40, 2]
+
+
+def test_sp4_z3_order(z3):
+    # identity involution, hyperbolic parameter: EU(4, Z/3) = Sp_4(3)
+    assert enumerate_eu(make_hyperbolic(z3, 2)).order == 3**4 * (3**2 - 1) * (3**4 - 1)
+
+
+def test_closure_cap_boundary(z3n):
+    hs = make_hyperbolic(z3n, 2)
+    gens = eu_generators(hs)
+    closures = {
+        "enumerate_eu": lambda cap: enumerate_eu(hs, cap),
+        "subgroup_closure": lambda cap: subgroup_closure(hs, [m for _, m in gens], cap),
+        "commutator_closure": lambda cap: commutator_closure(hs, cap=cap),
+    }
+    for name, close in closures.items():
+        order = close(10**6).order
+        assert close(order).order == order, name
+        with pytest.raises(CapExceeded, match=f"exceeded cap {order - 1}$"):
+            close(order - 1)
+    assert closures["enumerate_eu"](288).order == 288
+
+
+def test_gen_matrix_is_cached_per_space(z3, hs_rich):
+    hs = make_hyperbolic(z3, 2)
+    g = Xij(1, -2, 2)
+    assert gen_matrix(hs, g) is gen_matrix(hs, g)
+    assert gen_matrix(hs, g) == hs.transvection_ij(1, -2, 2)
+    xi = next(x for x in hs_rich.l0 if any(x[0]))
+    assert gen_matrix(hs_rich, Xi(-2, xi)) == hs_rich.transvection_i(-2, xi)
+    bad = Xi(1, ((), 7))
+    for _ in range(2):
+        with pytest.raises(WorkbenchError):
+            gen_matrix(hs, bad)
+    assert bad not in hs.gen_mats
+    with pytest.raises(ValueError):
+        gen_matrix(hs, Xij(1, -1, 1))
+
+
+def test_engine_with_two_byte_entries():
+    # m - 1 > 255: rows and keys packed in uint16
+    hs = make_hyperbolic(make_ring("residue", 257), 1)
+    gens = [(None, gen_matrix(hs, Xi(1, ((), 1)))), (None, gen_matrix(hs, Xi(1, ((), 5))))]
+    cl = subgroup_closure(hs, [m for _, m in gens])
+    mats, words = naive_closure(hs, gens[:1])
+    assert cl.mats[next(iter(cl))].arr.dtype == np.uint16
+    assert cl.order == 257
+    assert len(cl.gens) == 1  # the second generator is already inside
+    assert dict(cl.mats) == mats
+    assert dict(cl.words) == words

@@ -81,4 +81,21 @@ def test_mat_generic_path(m2z2):
     sq = a * a
     assert sq.rows[0][1] == m2z2.add(x, x)  # == 0 in characteristic 2
     assert a * a.inv() == Mat.identity(m2z2, 2)
-    assert a.key() == a.rows
+    # keys are the packed flattened entries: equal exactly when the matrices are
+    assert Mat.from_rows(m2z2, a.rows).key() == a.key()
+    assert sq.key() != a.key()
+    assert len(a.key()) == (2 * 2) ** 2
+
+
+def test_matrix_ring_product_matches_ring_arithmetic(m2z2):
+    rng = random.Random(5)
+    elems = list(m2z2.elements())
+    for _ in range(20):
+        a, b = ([[rng.choice(elems) for _ in range(3)] for _ in range(3)]
+                for _ in range(2))
+        expected = tuple(
+            tuple(m2z2.sum(*(m2z2.mul(a[i][k], b[k][j]) for k in range(3)))
+                  for j in range(3))
+            for i in range(3)
+        )
+        assert (Mat.from_rows(m2z2, a) * Mat.from_rows(m2z2, b)).rows == expected

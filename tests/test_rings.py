@@ -29,6 +29,18 @@ def test_matrix_transpose_lambda_is_identity(m2z2):
     assert m2z2.lam == m2z2.one
 
 
+@pytest.mark.parametrize("args", [
+    ("residue", 2, 1, "identity"),
+    ("residue", 3, 1, "negation"),
+    ("matrix", 2, 2, "transpose"),
+])
+def test_lam_and_lam_inv_are_set_once(args):
+    r = make_ring(*args)
+    assert r.lam == r.bar(r.one)
+    assert r.mul(r.lam, r.lam_inv) == r.one
+    assert r.lam_inv is r.lam_inv
+
+
 def test_involve_examples(m2z2):
     assert make_ring("residue", 5, involution="negation").bar(2) == 3
     assert make_ring("residue", 6, involution="identity").bar(4) == 4

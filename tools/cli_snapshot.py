@@ -15,8 +15,8 @@ difference, exit codes included.
 
 The closure subcommands (`enumerate-eu`, `check-perfect`) get
 `--cap 30000`.  EU(6, Z/2) has 20160 elements and fits; the groups of the
-larger presets have millions, which would hold gigabytes of matrices, so
-those runs stop at the cap with the same error record on both sides.
+larger presets have millions of elements, far more than a quick snapshot
+should enumerate, so those runs stop at the cap with an error record.
 
 The package is run from `src/` next to this script, one process per run,
 so that an uncaught exception shows up as a changed exit code.
