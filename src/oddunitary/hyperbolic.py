@@ -112,9 +112,11 @@ class HyperbolicSpace:
         smin = OddQuadraticSpace(ring, gram).lmin_scalars
         v0_sets = {}
         for (u0, a0) in v0.param_elements():
-            v0_sets.setdefault(u0, set())
-            for s in smin:
-                v0_sets[u0].add(r.add(a0, s))
+            ts = v0_sets.setdefault(u0, set())
+            # smin is an additive subgroup, so a0 + smin is already in ts
+            # when a0 is
+            if a0 not in ts:
+                ts.update(r.add(a0, s) for s in smin)
         v0_sets = {u0: frozenset(ts) for u0, ts in v0_sets.items()}
         if parameter is None:
             parameter = ProductParameter(n, v0_sets, smin)

@@ -73,78 +73,74 @@ def _packed(a, m: int):
 class Mat:
     """Immutable square matrix over a ring descriptor.
 
-    `arr` is the one numeric form of a matrix: its entries over Z/m in the
+    `arr` is the only stored form of a matrix: its entries over Z/m in the
     smallest unsigned dtype that holds them, with a matrix over M_k(Z/m)
-    flattened to its (nk) x (nk) block matrix; `key()` is its bytes.  Products and inverses
-    go through it; `rows` holds the ring values for entrywise access and
-    formatting.
+    flattened to its (nk) x (nk) block matrix.  Products, `apply`, inverses,
+    `key()` (its bytes), equality and hashing all go through it.  `rows`,
+    the ring values for entrywise access and formatting, are built the first
+    time they are read, and `inv()` is memoised: a `Mat` never changes.
     """
 
-    __slots__ = ("ring", "rows", "_arr", "_hash")
+    __slots__ = ("ring", "arr", "_rows", "_inv")
 
-    def __init__(self, ring, rows, _arr=None):
+    def __init__(self, ring, arr):
         self.ring = ring
-        self.rows = rows
-        self._arr = _arr
-        self._hash = None
+        self.arr = arr
+        self._rows = None
+        self._inv = None
 
     @classmethod
     def from_rows(cls, ring, rows):
-        return cls(ring, tuple(tuple(v for v in row) for row in rows))
+        n, k = len(rows), ring.degree
+        a = np.array(rows, dtype=np.int64).reshape(n, n, k, k)
+        return cls.from_arr(ring, a.transpose(0, 2, 1, 3).reshape(n * k, n * k))
 
     @classmethod
     def from_arr(cls, ring, arr):
         """From an integer array laid out as `arr`, reduced mod m."""
-        arr = _packed(arr, ring.base_modulus)
-        if ring.modulus is not None:
-            return cls(ring, tuple(map(tuple, arr.tolist())), arr)
-        k = ring.degree
-        n = arr.shape[0] // k
-        blocks = arr.reshape(n, k, n, k).transpose(0, 2, 1, 3).tolist()
-        rows = tuple(tuple(tuple(map(tuple, e)) for e in row) for row in blocks)
-        return cls(ring, rows, arr)
+        return cls(ring, _packed(arr, ring.base_modulus))
 
     @classmethod
     def identity(cls, ring, dim):
-        one, zero = ring.one, ring.zero
-        return cls.from_rows(
-            ring, [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-        )
+        return cls.from_arr(ring, np.eye(dim * ring.degree, dtype=np.int64))
 
     @property
     def dim(self):
-        return len(self.rows)
+        return self.arr.shape[0] // self.ring.degree
 
     @property
-    def arr(self):
-        if self._arr is None:
-            a = np.array(self.rows, dtype=np.int64)
-            if a.ndim == 4:  # k x k entries: flatten to the block matrix
-                n, _, k, _ = a.shape
-                a = a.transpose(0, 2, 1, 3).reshape(n * k, n * k)
-            self._arr = _packed(a, self.ring.base_modulus)
-        return self._arr
+    def rows(self):
+        if self._rows is None:
+            if self.ring.modulus is not None:
+                self._rows = tuple(map(tuple, self.arr.tolist()))
+            else:
+                k, n = self.ring.degree, self.dim
+                blocks = self.arr.reshape(n, k, n, k).transpose(0, 2, 1, 3)
+                self._rows = tuple(tuple(tuple(map(tuple, e)) for e in row)
+                                   for row in blocks.tolist())
+        return self._rows
 
     def __mul__(self, other: "Mat") -> "Mat":
         return Mat.from_arr(self.ring, self.arr.astype(np.int64) @ other.arr)
 
     def inv(self) -> "Mat":
-        r = self.ring
-        flat = invert_rows_mod(self.arr.tolist(), r.base_modulus)
-        return Mat.from_arr(r, np.array(flat))
+        if self._inv is None:
+            flat = invert_rows_mod(self.arr.tolist(), self.ring.base_modulus)
+            self._inv = Mat.from_arr(self.ring, np.array(flat))
+        return self._inv
 
     def apply(self, vec):
-        """Matrix times column coordinate vector (tuple of ring values)."""
+        """Matrix times column coordinate vector (tuple of ring values).
+
+        Over M_k(Z/m) the vector's k x k entries are stacked into a
+        (dim k) x k array, so the block product is one array product.
+        """
         r = self.ring
+        k = r.degree
+        y = (self.arr @ np.array(vec, dtype=np.int64).reshape(-1, k)) % r.base_modulus
         if r.modulus is not None:
-            return tuple((self.arr @ np.array(vec, dtype=np.int64)) % r.modulus)
-        out = []
-        for i in range(self.dim):
-            acc = r.zero
-            for k in range(self.dim):
-                acc = r.add(acc, r.mul(self.rows[i][k], vec[k]))
-            out.append(acc)
-        return tuple(out)
+            return tuple(y[:, 0].tolist())
+        return tuple(tuple(map(tuple, e)) for e in y.reshape(-1, k, k).tolist())
 
     def is_identity(self) -> bool:
         return self == Mat.identity(self.ring, self.dim)
@@ -155,12 +151,12 @@ class Mat:
         return self.arr.tobytes()
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.rows == other.rows
+        return (isinstance(other, Mat) and self.arr.shape == other.arr.shape
+                and self.ring.degree == other.ring.degree
+                and self.key() == other.key())
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.rows)
-        return self._hash
+        return hash(self.key())
 
     def __repr__(self):
         return f"Mat({self.rows})"

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -277,3 +280,60 @@ def test_negative_cap_and_samples_are_config_errors(capsys):
     assert code == 2
     assert lines[0]["status"] == "error"
     assert lines[0]["witness"].startswith("cap")
+
+
+# every subcommand at ranks 1 and 2 on Z/2: (n, argv, exit code, last record)
+SMALL_RANK_RUNS = [
+    (1, ["verify-ring"], 0, ("ring.identity", "pass")),
+    (1, ["verify-space"], 0, ("param.action_stable", "pass")),
+    (1, ["verify-relations"], 1, ("relations.R9", "vacuous", "0 instances")),
+    (1, ["decompose-u1", "X1(;0)"], 0, ("u1.eval_preserved", "pass")),
+    (1, ["enumerate-eu"], 0, ("eu.enumerate", "pass", "order=1")),
+    (1, ["check-perfect"], 0, ("generation.u1_pair_closure", "pass", "order=1")),
+    (1, ["free-identities"], 0, ("freewords.C6", "pass")),
+    (1, ["check-dagger"], 2, ("cli", "error",
+                              "property-dagger needs n >= 4 (no admissible quadruple)")),
+    (1, ["split-demo", "2"], 2, ("cli", "error", "the splitting construction needs n >= 4")),
+    (2, ["verify-ring"], 0, ("ring.identity", "pass")),
+    (2, ["verify-space"], 0, ("param.action_stable", "pass")),
+    (2, ["verify-relations"], 1, ("relations.R9", "pass", "32 instances")),
+    (2, ["decompose-u1", "X2(;0)"], 0, ("u1.eval_preserved", "pass")),
+    (2, ["enumerate-eu"], 0, ("eu.enumerate", "pass", "order=36")),
+    (2, ["check-perfect"], 2, ("cli", "error", "no admissible witness index; rank too small")),
+    (2, ["free-identities"], 0, ("freewords.C6", "pass")),
+    (2, ["check-dagger"], 2, ("cli", "error",
+                              "property-dagger needs n >= 4 (no admissible quadruple)")),
+    (2, ["split-demo", "2"], 2, ("cli", "error", "the splitting construction needs n >= 4")),
+]
+
+
+@pytest.mark.parametrize(
+    "n, argv, code, last", SMALL_RANK_RUNS,
+    ids=[f"n{n}-{argv[0]}" for n, argv, _, _ in SMALL_RANK_RUNS])
+def test_cli_every_subcommand_at_small_rank(capsys, tmp_path, n, argv, code, last):
+    cfg = tmp_path / f"n{n}.cfg"
+    cfg.write_text(DEFAULT_CONFIG.replace("n = 3", f"n = {n}"))
+    got = main(["--config", str(cfg), *argv])  # an uncaught exception fails here
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    lines = [json.loads(l) for l in out.splitlines() if l]
+    assert got == code
+    assert (lines[-1]["check"], lines[-1]["status"]) == last[:2]
+    if len(last) == 3:
+        assert lines[-1]["witness"] == last[2]
+    if argv[0] == "verify-relations":
+        assert {l["check"]: l["status"] for l in lines}["relations.R5"] == "vacuous"
+
+
+def test_output_does_not_depend_on_hash_seed():
+    # a Mat hashes its bytes, and bytes hashes are salted per process
+    src = str(CONFIGS.parent / "src")
+    outs = {
+        subprocess.run(
+            [sys.executable, "-m", "oddunitary", "split-demo", "3"],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(outs) == 1

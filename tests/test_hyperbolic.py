@@ -7,6 +7,8 @@ import pytest
 from oddunitary import (
     CapExceeded,
     Mat,
+    MaxParameter,
+    MinParameter,
     WorkbenchError,
     Xi,
     Xij,
@@ -17,6 +19,7 @@ from oddunitary import (
     is_isometry,
     make_hyperbolic,
     make_ring,
+    make_space,
     subgroup_closure,
     unitary_member,
 )
@@ -127,8 +130,6 @@ def test_equiv_mod_param(hs_z2_n3):
 def test_equiv_mod_param_fails_outside_parameter(z3):
     # with the minimal whole-space parameter only the identity is equivalent
     # to the identity, so any transvection gives a constructed witness
-    from oddunitary import MinParameter
-
     hs = make_hyperbolic(z3, 3, parameter=MinParameter())
     t = hs.transvection_ij(1, 2, 1)
     assert not equiv_mod_param(hs, t, hs.identity)
@@ -356,3 +357,36 @@ def test_engine_with_two_byte_entries():
     assert len(cl.gens) == 1  # the second generator is already inside
     assert dict(cl.mats) == mats
     assert dict(cl.words) == words
+
+
+def _naive_v0_sets(hs):
+    """Every V0 parameter scalar plus every lmin scalar, per V0 vector."""
+    r, smin = hs.ring, hs.space.parameter.smin
+    sets = {}
+    for u0, a0 in hs.v0.param_elements():
+        sets.setdefault(u0, set()).update(r.add(a0, s) for s in smin)
+    return sets
+
+
+def _symplectic(ring, parameter):
+    return make_space(
+        ring, ((ring.zero, ring.one), (ring.neg(ring.lam), ring.zero)), parameter)
+
+
+def test_v0_scalar_sets_match_naive_sums(hs_rich):
+    z4 = make_ring("residue", 4)  # lmin = {0, 2}: a proper subgroup
+    m2z2 = make_ring("matrix", 2, 2, "transpose")
+    spaces = [hs_rich] + [
+        make_hyperbolic(r, 1, _symplectic(r, p))
+        for r in (z4, m2z2) for p in (MinParameter(), MaxParameter())
+    ]
+    for hs in spaces:
+        sets = hs.space.parameter.v0_scalar_sets
+        assert sets == _naive_v0_sets(hs)
+        assert hs.l0 == tuple(sorted((u0, t) for u0, ts in sets.items() for t in ts))
+
+
+def test_v0_scalar_sets_on_a_large_modulus():
+    # the V0 parameter scalars and lmin are both all of Z/2053 here
+    hs = make_hyperbolic(make_ring("residue", 2053), 1)
+    assert len(hs.l0) == 2053

@@ -1,8 +1,12 @@
+import itertools
 import random
+from math import gcd, prod
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oddunitary import Mat, NotInvertible
+from oddunitary import Mat, NotInvertible, make_ring
 from oddunitary.matrices import inv_mod, invert_rows_mod
 
 
@@ -99,3 +103,126 @@ def test_matrix_ring_product_matches_ring_arithmetic(m2z2):
             for i in range(3)
         )
         assert (Mat.from_rows(m2z2, a) * Mat.from_rows(m2z2, b)).rows == expected
+
+
+@pytest.mark.parametrize("ring", [
+    make_ring("matrix", 2, 2, "transpose"),
+    make_ring("matrix", 4, 2, "transpose"),
+], ids=["M2(Z/2)", "M2(Z/4)"])
+def test_apply_matches_ring_arithmetic(ring):
+    rng = random.Random(7)
+    elems = list(ring.elements())
+    for dim in (1, 2, 3):
+        for _ in range(10):
+            a = [[rng.choice(elems) for _ in range(dim)] for _ in range(dim)]
+            v = tuple(rng.choice(elems) for _ in range(dim))
+            expected = tuple(
+                ring.sum(*(ring.mul(a[i][k], v[k]) for k in range(dim)))
+                for i in range(dim)
+            )
+            assert Mat.from_rows(ring, a).apply(v) == expected
+
+
+def _det(rows):
+    """Exact integer determinant by the Leibniz formula (small sizes only)."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def _check_inverse(m, invertible):
+    """The memoised inverse of `m`, or NotInvertible on every call."""
+    if not invertible:
+        for _ in range(2):  # a failure is not cached
+            with pytest.raises(NotInvertible):
+                m.inv()
+        return
+    i = m.inv()
+    one = Mat.identity(m.ring, m.dim)
+    assert m * i == one and i * m == one
+    assert m.inv() is i
+    assert i.inv() == m
+
+
+# derandomized and without the example database, so every run draws the
+# same examples
+DETERMINISTIC = settings(max_examples=150, deadline=None, derandomize=True,
+                         database=None)
+
+
+def _square(m, d):
+    """Strategy: any d x d matrix mod m (mostly singular for larger d)."""
+    return st.lists(st.lists(st.integers(0, m - 1), min_size=d, max_size=d),
+                    min_size=d, max_size=d)
+
+
+def _invertible(m, d):
+    """Strategy: P L U mod m, with L unit lower triangular, U upper
+    triangular with unit diagonal and P a row permutation."""
+    units = [u for u in range(1, m) if gcd(u, m) == 1]
+
+    def build(parts):
+        lower, upper, diag, perm = (np.array(p) for p in parts)
+        lu = (np.tril(lower, -1) + np.eye(d, dtype=int)) @ (
+            np.triu(upper, 1) + np.diag(diag))
+        return (lu % m)[perm].tolist()
+
+    return st.tuples(_square(m, d), _square(m, d),
+                     st.lists(st.sampled_from(units), min_size=d, max_size=d),
+                     st.permutations(range(d))).map(build)
+
+
+@DETERMINISTIC
+@given(st.sampled_from([4, 6, 12]).flatmap(
+    lambda m: st.integers(1, 6).flatmap(
+        lambda d: st.tuples(st.just(m),
+                            st.one_of(_invertible(m, d), _square(m, d))))))
+def test_inverse_properties_mod_composite(case):
+    m, rows = case
+    mat = Mat.from_rows(make_ring("residue", m), rows)
+    _check_inverse(mat, gcd(_det(rows), m) == 1)
+
+
+M2Z4 = make_ring("matrix", 4, 2, "transpose")
+
+
+@DETERMINISTIC
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.sampled_from(list(M2Z4.elements())), min_size=d, max_size=d),
+    min_size=d, max_size=d)))
+def test_inverse_properties_matrix_ring(rows):
+    mat = Mat.from_rows(M2Z4, rows)
+    flat = mat.arr.astype(int).tolist()
+    _check_inverse(mat, gcd(_det(flat), 4) == 1)
+
+
+@pytest.mark.parametrize("ring_name", ["z3", "m2z2"])
+def test_rows_and_arr_give_equal_matrices(request, ring_name):
+    ring = request.getfixturevalue(ring_name)
+    rng = random.Random(11)
+    elems = list(ring.elements())
+    for dim in (1, 2, 3):
+        rows = tuple(tuple(rng.choice(elems) for _ in range(dim))
+                     for _ in range(dim))
+        a = Mat.from_rows(ring, rows)
+        b = Mat.from_arr(ring, a.arr.astype(np.int64))
+        assert a == b and hash(a) == hash(b)
+        assert b.rows == rows  # built from the packed array when read
+        assert a.dim == b.dim == dim
+        assert a.arr.shape == (dim * ring.degree,) * 2
+
+
+def test_equality_needs_equal_shape_and_degree(z2, m2z2):
+    assert Mat.identity(z2, 2) != Mat.identity(z2, 3)
+    assert Mat.identity(z2, 2) != Mat.identity(m2z2, 1)  # equal bytes
+    assert Mat.identity(z2, 2).key() == Mat.identity(m2z2, 1).key()
+    assert Mat.identity(m2z2, 1) == Mat.from_rows(m2z2, ((m2z2.one,),))
+    assert Mat.identity(z2, 2) != "not a matrix"
+    # entries up to 69999 are packed in four bytes, so the bytes of this 2 x 2
+    # matrix are also those of a 4 x 4 matrix over Z/2
+    a = Mat.from_rows(make_ring("residue", 70000), ((1, 0), (0, 0)))
+    b = Mat.from_arr(z2, np.frombuffer(a.key(), np.uint8).reshape(4, 4))
+    assert a.key() == b.key() and a != b
