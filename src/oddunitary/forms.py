@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from .report import DEFAULT_CAP, DEFAULT_SEED, CapExceeded, Report, WorkbenchError
 
 
@@ -18,6 +20,12 @@ class FormParameter:
 
     def contains(self, space, xi) -> bool:
         raise NotImplementedError
+
+    def contains_batch(self, space, disp, scal):
+        """`contains` on each column (disp[:, c], scal[c]) of integer arrays
+        over Z/m, as a boolean array."""
+        cols = zip(map(tuple, disp.T.tolist()), scal.tolist())
+        return np.array([self.contains(space, xi) for xi in cols], dtype=bool)
 
     def elements(self, space, cap=DEFAULT_CAP) -> frozenset:
         raise NotImplementedError

@@ -34,6 +34,7 @@ class ProductParameter(FormParameter):
         # v0 vector -> frozenset of admissible scalars, already summed with smin
         self.v0_scalar_sets = v0_scalar_sets
         self.smin = smin
+        self._v0_table = None  # built by the first contains_batch
 
     def contains(self, space, xi):
         u, t = xi
@@ -47,6 +48,23 @@ class ProductParameter(FormParameter):
         if scalars is None:
             return False
         return r.sub(t, base) in scalars
+
+    def contains_batch(self, space, disp, scal):
+        """`contains` on every column at once: the hyperbolic part by array
+        arithmetic, the V0 part by one lookup in a boolean table indexed by
+        (V0 vector code, scalar), built on the first call."""
+        m, n = space.ring.modulus, self.n
+        r0 = space.rank - 2 * n
+        radix = m ** np.arange(r0 - 1, -1, -1)  # V0 vector -> its code
+        if self._v0_table is None:
+            sets = self.v0_scalar_sets
+            codes = np.array(list(sets), dtype=np.int64).reshape(len(sets), r0) @ radix
+            self._v0_table = np.zeros((m ** r0, m), dtype=bool)
+            for code, ts in zip(codes.tolist(), sets.values()):
+                self._v0_table[code, list(ts)] = True
+        # bar(a) lam^-1 b = a b on Z/m, where bar(x) = x lam
+        base = (disp[:n] * disp[n:2 * n][::-1]).sum(axis=0)
+        return self._v0_table[radix @ disp[2 * n:], (scal - base) % m]
 
     def elements(self, space, cap=DEFAULT_CAP):
         r = space.ring
@@ -256,19 +274,12 @@ def _equiv_batch(hs: HyperbolicSpace, f: Mat, g: Mat) -> bool:
     """Residue-ring fast path; bar(x) = x bar(1) there, so B(u, v) = u^T G v."""
     sp = hs.space
     m = hs.ring.modulus
-    vall = np.array(list(sp.vectors()), dtype=np.int64).T
-    if vall.size == 0:
-        vall = vall.reshape(hs.dim, 0)
-    gram = np.array(hs.gram, dtype=np.int64)
-    fv = (f.arr @ vall) % m
-    gv = (g.arr @ vall) % m
-    disp = (fv - gv) % m
-    scal = (-(disp * (gram @ gv)).sum(axis=0)) % m
-    contains = sp.param_contains
-    for c in range(vall.shape[1]):
-        if not contains((tuple(int(x) for x in disp[:, c]), int(scal[c]))):
-            return False
-    return True
+    # every module vector as a column, in the order of sp.vectors()
+    vall = np.indices((m,) * hs.dim).reshape(hs.dim, -1)
+    gram_g = (np.array(hs.gram, dtype=np.int64) @ g.arr) % m
+    disp = ((f.arr.astype(np.int64) - g.arr) @ vall) % m  # fv - gv
+    scal = (-(disp * (gram_g @ vall)).sum(axis=0)) % m  # B(gv - fv, gv)
+    return bool(sp.parameter.contains_batch(sp, disp, scal).all())
 
 
 def unitary_member(hs: HyperbolicSpace, f: Mat, cap=DEFAULT_CAP) -> bool:

@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from .report import NotInvertible
+from .report import NotInvertible, WorkbenchError
 
 
 def egcd(a: int, b: int):
@@ -62,23 +62,44 @@ def invert_rows_mod(rows, m: int):
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def _packed(a, m: int):
-    """`a` reduced mod m, read-only, in the smallest unsigned dtype that
-    holds every residue."""
-    a = (a % m).astype(np.min_scalar_type(m - 1))
+def _readonly(a):
     a.flags.writeable = False
     return a
+
+
+def _packed(a, ring):
+    """`a` reduced mod m, read-only, in the ring's entry dtype."""
+    return _readonly((a % ring.base_modulus).astype(ring.dtype))
+
+
+def mulmod(ring, a, b):
+    """`a @ b` over Z/m for two matrices or two stacks of them: one int64
+    product, reduced mod m, packed in the ring's entry dtype, read-only.
+
+    Exact while every entry of the unreduced product, at most d (m-1)^2 for
+    inner dimension d, fits in int64; past that bound (`ring.exact_dim`) it
+    raises WorkbenchError instead of wrapping.  Within it m - 1 < 2^32, so
+    neither factor is uint64, which would turn the product into float64.
+    """
+    if a.shape[-1] > ring.exact_dim:
+        raise WorkbenchError(
+            f"modulus {ring.base_modulus} too large for exact products of "
+            f"dimension {a.shape[-1]}")
+    p = a.astype(np.int64) @ b
+    p %= ring.base_modulus
+    return _readonly(p.astype(ring.dtype))
 
 
 class Mat:
     """Immutable square matrix over a ring descriptor.
 
-    `arr` is the only stored form of a matrix: its entries over Z/m in the
-    smallest unsigned dtype that holds them, with a matrix over M_k(Z/m)
-    flattened to its (nk) x (nk) block matrix.  Products, `apply`, inverses,
-    `key()` (its bytes), equality and hashing all go through it.  `rows`,
-    the ring values for entrywise access and formatting, are built the first
-    time they are read, and `inv()` is memoised: a `Mat` never changes.
+    `arr` is the only stored form of a matrix: its entries over Z/m in
+    `ring.dtype`, the smallest unsigned dtype that holds every residue, with
+    a matrix over M_k(Z/m) flattened to its (nk) x (nk) block matrix.
+    Products (`mulmod`), `apply`, inverses, `key()` (its bytes), equality
+    and hashing all go through it.  `rows`, the ring values for entrywise
+    access and formatting, are built the first time they are read, and
+    `inv()` is memoised: a `Mat` never changes.
     """
 
     __slots__ = ("ring", "arr", "_rows", "_inv")
@@ -98,7 +119,7 @@ class Mat:
     @classmethod
     def from_arr(cls, ring, arr):
         """From an integer array laid out as `arr`, reduced mod m."""
-        return cls(ring, _packed(arr, ring.base_modulus))
+        return cls(ring, _packed(arr, ring))
 
     @classmethod
     def identity(cls, ring, dim):
@@ -121,7 +142,7 @@ class Mat:
         return self._rows
 
     def __mul__(self, other: "Mat") -> "Mat":
-        return Mat.from_arr(self.ring, self.arr.astype(np.int64) @ other.arr)
+        return Mat(self.ring, mulmod(self.ring, self.arr, other.arr))
 
     def inv(self) -> "Mat":
         if self._inv is None:
@@ -137,7 +158,7 @@ class Mat:
         """
         r = self.ring
         k = r.degree
-        y = (self.arr @ np.array(vec, dtype=np.int64).reshape(-1, k)) % r.base_modulus
+        y = mulmod(r, self.arr, np.array(vec, dtype=np.int64).reshape(-1, k))
         if r.modulus is not None:
             return tuple(y[:, 0].tolist())
         return tuple(tuple(map(tuple, e)) for e in y.reshape(-1, k, k).tolist())

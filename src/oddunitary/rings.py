@@ -11,6 +11,8 @@ import itertools
 import random
 from math import gcd
 
+import numpy as np
+
 from .matrices import inv_mod, invert_rows_mod
 from .report import DEFAULT_SEED, CapExceeded, NotInvertible, Report
 
@@ -89,6 +91,11 @@ class ResidueRing(Ring):
         if gcd(self._lam, m) != 1:
             raise NotInvertible("bar(1) is not invertible")
         self._lam_inv = inv_mod(self._lam, m)
+        # `Mat` entries: the smallest unsigned dtype that holds every residue,
+        # and the largest inner dimension d whose int64 products are exact,
+        # d (m-1)^2 < 2^63 (see matrices.mulmod)
+        self.dtype = np.min_scalar_type(m - 1)
+        self.exact_dim = (2**63 - 1) // (m - 1) ** 2
 
     @property
     def card(self):
@@ -133,6 +140,7 @@ class MatrixRing(Ring):
         self.kind = "matrix"
         self.involution = f"transpose:{entry_involution}"
         self.table = self.base.table
+        self.dtype, self.exact_dim = self.base.dtype, self.base.exact_dim
         self.zero = tuple(tuple(0 for _ in range(k)) for _ in range(k))
         self.one = tuple(
             tuple(1 if i == j else 0 for j in range(k)) for i in range(k)

@@ -10,11 +10,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
+
+import numpy as np
 
 from .generators import Word, Xi, Xij, commutator_word, generators, wmul, word
 from .hyperbolic import HyperbolicSpace, gen_matrix
-from .matrices import Mat
+from .matrices import Mat, mulmod
 from .report import DEFAULT_SEED, Report, WorkbenchError
 
 
@@ -32,23 +35,60 @@ def validate_gen(hs: HyperbolicSpace, gen):
         raise ValueError(f"not a generator: {gen!r}")
 
 
+def _letter(rep, cache, g, e) -> Mat:
+    """The matrix of g^e, kept in `cache` under (g, e)."""
+    m = cache.get((g, e))
+    if m is None:
+        base = cache.get((g, 1))
+        if base is None:
+            base = cache[(g, 1)] = rep(g)
+        m = cache[(g, e)] = base if e == 1 else base.inv()
+    return m
+
+
 def eval_word(hs: HyperbolicSpace, w: Word, rep=None, cache=None) -> Mat:
     """Defining representation; eval(w1 w2) = eval(w1) * eval(w2)."""
     if rep is None:
-        rep = lambda g: gen_matrix(hs, g)
+        rep = partial(gen_matrix, hs)
     if cache is None:
         cache = {}
     acc = hs.identity
     for g, e in w:
-        m = cache.get((g, e))
-        if m is None:
-            base = cache.get((g, 1))
-            if base is None:
-                base = rep(g)
-                cache[(g, 1)] = base
-            m = base if e == 1 else base.inv()
-            cache[(g, e)] = m
-        acc = acc * m
+        acc = acc * _letter(rep, cache, g, e)
+    return acc
+
+
+def eval_words(hs: HyperbolicSpace, words, rep=None, cache=None) -> np.ndarray:
+    """`eval_word` of every word, as one stack of packed arrays (one
+    `Mat.arr` per word).
+
+    Each letter becomes an index into a stack of the distinct letter
+    matrices, shorter words are padded with the identity, and each letter
+    position is one batched product mod m over all the words.
+    """
+    if rep is None:
+        rep = partial(gen_matrix, hs)
+    if cache is None:
+        cache = {}
+    position = {}  # letter -> index in `mats`; 0 is the identity
+    mats = [hs.identity.arr]
+    rows = []
+    for w in words:
+        row = []
+        for letter in w:
+            k = position.get(letter)
+            if k is None:
+                k = position[letter] = len(mats)
+                mats.append(_letter(rep, cache, *letter).arr)
+            row.append(k)
+        rows.append(row)
+    length = max([1, *map(len, rows)])
+    idx = np.array([row + [0] * (length - len(row)) for row in rows],
+                   dtype=np.intp).reshape(len(rows), length)
+    stack = np.stack(mats)
+    acc = stack[idx[:, 0]]
+    for t in range(1, length):
+        acc = mulmod(hs.ring, acc, stack[idx[:, t]])
     return acc
 
 
@@ -235,18 +275,19 @@ def sweep(report: Report, check: str, cases, holds, witness,
     return True
 
 
-def sweep_relations(hs: HyperbolicSpace, prefix: str, holds, strategy, seed,
+def sweep_relations(hs: HyperbolicSpace, prefix: str, verdicts, strategy, seed,
                     samples, relation_ids=RELATION_IDS,
                     stop_on_fail=False) -> Report:
-    """One record `prefix.rid` per family; holds(lhs, rhs) on every case."""
+    """One record `prefix.rid` per family; `verdicts(cases)` yields
+    (case, holds) for the (params, lhs, rhs) cases in their order."""
     report = Report()
     used_seed = seed if strategy == "sampled" else None
     for rid in relation_ids:
         ok = sweep(
             report, f"{prefix}.{rid}",
-            relation_cases(hs, rid, strategy, seed, samples),
-            lambda case: holds(case[1], case[2]),
-            lambda case: f"{rid}{case[0]!r}",
+            verdicts(relation_cases(hs, rid, strategy, seed, samples)),
+            lambda verdict: verdict[1],
+            lambda verdict: f"{rid}{verdict[0][0]!r}",
             seed=used_seed,
         )
         if not ok and stop_on_fail:
@@ -254,16 +295,28 @@ def sweep_relations(hs: HyperbolicSpace, prefix: str, holds, strategy, seed,
     return report
 
 
+# relation instances per batched evaluation; chunks of 128-512 ran equally
+# fast, and a chunk's words and arrays add to the peak memory
+CHUNK = 256
+
+
 def verify_relations(hs: HyperbolicSpace, strategy="exhaustive",
                      seed=DEFAULT_SEED, samples=256, rep=None,
                      relation_ids=RELATION_IDS) -> Report:
-    """Evaluate every relation instance in the defining representation."""
+    """Evaluate every relation instance in the defining representation,
+    CHUNK instances at a time."""
     cache = {}
-    return sweep_relations(
-        hs, "relations",
-        lambda lhs, rhs: eval_word(hs, lhs, rep, cache) == eval_word(hs, rhs, rep, cache),
-        strategy, seed, samples, relation_ids,
-    )
+
+    def verdicts(cases):
+        cases = iter(cases)
+        for chunk in iter(lambda: list(itertools.islice(cases, CHUNK)), []):
+            lhs = eval_words(hs, [c[1] for c in chunk], rep, cache)
+            rhs = eval_words(hs, [c[2] for c in chunk], rep, cache)
+            same = (lhs == rhs).reshape(len(chunk), -1).all(axis=1)
+            yield from zip(chunk, same.tolist())
+
+    return sweep_relations(hs, "relations", verdicts, strategy, seed, samples,
+                           relation_ids)
 
 
 # -- U1 normal form ----------------------------------------------------------

@@ -390,3 +390,61 @@ def test_v0_scalar_sets_on_a_large_modulus():
     # the V0 parameter scalars and lmin are both all of Z/2053 here
     hs = make_hyperbolic(make_ring("residue", 2053), 1)
     assert len(hs.l0) == 2053
+
+
+def _displacement_columns(hs, f, vectors):
+    """(disp, scal) of f against the identity on each vector, as in
+    equiv_mod_param, as integer arrays with one column per vector."""
+    sp, r = hs.space, hs.ring
+    disp, scal = [], []
+    for v in vectors:
+        d = tuple(r.sub(x, y) for x, y in zip(f.apply(v), v))
+        disp.append(d)
+        scal.append(sp.form(tuple(r.neg(x) for x in d), v))
+    return np.array(disp, dtype=np.int64).T, np.array(scal, dtype=np.int64)
+
+
+@pytest.mark.parametrize("space", ["rich", "z3n", "z4", "v0_min"])
+def test_contains_batch_matches_contains(request, space):
+    z3 = make_ring("residue", 3)
+    hs = {
+        "rich": lambda: request.getfixturevalue("hs_rich"),
+        "z3n": lambda: request.getfixturevalue("hs_z3n_n3"),
+        "z4": lambda: make_hyperbolic(make_ring("residue", 4), 2),
+        # only the zero V0 vector has a scalar set
+        "v0_min": lambda: make_hyperbolic(
+            z3, 2, make_space(z3, ((0, 1), (2, 0)), MinParameter())),
+    }[space]()
+    sp, m = hs.space, hs.ring.modulus
+    rng = np.random.default_rng(17)
+    vectors = [tuple(v) for v in rng.integers(0, m, (60, hs.dim)).tolist()]
+    columns = [_displacement_columns(hs, mat, vectors)
+               for _, mat in eu_generators(hs)[::7]]
+    # random columns: mostly outside every parameter
+    columns.append((rng.integers(0, m, (hs.dim, 300)), rng.integers(0, m, 300)))
+    disp = np.hstack([d for d, _ in columns])
+    scal = np.concatenate([s for _, s in columns])
+    for param in (sp.parameter, MinParameter(), MaxParameter()):
+        expected = [param.contains(sp, (tuple(d), t))
+                    for d, t in zip(disp.T.tolist(), scal.tolist())]
+        got = param.contains_batch(sp, disp, scal)
+        assert got.dtype == bool and got.tolist() == expected, param.kind
+        assert any(expected), param.kind
+    # on the rich preset the hyperbolic parameter is the whole Heisenberg
+    # group (smin is all of Z/3 and the V0 part is maximal); elsewhere the
+    # random columns include non-members
+    members = sp.parameter.contains_batch(sp, disp, scal)
+    assert members.all() == (space == "rich")
+    # a transvection is not equivalent to the identity under the minimal
+    # parameter: some of its displacements are non-members
+    t = hs.transvection_ij(1, 2, 1)
+    d, s = _displacement_columns(hs, t, vectors)
+    assert not MinParameter().contains_batch(sp, d, s).all()
+    assert sp.parameter.contains_batch(sp, d, s).all()
+    if space == "v0_min":
+        # a displacement along V0 has no scalar set, whatever the scalar
+        along_v0 = np.zeros((hs.dim, m), dtype=np.int64)
+        along_v0[-1] = 1
+        assert not sp.parameter.contains_batch(sp, along_v0, np.arange(m)).any()
+        assert not any(sp.parameter.contains(sp, (tuple(along_v0[:, 0]), a))
+                       for a in range(m))

@@ -6,45 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddunitary import Mat, NotInvertible, make_ring
+from oddunitary import Mat, NotInvertible, WorkbenchError, make_ring
 from oddunitary.matrices import inv_mod, invert_rows_mod
 
 
-def brute_inverse(rows, m):
-    """Reference inverse by exhaustive check on 2x2 matrices."""
-    n = len(rows)
-    assert n == 2
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for d in range(m):
-                    cand = ((a, b), (c, d))
-                    prod = tuple(
-                        tuple(
-                            sum(rows[i][k] * cand[k][j] for k in range(n)) % m
-                            for j in range(n)
-                        )
-                        for i in range(n)
-                    )
-                    if prod == ((1, 0), (0, 1)):
-                        return cand
-    return None
-
-
 @pytest.mark.parametrize("m", [4, 6, 12])
-def test_invert_rows_mod_matches_brute_force(m):
+def test_invert_rows_mod_matches_determinant_rule(m):
+    # a 2 x 2 matrix is invertible mod m exactly when gcd(ad - bc, m) = 1,
+    # and then its inverse is the unique two-sided one
     rng = random.Random(m)
     for _ in range(60):
         rows = tuple(
             tuple(rng.randrange(m) for _ in range(2)) for _ in range(2)
         )
-        expected = brute_inverse(rows, m)
-        if expected is None:
+        (a, b), (c, d) = rows
+        if gcd(a * d - b * c, m) != 1:
             with pytest.raises(NotInvertible):
                 invert_rows_mod(rows, m)
         else:
             got = invert_rows_mod(rows, m)
-            assert got == expected or _times(got, rows, m) == ((1, 0), (0, 1))
+            assert _times(got, rows, m) == _times(rows, got, m) == ((1, 0), (0, 1))
 
 
 def _times(a, b, m):
@@ -226,3 +207,25 @@ def test_equality_needs_equal_shape_and_degree(z2, m2z2):
     a = Mat.from_rows(make_ring("residue", 70000), ((1, 0), (0, 0)))
     b = Mat.from_arr(z2, np.frombuffer(a.key(), np.uint8).reshape(4, 4))
     assert a.key() == b.key() and a != b
+
+
+@pytest.mark.parametrize("m", [2**31 - 1, 2**33 + 1, 10**12 + 39])
+def test_products_on_large_moduli_are_exact_or_raise(m):
+    # int64 products wrap once d (m-1)^2 >= 2^63; past that bound a product
+    # must raise, never return wrapped entries
+    ring = make_ring("residue", m)
+    rng = random.Random(m)
+    for dim in (1, 2, 3, 4):
+        exact = dim * (m - 1) ** 2 < 2**63
+        for _ in range(50):
+            a, b = ([[rng.randrange(m) for _ in range(dim)] for _ in range(dim)]
+                    for _ in range(2))
+            x, y = Mat.from_rows(ring, a), Mat.from_rows(ring, b)
+            if not exact:
+                with pytest.raises(WorkbenchError):
+                    x * y
+                continue
+            assert (x * y).rows == _times(a, b, m)
+            v = tuple(b[0])
+            assert x.apply(v) == tuple(
+                sum(a[i][k] * v[k] for k in range(dim)) % m for i in range(dim))

@@ -2,12 +2,19 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oddunitary import (
+    Mat,
+    MaxParameter,
+    Report,
     WorkbenchError,
     eu_generators,
     make_hyperbolic,
+    make_ring,
+    make_space,
     relation_instance,
+    steinberg,
     u1_decompose,
     u1_uniqueness_check,
     verify_relations,
@@ -23,17 +30,31 @@ from oddunitary.generators import (
     word,
 )
 from oddunitary.steinberg import (
+    CHUNK,
+    RELATION_IDS,
     U1NormalForm,
     embed_matrix,
     eval_word,
+    eval_words,
     gen_matrix,
     normal_form_word,
     perfect_witness,
     relation_cases,
     remark2_witness_search,
+    sweep,
     u1_alphabet,
     validate_gen,
 )
+
+
+Z3 = make_ring("residue", 3)
+BATCH_SPACES = {
+    # the Z/3 symplectic-V0 preset (configs/z3_sympl_v0.cfg)
+    "z3_sympl_v0": make_hyperbolic(
+        Z3, 3, make_space(Z3, ((0, 1), (2, 0)), MaxParameter())),
+    "z4": make_hyperbolic(make_ring("residue", 4), 2),
+    "m2z2": make_hyperbolic(make_ring("matrix", 2, 2, "transpose"), 2),
+}
 
 
 def test_eval_empty_word_is_identity(hs_z2_n3):
@@ -175,6 +196,71 @@ def test_corrupted_representation_fails_r5(hs_z3_n3):
     assert not rep.ok
     assert rep.failures()[0].check == "relations.R5"
     assert rep.failures()[0].witness.startswith("R5")
+
+
+def _per_case_records(hs, rep=None):
+    """The relation records of a case-by-case sweep, two eval_word calls per
+    case: the reference for the batched sweep."""
+    report, cache = Report(), {}
+    for rid in RELATION_IDS:
+        sweep(report, f"relations.{rid}", relation_cases(hs, rid),
+              lambda c: eval_word(hs, c[1], rep, cache) == eval_word(hs, c[2], rep, cache),
+              lambda c: f"{rid}{c[0]!r}")
+    return report
+
+
+@pytest.mark.parametrize("chunk", [CHUNK, 161, 7, 5])
+def test_batched_sweep_reports_the_first_failing_case(monkeypatch, hs_z2_n3, chunk):
+    hs = hs_z2_n3
+    wrong = hs.transvection_ij(1, 2, 1)
+
+    def corrupted(gen):
+        return wrong if isinstance(gen, Xi) and gen.i == -1 else gen_matrix(hs, gen)
+
+    monkeypatch.setattr(steinberg, "CHUNK", chunk)
+    got = verify_relations(hs, rep=corrupted)
+    assert got.to_json_lines() == _per_case_records(hs, corrupted).to_json_lines()
+    fails = {r.check: r.witness for r in got.failures()}
+    # R4 first fails at its case 161, the first case of a later chunk when
+    # the chunk size divides 161; R2 and R7 first fail at their last case
+    # (the sixth), the only one with X_-1
+    assert fails["relations.R4"] == "R4(-1, 2, 1, ((), 0), 1)"
+    assert fails["relations.R2"] == "R2(-1, ((), 0), ((), 0))"
+    assert fails["relations.R7"] == "R7(-1, ((), 0), ((), 0))"
+    assert [r.witness for r in got if r.status == "pass"] == [
+        "48 instances", "96 instances", "960 instances", "192 instances",
+        "24 instances"]
+
+
+# derandomized and without the example database, so every run draws the
+# same examples
+@pytest.mark.parametrize("space", BATCH_SPACES)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_eval_words_matches_eval_word(space, data):
+    hs = BATCH_SPACES[space]
+    letters = st.tuples(st.sampled_from(list(generators(hs))), st.sampled_from((1, -1)))
+    words = data.draw(st.lists(st.lists(letters, max_size=7).map(tuple), max_size=12))
+    cache = {}
+    got = eval_words(hs, words, cache=cache)
+    assert got.shape == (len(words),) + hs.identity.arr.shape
+    assert got.dtype == hs.identity.arr.dtype
+    for w, arr in zip(words, got):
+        assert Mat(hs.ring, arr) == eval_word(hs, w)
+    # the shared cache holds each letter, with its inverse from Mat.inv
+    for (g, e), mat in cache.items():
+        assert mat is (cache[(g, 1)] if e == 1 else cache[(g, 1)].inv())
+
+
+def test_exhaustive_matrix_ring_counts():
+    # M_2(Z/2) with transpose at n = 3: 90,384 instances in all
+    hs = make_hyperbolic(make_ring("matrix", 2, 2, "transpose"), 3)
+    rep = verify_relations(hs)
+    assert [(r.check, r.status) for r in rep] == [
+        (f"relations.{rid}", "pass") for rid in RELATION_IDS]
+    counts = [int(r.witness.split()[0]) for r in rep]
+    assert counts == [384, 6144, 24, 61440, 3072, 12288, 96, 24, 768, 6144]
+    assert sum(counts) == 90384
 
 
 def test_remark1_consequences(hs_z3_n3):

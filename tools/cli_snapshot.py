@@ -8,8 +8,10 @@ Usage, from anywhere:
 Each file holds the run's stdout followed by a final `exit=<code>` line.
 The runs are every subcommand on each `configs/*.cfg` under both
 strategies, every subcommand on the built-in default config, the README's
-`decompose-u1` example and the `enumerate-eu --out` dump on
-`configs/z2_n3.cfg`.  Run it on two checkouts and compare with
+`decompose-u1` example, the `enumerate-eu --out` dump on
+`configs/z2_n3.cfg` and the exhaustive `verify-relations` on M_2(Z/2) with
+transpose at n = 3 (90,384 instances, from a config written into OUTDIR).
+Run it on two checkouts and compare with
 `diff -r OUTDIR1 OUTDIR2`: a refactor that keeps the behaviour leaves no
 difference, exit codes included.
 
@@ -42,6 +44,19 @@ CLOSURE_CAP = 30000
 STRATEGIES = ("exhaustive", "sampled")
 DEFAULT_RANK = 3  # the built-in config's n
 README_WORD = "X3-1(1) X31(1)"
+# written into OUTDIR by main(), so the run names it by a relative path
+M2Z2_N3_CFG = "m2z2_n3.cfg"
+M2Z2_N3_TEXT = """\
+[ring]
+kind = matrix
+modulus = 2
+degree = 2
+involution = transpose
+[space]
+n = 3
+[run]
+strategy = exhaustive
+"""
 
 
 def subcommand_args(name, n):
@@ -78,6 +93,8 @@ def runs():
            ["--config", str(ROOT / "configs" / "z2_n3.cfg"),
             "--cap", str(CLOSURE_CAP),
             "--out", "z2_n3.closure.dump", "enumerate-eu"])
+    yield ("m2z2_n3.exhaustive.verify-relations",
+           ["--config", M2Z2_N3_CFG, "verify-relations"])
 
 
 def main(argv=None) -> int:
@@ -87,6 +104,7 @@ def main(argv=None) -> int:
     outdir = args.outdir.resolve()
     outdir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    (outdir / M2Z2_N3_CFG).write_text(M2Z2_N3_TEXT)
     for fname, cli_args in runs():
         proc = subprocess.run(
             [sys.executable, "-m", "oddunitary", *cli_args],
