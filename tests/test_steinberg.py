@@ -1,5 +1,6 @@
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oddunitary import (
     Mat,
     MaxParameter,
+    OddQuadraticSpace,
     Report,
     WorkbenchError,
     eu_generators,
@@ -19,6 +21,7 @@ from oddunitary import (
     u1_uniqueness_check,
     verify_relations,
 )
+from oddunitary.config import build_space, parse_config
 from oddunitary.generators import (
     Xi,
     Xij,
@@ -47,6 +50,7 @@ from oddunitary.steinberg import (
 )
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 Z3 = make_ring("residue", 3)
 BATCH_SPACES = {
     # the Z/3 symplectic-V0 preset (configs/z3_sympl_v0.cfg)
@@ -165,6 +169,48 @@ def test_case_streams_are_pinned(hs_z2_n4, m2z2):
             digest(relation_cases(hs_m2, rid, "sampled", 3293, 64))[1],
         )
         assert got == expected, rid
+
+
+# The same digest on streams whose V0 is not zero, so B(u, v), heis_add and
+# heis_act feed the words: exhaustive on configs/z3_sympl_v0.cfg (39,060
+# cases), then seed 3293 with 64 samples on configs/z3neg_n3.cfg and on
+# M_2(Z/2) with transpose, n = 3 and a rank-1 V0 with Gram ((0,1),(1,0))
+# under the maximal parameter (128 one-index arguments).
+PINNED_V0_CASE_STREAMS = {
+    "R0": (72, "9aa1a2d310a1", "71f82550bf56", "6a998db94b7d"),
+    "R1": (216, "f1d20919dc28", "9ff2610229f2", "82837cabf8d8"),
+    "R2": (4374, "6e18777e4c97", "8ecfd70630bd", "b38ee00e8d96"),
+    "R3": (2160, "37afce12910c", "d02059fcd850", "8c09ef08adf7"),
+    "R4": (7776, "3927eb50b0ea", "9b829db9d6a6", "b9f5dcfa3c5c"),
+    "R5": (432, "31201e84fd0a", "07ef543cebdc", "0f27b5266f5d"),
+    "R6": (17496, "651fd35b67c0", "fb027df279da", "e3cb073ece23"),
+    "R7": (4374, "f84be0b3a208", "0a83802f92f1", "912cb8d76abf"),
+    "R8": (1944, "33655f939c9a", "93cfc28a75d2", "ec493ff68a4e"),
+    "R9": (216, "988e4ae3aeb8", "652b02eb7a1a", "d65e85b085a6"),
+}
+
+
+def test_v0_case_streams_are_pinned(m2z2):
+    def preset(name):
+        return build_space(parse_config((CONFIGS / f"{name}.cfg").read_text()))
+
+    z3v0, z3n = preset("z3_sympl_v0"), preset("z3neg_n3")
+    hm = make_hyperbolic(
+        m2z2, 3, OddQuadraticSpace(m2z2, ((((0, 1), (1, 0)),),), MaxParameter()))
+    assert len(hm.l0) == 128
+
+    def digest(cases):
+        sides = [(lhs, rhs) for _, lhs, rhs in cases]
+        return len(sides), hashlib.sha256(repr(sides).encode()).hexdigest()[:12]
+
+    for rid, expected in PINNED_V0_CASE_STREAMS.items():
+        got = (
+            *digest(relation_cases(z3v0, rid)),
+            digest(relation_cases(z3n, rid, "sampled", 3293, 64))[1],
+            digest(relation_cases(hm, rid, "sampled", 3293, 64))[1],
+        )
+        assert got == expected, rid
+    assert verify_relations(hm, "sampled", 3293, 64).ok
 
 
 @pytest.mark.parametrize("preset", ["z2", "z3n", "z3", "rich"])
