@@ -1,8 +1,9 @@
 """Workbench configuration: `[section]` headers, `key = value` lines.
 
-Lists are comma-separated, matrices are semicolon-separated rows, `#`
-starts a comment.  Heisenberg elements are written `(c1 c2 ...|a)` with the
-coordinates space-separated before the bar and the scalar after it.
+Lists are comma-separated, matrices are semicolon-separated rows (a matrix
+scalar inside one is bracketed, `[0,1;1,0]`), `#` starts a comment.
+Heisenberg elements are written `(c1 c2 ...|a)` with the coordinates
+space-separated before the bar and the scalar after it.
 """
 
 from __future__ import annotations
@@ -155,22 +156,41 @@ def _parse_heis(text: str, ring, length: int):
     return (coords, ring.parse_scalar(scalar_txt))
 
 
-def _split_heis_list(text: str):
+def _split_top(text: str, sep: str):
+    """Split at every `sep` outside parentheses and square brackets."""
     depth = 0
     items, cur = [], []
     for ch in text:
-        if ch == "(":
-            depth += 1
-        if ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
+        depth += (ch in "([") - (ch in ")]")
+        if ch == sep and depth == 0:
             items.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
-    if cur:
-        items.append("".join(cur))
-    return [s for s in (i.strip() for i in items) if s]
+    items.append("".join(cur))
+    return [item.strip() for item in items]
+
+
+def _split_heis_list(text: str):
+    return [s for s in _split_top(text, ",") if s]
+
+
+def _parse_gram(text: str, ring):
+    """Rows split at `;`, entries at `,`; an entry in square brackets is one
+    scalar, so a matrix scalar is written `[0,1;1,0]`."""
+    def scalar(entry):
+        if entry.startswith("[") and entry.endswith("]"):
+            entry = entry[1:-1]
+        return ring.parse_scalar(entry)
+
+    try:
+        gram = tuple(tuple(scalar(v) for v in _split_top(row, ","))
+                     for row in _split_top(text, ";"))
+    except ValueError as exc:
+        raise ConfigError(f"v0_gram: {exc}") from None
+    if any(len(row) != len(gram) for row in gram):
+        raise ConfigError("v0_gram: the Gram matrix must be square")
+    return gram
 
 
 def build_space(cfg: WorkbenchConfig, ring=None) -> HyperbolicSpace:
@@ -180,10 +200,7 @@ def build_space(cfg: WorkbenchConfig, ring=None) -> HyperbolicSpace:
     cap = int(cfg.run["cap"])
     gram_txt = spec["v0_gram"].strip()
     if gram_txt:
-        gram = tuple(
-            tuple(ring.parse_scalar(v) for v in row.split(","))
-            for row in gram_txt.split(";")
-        )
+        gram = _parse_gram(gram_txt, ring)
         v0_param = spec["v0_parameter"]
         if v0_param == "min":
             param = MinParameter()

@@ -106,6 +106,40 @@ v0_parameter = seeds:(1|0)
     assert len(hs.l0) == 9
 
 
+M2_V0_CONFIG = """\
+[ring]
+kind = matrix
+modulus = 2
+degree = 2
+involution = transpose
+[space]
+n = 3
+v0_gram = {gram}
+v0_parameter = max
+"""
+
+
+def test_matrix_v0_gram_entries_are_bracketed():
+    hs = build_space(parse_config(M2_V0_CONFIG.format(gram="[0,1;1,0]")))
+    assert hs.v0.gram == ((((0, 1), (1, 0)),),)
+    assert len(hs.l0) == 128
+    two = build_space(parse_config(M2_V0_CONFIG.format(
+        gram="[0,1;1,0], [0,0;0,0]; [0,0;0,0], [1,0;0,1]")))
+    assert two.v0.gram == ((((0, 1), (1, 0)), ((0, 0), (0, 0))),
+                           (((0, 0), (0, 0)), ((1, 0), (0, 1))))
+    # residue entries may be bracketed too, and parse as before without
+    z3 = "[ring]\nmodulus = 3\n[space]\nn = 3\nv0_gram = {}\n"
+    for text in ("0,1;2,0", "[0],[1];[2],[0]"):
+        assert build_space(parse_config(z3.format(text))).v0.gram == ((0, 1), (2, 0))
+
+
+@pytest.mark.parametrize("gram", ["0,1;1,0", "[0,1;1,0", "[0,1,1,0]", "[x]",
+                                  "[0,1;1,0],[0,1;1,0]"])
+def test_malformed_v0_gram_names_the_key(gram):
+    with pytest.raises(ConfigError, match="^v0_gram: "):
+        build_space(parse_config(M2_V0_CONFIG.format(gram=gram)))
+
+
 def test_table_involution_config():
     text = "[ring]\nmodulus = 5\ninvolution = table:0,4,3,2,1\n"
     ring = build_ring(parse_config(text))

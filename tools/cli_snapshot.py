@@ -9,8 +9,10 @@ Each file holds the run's stdout followed by a final `exit=<code>` line.
 The runs are every subcommand on each `configs/*.cfg` under both
 strategies, every subcommand on the built-in default config, the README's
 `decompose-u1` example, the `enumerate-eu --out` dump on
-`configs/z2_n3.cfg` and the exhaustive `verify-relations` on M_2(Z/2) with
-transpose at n = 3 (90,384 instances, from a config written into OUTDIR).
+`configs/z2_n3.cfg`, the exhaustive `verify-relations` on M_2(Z/2) with
+transpose at n = 3 (90,384 instances) and the sampled one on the same ring
+and rank with a rank-1 V0 of Gram `[0,1;1,0]` under the maximal parameter,
+both from configs written into OUTDIR.
 Run it on two checkouts and compare with
 `diff -r OUTDIR1 OUTDIR2`: a refactor that keeps the behaviour leaves no
 difference, exit codes included.
@@ -57,6 +59,9 @@ n = 3
 [run]
 strategy = exhaustive
 """
+M2Z2_V0_N3_CFG = "m2z2_v0_n3.cfg"
+M2Z2_V0_N3_TEXT = M2Z2_N3_TEXT.replace(
+    "n = 3\n", "n = 3\nv0_gram = [0,1;1,0]\nv0_parameter = max\n")
 
 
 def subcommand_args(name, n):
@@ -95,6 +100,9 @@ def runs():
             "--out", "z2_n3.closure.dump", "enumerate-eu"])
     yield ("m2z2_n3.exhaustive.verify-relations",
            ["--config", M2Z2_N3_CFG, "verify-relations"])
+    yield ("m2z2_v0_n3.sampled.verify-relations",
+           ["--config", M2Z2_V0_N3_CFG, "--strategy", "sampled",
+            "verify-relations"])
 
 
 def main(argv=None) -> int:
@@ -105,6 +113,7 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     (outdir / M2Z2_N3_CFG).write_text(M2Z2_N3_TEXT)
+    (outdir / M2Z2_V0_N3_CFG).write_text(M2Z2_V0_N3_TEXT)
     for fname, cli_args in runs():
         proc = subprocess.run(
             [sys.executable, "-m", "oddunitary", *cli_args],
