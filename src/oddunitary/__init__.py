@@ -11,7 +11,6 @@ from .forms import (
     MaxParameter,
     MinParameter,
     OddQuadraticSpace,
-    make_space,
     orthogonal_sum,
     span_form_parameter,
     verify_antihermitian,

@@ -14,11 +14,6 @@ from .forms import verify_antihermitian, verify_form_parameter
 
 DEFAULT_CONFIG_N4 = DEFAULT_CONFIG.replace("n = 3", "n = 4")
 
-COMMANDS = (
-    "verify-ring", "verify-space", "verify-relations", "decompose-u1",
-    "enumerate-eu", "check-perfect", "free-identities", "check-dagger",
-    "split-demo",
-)
 
 
 def _load_config(args):
@@ -167,6 +162,7 @@ _HANDLERS = {
     "check-dagger": cmd_check_dagger,
     "split-demo": cmd_split_demo,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -176,8 +176,7 @@ def _split_heis_list(text: str):
 
 
 def _parse_gram(text: str, ring):
-    """Rows split at `;`, entries at `,`; an entry in square brackets is one
-    scalar, so a matrix scalar is written `[0,1;1,0]`."""
+    """Rows split at `;`, entries at `,`; `[0,1;1,0]` is one matrix scalar."""
     def scalar(entry):
         if entry.startswith("[") and entry.endswith("]"):
             entry = entry[1:-1]

@@ -9,16 +9,16 @@ commutators of preimages and verified against every relation family.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
-from .generators import Xi, Xij, generators
+from .generators import Xi, Xij, gen_codes, generators
 from .hyperbolic import HyperbolicSpace, eu_generators, gen_matrix
 from .matrices import Mat
 from .report import DEFAULT_SEED, Report, WorkbenchError
 from .steinberg import (
     DAGGER,
     RELATION_IDS,
+    chunk_params,
     family_params,
     sweep,
     sweep_relations,
@@ -49,9 +49,8 @@ class ProductExtension:
     def _central_part(self, g: Mat, seed) -> int:
         if seed is None:
             return 0
-        digest = hashlib.sha256(
-            repr(seed).encode() + repr(g.key()).encode()
-        ).digest()
+        import hashlib  # here, so that runs without a seeded chooser never load it
+        digest = hashlib.sha256(repr(seed).encode() + repr(g.key()).encode()).digest()
         return int.from_bytes(digest[:8], "big") % self.a_order
 
     def chooser(self, g: Mat):
@@ -103,9 +102,11 @@ def check_dagger(E: ProductExtension, strategy="exhaustive",
         t2 = gen_matrix(hs, Xij(k, h, b))
         return comm_preimages(E, t1, t2) == E.identity
 
+    cases = (params
+             for chunk in family_params(hs, DAGGER, "dagger", strategy, seed, samples)
+             for params in chunk_params(hs, DAGGER, *chunk))
     rep = Report()
-    sweep(rep, "extension.dagger",
-          family_params(hs, DAGGER, "dagger", strategy, seed, samples), holds,
+    sweep(rep, "extension.dagger", cases, holds,
           lambda p: "(i,j,k,h,a,b)=({},{},{},{},{!r},{!r})".format(*p),
           unit="quadruple instances",
           seed=seed if strategy == "sampled" else None)
@@ -152,9 +153,7 @@ def build_section(E: ProductExtension) -> dict:
     if hs.n == 4:
         dag = check_dagger(E)
         if not dag.ok:
-            raise WorkbenchError(
-                f"property-dagger failed: {dag.failures()[0].witness}"
-            )
+            raise WorkbenchError(f"property-dagger failed: {dag.failures()[0].witness}")
     table = {}
     for g in generators(hs):
         if isinstance(g, Xij):
@@ -164,11 +163,14 @@ def build_section(E: ProductExtension) -> dict:
     return table
 
 
-def section_eval(E: ProductExtension, table: dict, w):
+def section_eval(E: ProductExtension, table: list, codes):
+    """The section along a sequence of letter codes; `table` holds each
+    entry at its generator's code, and a 0 letter is the identity."""
     acc = E.identity
-    for g, e in w:
-        t = table[g]
-        acc = E.mul(acc, t if e == 1 else E.inv(t))
+    for c in codes:
+        if c:
+            t = table[abs(c)]
+            acc = E.mul(acc, t if c > 0 else E.inv(t))
     return acc
 
 
@@ -178,18 +180,23 @@ def verify_section(E: ProductExtension, table: dict, strategy="exhaustive",
     """Every relation family with S substituted for X, plus eps(sigma) = id."""
     hs = E.hs
     rep = Report()
-    bad = next(
-        (g for g, t in table.items() if E.eps(t) != gen_matrix(hs, g)), None
-    )
+    bad = next((g for g, t in table.items() if E.eps(t) != gen_matrix(hs, g)), None)
     rep.add("section.eps_sigma", "pass" if bad is None else "fail",
             witness=None if bad is None else repr(bad))
     if bad is not None and stop_on_fail:
         return rep
+    codes = gen_codes(hs, table).tolist()
+    by_code = [None] * (max(codes) + 1)
+    for c, t in zip(codes, table.values()):
+        by_code[c] = t
 
-    def verdicts(cases):
+    def verdicts(chunks):
         # case by case: a mutated table usually fails within a few cases
-        for c in cases:
-            yield c, section_eval(E, table, c[1]) == section_eval(E, table, c[2])
+        for chunk in chunks:
+            lhs, rhs = chunk[2].tolist(), chunk[3].tolist()
+            for t, (left, right) in enumerate(zip(lhs, rhs)):
+                yield ((chunk, t), section_eval(E, by_code, left)
+                       == section_eval(E, by_code, right))
 
     rep.extend(sweep_relations(hs, "section", verdicts, strategy, seed, samples,
                                relation_ids, stop_on_fail))

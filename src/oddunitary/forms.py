@@ -30,9 +30,6 @@ class FormParameter:
     def elements(self, space, cap=DEFAULT_CAP) -> frozenset:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.kind
-
 
 class MinParameter(FormParameter):
     """{(0, a + bar(a))}: the smallest admissible parameter."""
@@ -81,9 +78,6 @@ class ExplicitParameter(FormParameter):
     def elements(self, space, cap=DEFAULT_CAP):
         return self.set
 
-    def describe(self):
-        return f"explicit({len(self.set)})"
-
 
 class OddQuadraticSpace:
     """Free right module with an anti-Hermitian Gram matrix and a form parameter."""
@@ -96,9 +90,7 @@ class OddQuadraticSpace:
             raise ValueError("gram matrix must be square")
         self.zero_vec = tuple(ring.zero for _ in range(self.rank))
         self.heis_identity = (self.zero_vec, ring.zero)
-        self.lmin_scalars = frozenset(
-            ring.add(a, ring.bar(a)) for a in ring.elements()
-        )
+        self.lmin_scalars = frozenset(ring.add(a, ring.bar(a)) for a in ring.elements())
         self.parameter = parameter if parameter is not None else MinParameter()
 
     # -- form ------------------------------------------------------------
@@ -119,6 +111,16 @@ class OddQuadraticSpace:
                     continue
                 acc = r.add(acc, r.prod(bui, self.gram[i][j], vj))
         return acc
+
+    def form_arr(self, u, v):
+        """`form` on stacks of vectors: int64 arrays (..., rank, k, k) as in
+        `Ring.arr`, giving (..., k, k)."""
+        r = self.ring
+        gram = r.arr(self.gram, (self.rank, self.rank))
+        bu = r.arr_mul(r.arr_bar(u), r.arr(r.lam_inv))
+        # [..., i, j] = bar(u_i) lam^-1 G[i][j] v_j
+        terms = r.arr_mul(r.arr_mul(bu[..., :, None, :, :], gram), v[..., None, :, :, :])
+        return terms.sum(axis=(-4, -3)) % r.base_modulus
 
     def vectors(self):
         return (
@@ -163,21 +165,11 @@ class OddQuadraticSpace:
 
     # -- parameter ---------------------------------------------------------
 
-    def lmin_member(self, xi):
-        return MinParameter().contains(self, xi)
-
-    def lmax_member(self, xi):
-        return MaxParameter().contains(self, xi)
-
     def param_contains(self, xi):
         return self.parameter.contains(self, xi)
 
     def param_elements(self, cap=DEFAULT_CAP):
         return self.parameter.elements(self, cap)
-
-
-def make_space(ring, gram, parameter=None) -> OddQuadraticSpace:
-    return OddQuadraticSpace(ring, gram, parameter)
 
 
 def zero_space(ring) -> OddQuadraticSpace:
@@ -188,73 +180,41 @@ def verify_antihermitian(space, seed=DEFAULT_SEED, pair_cap=10**5) -> Report:
     """Gram anti-Hermitian on basis pairs; B(u, v) = -bar(B(v, u)) on vector pairs."""
     rep = Report()
     r = space.ring
-    bad = next(
-        (
-            (i, j)
-            for i in range(space.rank)
-            for j in range(space.rank)
-            if space.gram[i][j] != r.neg(r.bar(space.gram[j][i]))
-        ),
-        None,
-    )
-    rep.add(
-        "space.gram_antihermitian",
-        "pass" if bad is None else "fail",
-        witness=None if bad is None else f"basis pair {bad}",
-    )
-
-    total = space.vector_count() ** 2
+    rank, gram = space.rank, space.gram
+    rep.search("space.gram_antihermitian",
+               ((i, j) for i in range(rank) for j in range(rank)),
+               lambda p: gram[p[0]][p[1]] != r.neg(r.bar(gram[p[1]][p[0]])),
+               lambda p: f"basis pair {p}")
     used_seed = None
-    if total <= pair_cap:
+    if space.vector_count() ** 2 <= pair_cap:
         pairs = ((u, v) for u in space.vectors() for v in space.vectors())
     else:
         rng = random.Random(seed)
         used_seed = seed
         elems = list(r.elements())
         def rand_vec():
-            return tuple(rng.choice(elems) for _ in range(space.rank))
+            return tuple(rng.choice(elems) for _ in range(rank))
         pairs = ((rand_vec(), rand_vec()) for _ in range(4096))
-    bad = next(
-        (
-            (u, v)
-            for u, v in pairs
-            if space.form(u, v) != r.neg(r.bar(space.form(v, u)))
-        ),
-        None,
-    )
-    rep.add(
-        "space.form_skew_axiom",
-        "pass" if bad is None else "fail",
-        witness=None if bad is None else f"(u, v) = {bad!r}",
-        seed=used_seed,
-    )
+    rep.search("space.form_skew_axiom", pairs,
+               lambda p: space.form(*p) != r.neg(r.bar(space.form(p[1], p[0]))),
+               lambda p: f"(u, v) = {p!r}", used_seed)
     return rep
 
 
 def span_form_parameter(space, seeds, cap=DEFAULT_CAP) -> ExplicitParameter:
     """Smallest subgroup containing lmin and the seeds, stable under the action."""
     for s in seeds:
-        if not space.lmax_member(s):
+        if not MaxParameter().contains(space, s):
             raise WorkbenchError(f"seed {s!r} lies outside the maximal parameter")
     ring_elems = list(space.ring.elements())
     current = set(MinParameter().elements(space))
     current.add(space.heis_identity)
     current.update(tuple(s) if not isinstance(s, tuple) else s for s in seeds)
     while True:
-        new = set()
-        for x in current:
-            y = space.heis_neg(x)
-            if y not in current:
-                new.add(y)
-            for b in ring_elems:
-                y = space.heis_act(x, b)
-                if y not in current:
-                    new.add(y)
-        for x in current:
-            for y in current:
-                z = space.heis_add(x, y)
-                if z not in current:
-                    new.add(z)
+        new = {space.heis_neg(x) for x in current}
+        new.update(space.heis_act(x, b) for x in current for b in ring_elems)
+        new.update(space.heis_add(x, y) for x in current for y in current)
+        new -= current
         if not new:
             break
         current |= new
@@ -267,18 +227,11 @@ def verify_form_parameter(space, cap=DEFAULT_CAP, seed=DEFAULT_SEED) -> Report:
     """lmin <= L <= lmax, closure under the group operations, action stability."""
     rep = Report()
     elems = space.param_elements(cap)
-    bad = next(
-        (s for s in space.lmin_scalars if (space.zero_vec, s) not in elems), None
-    )
-    rep.add("param.contains_min", "pass" if bad is None else "fail",
-            witness=None if bad is None else f"(0, {bad!r})")
-    bad = next((x for x in elems if not space.lmax_member(x)), None)
-    rep.add("param.inside_max", "pass" if bad is None else "fail",
-            witness=None if bad is None else repr(bad))
-    bad = next((x for x in elems if space.heis_neg(x) not in elems), None)
-    rep.add("param.closed_under_neg", "pass" if bad is None else "fail",
-            witness=None if bad is None else repr(bad))
-
+    zero = space.zero_vec
+    rep.search("param.contains_min", space.lmin_scalars,
+               lambda s: (zero, s) not in elems, lambda s: f"(0, {s!r})")
+    rep.search("param.inside_max", elems, lambda x: not MaxParameter().contains(space, x))
+    rep.search("param.closed_under_neg", elems, lambda x: space.heis_neg(x) not in elems)
     used_seed = None
     if len(elems) ** 2 <= 4 * 10**6:
         pairs = ((x, y) for x in elems for y in elems)
@@ -286,25 +239,12 @@ def verify_form_parameter(space, cap=DEFAULT_CAP, seed=DEFAULT_SEED) -> Report:
         rng = random.Random(seed)
         used_seed = seed
         listed = sorted(elems)
-        pairs = (
-            (rng.choice(listed), rng.choice(listed)) for _ in range(4096)
-        )
-    bad = next(
-        ((x, y) for x, y in pairs if space.heis_add(x, y) not in elems), None
-    )
-    rep.add("param.closed_under_add", "pass" if bad is None else "fail",
-            witness=None if bad is None else repr(bad), seed=used_seed)
-    bad = next(
-        (
-            (x, b)
-            for x in elems
-            for b in space.ring.elements()
-            if space.heis_act(x, b) not in elems
-        ),
-        None,
-    )
-    rep.add("param.action_stable", "pass" if bad is None else "fail",
-            witness=None if bad is None else repr(bad))
+        pairs = ((rng.choice(listed), rng.choice(listed)) for _ in range(4096))
+    rep.search("param.closed_under_add", pairs,
+               lambda p: space.heis_add(*p) not in elems, seed=used_seed)
+    rep.search("param.action_stable",
+               ((x, b) for x in elems for b in space.ring.elements()),
+               lambda p: space.heis_act(*p) not in elems)
     return rep
 
 
@@ -315,22 +255,13 @@ def orthogonal_sum(s1: OddQuadraticSpace, s2: OddQuadraticSpace,
     if ring_key(r) != ring_key(s2.ring):
         raise WorkbenchError("orthogonal sum needs both spaces over the same ring")
     n1, n2 = s1.rank, s2.rank
-    gram = [
-        [
-            s1.gram[i][j] if i < n1 and j < n1
-            else s2.gram[i - n1][j - n1] if i >= n1 and j >= n1
-            else r.zero
-            for j in range(n1 + n2)
-        ]
-        for i in range(n1 + n2)
-    ]
+    gram = ([list(row) + [r.zero] * n2 for row in s1.gram]
+            + [[r.zero] * n1 + list(row) for row in s2.gram])
     p1 = s1.param_elements(cap)
     p2 = s2.param_elements(cap)
     if len(p1) * len(p2) > cap:
         raise CapExceeded("parameter of the sum exceeds cap")
-    elems = frozenset(
-        (u + v, r.add(a, b)) for (u, a) in p1 for (v, b) in p2
-    )
+    elems = frozenset((u + v, r.add(a, b)) for (u, a) in p1 for (v, b) in p2)
     return OddQuadraticSpace(r, gram, ExplicitParameter(elems))
 
 

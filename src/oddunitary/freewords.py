@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from .generators import winv as inverse, wmul as concat
 from .report import DEFAULT_SEED, Report
 
 IDENTITY_IDS = ("C1", "C2", "C3", "C4", "C5", "C6")
@@ -26,17 +27,6 @@ def reduce_word(w) -> tuple:
             out.pop()
         else:
             out.append(letter)
-    return tuple(out)
-
-
-def inverse(w) -> tuple:
-    return tuple((s, -e) for s, e in reversed(w))
-
-
-def concat(*ws) -> tuple:
-    out = []
-    for w in ws:
-        out.extend(w)
     return tuple(out)
 
 

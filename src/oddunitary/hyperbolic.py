@@ -16,6 +16,7 @@ from .forms import FormParameter, OddQuadraticSpace, ring_key, zero_space
 from .generators import Xi, Xij, format_word, generators
 from .matrices import Mat
 from .report import DEFAULT_CAP, CapExceeded, NotInvertible, WorkbenchError
+from .rings import place_values
 
 
 class ProductParameter(FormParameter):
@@ -69,32 +70,18 @@ class ProductParameter(FormParameter):
     def elements(self, space, cap=DEFAULT_CAP):
         r = space.ring
         n = self.n
-        plane = [
-            ((a, b), r.add(r.prod(r.bar(a), r.lam_inv, b), s))
-            for a in r.elements()
-            for b in r.elements()
-            for s in sorted(self.smin)
-        ]
-        plane = sorted(set(plane))
-        v0_elems = sorted(
-            (u0, t) for u0, ts in self.v0_scalar_sets.items() for t in ts
-        )
+        plane = sorted({((a, b), r.add(r.prod(r.bar(a), r.lam_inv, b), s))
+                        for a in r.elements() for b in r.elements() for s in self.smin})
+        v0_elems = sorted((u0, t) for u0, ts in self.v0_scalar_sets.items() for t in ts)
         total = len(plane) ** n * len(v0_elems)
         if total > cap:
             raise CapExceeded(f"hyperbolic parameter has {total} elements")
         out = set()
         for parts in itertools.product(plane, repeat=n):
-            vec_pos = [p[0][0] for p in parts]
-            vec_neg = [p[0][1] for p in reversed(parts)]
-            s = r.zero
-            for p in parts:
-                s = r.add(s, p[1])
-            for u0, t in v0_elems:
-                out.add((tuple(vec_pos) + tuple(vec_neg) + u0, r.add(s, t)))
+            u = tuple(p[0][0] for p in parts) + tuple(p[0][1] for p in reversed(parts))
+            s = r.sum(*(p[1] for p in parts))
+            out.update((u + u0, r.add(s, t)) for u0, t in v0_elems)
         return frozenset(out)
-
-    def describe(self):
-        return f"hyperbolic(n={self.n})"
 
 
 class HyperbolicSpace:
@@ -118,14 +105,12 @@ class HyperbolicSpace:
         self.omega = tuple(range(1, n + 1)) + tuple(range(-n, 0))
 
         r = ring
-        gram = [[r.zero for _ in range(self.dim)] for _ in range(self.dim)]
+        gram = [[r.zero] * self.dim for _ in range(self.dim)]
         for i in range(1, n + 1):
             gram[self.col(i)][self.col(-i)] = r.one
             gram[self.col(-i)][self.col(i)] = r.neg(r.lam)
-        off = 2 * n
-        for a in range(v0.rank):
-            for b in range(v0.rank):
-                gram[off + a][off + b] = v0.gram[a][b]
+        for a, row in enumerate(v0.gram):
+            gram[2 * n + a][2 * n:] = row
 
         smin = OddQuadraticSpace(ring, gram).lmin_scalars
         v0_sets = {}
@@ -145,13 +130,8 @@ class HyperbolicSpace:
         if isinstance(parameter, ProductParameter):
             l0 = ((u0, t) for u0, ts in v0_sets.items() for t in ts)
         else:
-            zeros = tuple(r.zero for _ in range(2 * n))
-            l0 = (
-                (u0, a)
-                for u0 in v0.vectors()
-                for a in r.elements()
-                if parameter.contains(self.space, (zeros + u0, a))
-            )
+            l0 = ((u0, a) for u0 in v0.vectors() for a in r.elements()
+                  if parameter.contains(self.space, (self.embed_v0(u0), a)))
         self.l0 = tuple(sorted(l0))
         self.l0_set = frozenset(self.l0)
         self.identity = Mat.identity(ring, self.dim)
@@ -184,6 +164,12 @@ class HyperbolicSpace:
 
     # -- transvections -------------------------------------------------------
 
+    def _blocks(self):
+        """The identity and the Gram matrix as (dim, dim, k, k) arrays."""
+        r = self.ring
+        eye = np.eye(self.dim, dtype=np.int64)[:, :, None, None] * r.arr(r.one)
+        return eye, r.arr(self.gram, (self.dim, self.dim))
+
     def transvection_ij(self, i: int, j: int, a) -> Mat:
         """T_ij(a): w -> w + e_-j eps_-j bar(a) lam^-1 B(e_i, w) - e_i a eps_j B(e_-j, w)."""
         if j in (i, -i):
@@ -209,9 +195,7 @@ class HyperbolicSpace:
         part of the parameter; u is embedded with zero hyperbolic part.
         """
         if xi not in self.l0_set:
-            raise WorkbenchError(
-                f"{xi!r} is not in the V0-supported form parameter"
-            )
+            raise WorkbenchError(f"{xi!r} is not in the V0-supported form parameter")
         u, b = self.embed_v0(xi[0]), xi[1]
         r = self.ring
         ci = self.col(i)
@@ -227,9 +211,7 @@ class HyperbolicSpace:
                 rows[ci][c] = r.sub(rows[ci][c], r.mul(k, gi[c]))
                 for rr in range(self.dim):
                     if u[rr] != r.zero:
-                        rows[rr][c] = r.add(
-                            rows[rr][c], r.prod(u[rr], emi, gi[c])
-                        )
+                        rows[rr][c] = r.add(rows[rr][c], r.prod(u[rr], emi, gi[c]))
         return Mat.from_rows(r, rows)
 
 
@@ -244,13 +226,9 @@ def is_isometry(hs: HyperbolicSpace, f: Mat) -> bool:
     """B(f b_i, f b_j) = B(b_i, b_j) on all basis pairs (enough by sesquilinearity)."""
     if f.dim != hs.dim:
         raise ValueError("dimension mismatch")
-    cols = [tuple(f.rows[r][c] for r in range(hs.dim)) for c in range(hs.dim)]
-    sp = hs.space
-    for i in range(hs.dim):
-        for j in range(hs.dim):
-            if sp.form(cols[i], cols[j]) != hs.gram[i][j]:
-                return False
-    return True
+    gram = hs._blocks()[1]
+    cols = hs.ring.arr(f.rows, (hs.dim, hs.dim)).swapaxes(0, 1)  # f b_c, by c
+    return bool((hs.space.form_arr(cols[:, None], cols[None]) == gram).all())
 
 
 def equiv_mod_param(hs: HyperbolicSpace, f: Mat, g: Mat, cap=DEFAULT_CAP) -> bool:
@@ -270,16 +248,23 @@ def equiv_mod_param(hs: HyperbolicSpace, f: Mat, g: Mat, cap=DEFAULT_CAP) -> boo
     return True
 
 
+VECTORS = 2048  # module vectors per block of _equiv_batch
+
+
 def _equiv_batch(hs: HyperbolicSpace, f: Mat, g: Mat) -> bool:
-    """Residue-ring fast path; bar(x) = x bar(1) there, so B(u, v) = u^T G v."""
-    sp = hs.space
-    m = hs.ring.modulus
-    # every module vector as a column, in the order of sp.vectors()
-    vall = np.indices((m,) * hs.dim).reshape(hs.dim, -1)
+    """Residue-ring fast path; bar(x) = x bar(1) there, so B(u, v) = u^T G v.
+    The module vectors are columns, VECTORS at a time in the order of
+    sp.vectors(), so the arrays stay small on any module."""
+    sp, m, total = hs.space, hs.ring.modulus, hs.space.vector_count()
     gram_g = (np.array(hs.gram, dtype=np.int64) @ g.arr) % m
-    disp = ((f.arr.astype(np.int64) - g.arr) @ vall) % m  # fv - gv
-    scal = (-(disp * (gram_g @ vall)).sum(axis=0)) % m  # B(gv - fv, gv)
-    return bool(sp.parameter.contains_batch(sp, disp, scal).all())
+    diff = f.arr.astype(np.int64) - g.arr
+    for start in range(0, total, VECTORS):
+        v = np.arange(start, min(start + VECTORS, total)) // place_values(m, hs.dim)[:, None] % m
+        disp = (diff @ v) % m  # fv - gv
+        scal = (-(disp * (gram_g @ v)).sum(axis=0)) % m  # B(gv - fv, gv)
+        if not sp.parameter.contains_batch(sp, disp, scal).all():
+            return False
+    return True
 
 
 def unitary_member(hs: HyperbolicSpace, f: Mat, cap=DEFAULT_CAP) -> bool:
@@ -518,7 +503,5 @@ def dump_closure(cl: GroupClosure, stream):
     """One element per line: shortest word, a tab, then row-major entries."""
     r = cl.hs.ring
     for key, mat in cl.mats.items():
-        entries = " ".join(
-            r.format_scalar(v) for row in mat.rows for v in row
-        )
+        entries = " ".join(r.format_scalar(v) for row in mat.rows for v in row)
         stream.write(f"{cl.word_tokens(key)}\t{entries}\n")

@@ -7,13 +7,13 @@ bar(1) throughout.
 
 from __future__ import annotations
 
-import itertools
 import random
+from functools import reduce
 from math import gcd
 
 import numpy as np
 
-from .matrices import inv_mod, invert_rows_mod
+from .matrices import inv_mod, invert_rows_mod, mulmod
 from .report import DEFAULT_SEED, CapExceeded, NotInvertible, Report
 
 ENUM_THRESHOLD = 10**6
@@ -52,14 +52,53 @@ class Ring:
             acc = self.add(acc, x)
         return acc
 
+    # -- array forms: scalars as int64 arrays of shape (..., k, k), k the
+    # degree (k = 1 on Z/m), so one path serves every ring
+
+    def arr(self, values, lead=()):
+        """Ring values laid out with leading shape `lead`, as such an array."""
+        return np.array(values, dtype=np.int64).reshape(tuple(lead) + (self.degree,) * 2)
+
+    def codes_arr(self, codes):
+        """The scalars at the given positions of `elements()` (their codes):
+        the k*k entries are the digits in base m, the first most significant."""
+        c = np.asarray(codes)[..., None] // place_values(self.base_modulus, self.degree**2)
+        return (c % self.base_modulus).reshape(c.shape[:-1] + (self.degree,) * 2)
+
+    def arr_codes(self, a):
+        k = self.degree
+        return a.reshape(a.shape[:-2] + (k * k,)) @ place_values(self.base_modulus, k * k)
+
+    def arr_add(self, a, b):
+        return (a + b) % self.base_modulus
+
+    def arr_neg(self, a):
+        return (-a) % self.base_modulus
+
+    def arr_mul(self, *xs):
+        return reduce(lambda a, b: mulmod(self, a, b).astype(np.int64), xs)
+
+    def arr_bar(self, a):
+        """The entry involution, then the transpose (a no-op at k = 1)."""
+        return np.swapaxes(self.entry_bar_arr(a), -1, -2)
+
+
+def place_values(base, digits):
+    """base^(digits-1), ..., base, 1 as int64."""
+    return np.array([base**e for e in range(digits - 1, -1, -1)], dtype=np.int64)
+
 
 def _make_bar(kind, table, m):
+    """bar on one residue, and entrywise on an int64 array of residues."""
     if kind == "identity":
-        return lambda a: a
+        return (lambda a: a), (lambda a: a)
     if kind == "negation":
-        return lambda a: (-a) % m
+        def neg(a):
+            return (-a) % m
+        return neg, neg
     if kind == "table":
-        return lambda a: table[a]
+        arr = np.array(table, dtype=np.int64)
+        return (lambda a: table[a]), (lambda a: arr[a])
     raise ValueError(f"unsupported involution {kind!r} for residue ring")
 
 
@@ -79,14 +118,12 @@ class ResidueRing(Ring):
             if table is None or sorted(table) != list(range(m)):
                 raise ValueError("involution table must be a bijection on [0, m)")
             table = tuple(int(v) % m for v in table)
-            for a in range(m):
-                for b in range(m):
-                    if table[(a + b) % m] != (table[a] + table[b]) % m:
-                        raise ValueError(
-                            f"involution table is not additive at ({a}, {b})"
-                        )
+            bad = next(((a, b) for a in range(m) for b in range(m)
+                        if table[(a + b) % m] != (table[a] + table[b]) % m), None)
+            if bad is not None:
+                raise ValueError(f"involution table is not additive at {bad}")
         self.table = table
-        self.bar = _make_bar(involution, table, m)
+        self.bar, self.entry_bar_arr = _make_bar(involution, table, m)
         self._lam = self.bar(1)
         if gcd(self._lam, m) != 1:
             raise NotInvertible("bar(1) is not invertible")
@@ -103,6 +140,10 @@ class ResidueRing(Ring):
 
     def elements(self):
         return range(self.modulus)
+
+    def scalar(self, code):
+        """The element at position `code` of `elements()`."""
+        return code
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -140,11 +181,10 @@ class MatrixRing(Ring):
         self.kind = "matrix"
         self.involution = f"transpose:{entry_involution}"
         self.table = self.base.table
+        self.entry_bar_arr = self.base.entry_bar_arr
         self.dtype, self.exact_dim = self.base.dtype, self.base.exact_dim
         self.zero = tuple(tuple(0 for _ in range(k)) for _ in range(k))
-        self.one = tuple(
-            tuple(1 if i == j else 0 for j in range(k)) for i in range(k)
-        )
+        self.one = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
         self._lam = self.bar(self.one)
         try:
             self._lam_inv = self.inv(self._lam)
@@ -156,15 +196,16 @@ class MatrixRing(Ring):
         return self.base_modulus ** (self.degree * self.degree)
 
     def elements(self):
+        return map(self.scalar, range(self.card))
+
+    def scalar(self, code):
         k, m = self.degree, self.base_modulus
-        for vals in itertools.product(range(m), repeat=k * k):
-            yield tuple(vals[i * k:(i + 1) * k] for i in range(k))
+        vals = [code // m**e % m for e in range(k * k - 1, -1, -1)]
+        return tuple(tuple(vals[i * k:(i + 1) * k]) for i in range(k))
 
     def add(self, a, b):
         m = self.base_modulus
-        return tuple(
-            tuple((x + y) % m for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-        )
+        return tuple(tuple((x + y) % m for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
     def neg(self, a):
         m = self.base_modulus
@@ -189,9 +230,7 @@ class MatrixRing(Ring):
 
     def parse_scalar(self, text):
         m = self.base_modulus
-        rows = tuple(
-            tuple(int(v) % m for v in row.split(",")) for row in text.split(";")
-        )
+        rows = tuple(tuple(int(v) % m for v in row.split(",")) for row in text.split(";"))
         if len(rows) != self.degree or any(len(r) != self.degree for r in rows):
             raise ValueError(f"scalar {text!r} has wrong shape")
         return rows
@@ -207,30 +246,23 @@ def make_ring(kind="residue", modulus=2, degree=1, involution="identity", table=
             raise ValueError("residue rings have degree 1")
         return ResidueRing(modulus, involution, table)
     if kind == "matrix":
-        if involution.startswith("transpose"):
-            entry = involution.split(":", 1)[1] if ":" in involution else "identity"
-        else:
-            raise ValueError(
-                f"unsupported involution {involution!r} for matrix ring"
-            )
+        if not involution.startswith("transpose"):
+            raise ValueError(f"unsupported involution {involution!r} for matrix ring")
+        entry = involution.split(":", 1)[1] if ":" in involution else "identity"
         return MatrixRing(modulus, degree, entry, table)
     raise ValueError(f"unsupported ring kind {kind!r}")
 
 
 def _pairs(ring, seed):
-    """All (a, b) pairs when the carrier is small, else a seeded sample."""
-    if ring.card <= PAIR_THRESHOLD:
-        elems = list(ring.elements())
-        return [(a, b) for a in elems for b in elems], "exhaustive", None
+    """All (a, b) pairs when the carrier is small, else a seeded sample;
+    with the seed used (None for all pairs)."""
     if ring.card > ENUM_THRESHOLD:
         raise CapExceeded("carrier too large to enumerate")
-    rng = random.Random(seed)
     elems = list(ring.elements())
-    return (
-        [(rng.choice(elems), rng.choice(elems)) for _ in range(SAMPLE_PAIRS)],
-        "sampled",
-        seed,
-    )
+    if ring.card <= PAIR_THRESHOLD:
+        return [(a, b) for a in elems for b in elems], None
+    rng = random.Random(seed)
+    return [(rng.choice(elems), rng.choice(elems)) for _ in range(SAMPLE_PAIRS)], seed
 
 
 def verify_pseudo_involution(ring, seed=DEFAULT_SEED) -> Report:
@@ -243,55 +275,24 @@ def verify_pseudo_involution(ring, seed=DEFAULT_SEED) -> Report:
         rep.add("ring.lam_invertible", "fail", witness=f"lam = {ring.lam!r}")
         return rep
 
-    bad = next(
-        (a for a in ring.elements() if ring.bar(ring.bar(a)) != a), None
-    )
-    if bad is None:
-        rep.add("ring.bar_involutive", "pass")
-    else:
-        rep.add(
-            "ring.bar_involutive", "fail",
-            witness=f"bar(bar({bad!r})) = {ring.bar(ring.bar(bad))!r}",
-        )
-
-    pairs, strategy, used_seed = _pairs(ring, seed)
-    bad = next(
-        (
-            (a, b)
-            for a, b in pairs
-            if ring.bar(ring.add(a, b)) != ring.add(ring.bar(a), ring.bar(b))
-        ),
-        None,
-    )
-    rep.add(
-        "ring.bar_additive",
-        "pass" if bad is None else "fail",
-        witness=None if bad is None else f"(a, b) = {bad!r}",
-        seed=used_seed,
-    )
-
-    bad = next(
-        (
-            (a, b)
-            for a, b in pairs
-            if ring.bar(ring.mul(a, b))
-            != ring.prod(ring.bar(b), lam_inv, ring.bar(a))
-        ),
-        None,
-    )
-    rep.add(
-        "ring.bar_antimultiplicative",
-        "pass" if bad is None else "fail",
-        witness=None if bad is None else f"(a, b) = {bad!r}",
-        seed=used_seed,
-    )
+    bar, add, mul = ring.bar, ring.add, ring.mul
+    rep.search("ring.bar_involutive", ring.elements(), lambda a: bar(bar(a)) != a,
+               lambda a: f"bar(bar({a!r})) = {bar(bar(a))!r}")
+    pairs, used_seed = _pairs(ring, seed)
+    rep.search("ring.bar_additive", pairs,
+               lambda p: bar(add(*p)) != add(bar(p[0]), bar(p[1])),
+               lambda p: f"(a, b) = {p!r}", used_seed)
+    rep.search("ring.bar_antimultiplicative", pairs,
+               lambda p: bar(mul(*p)) != ring.prod(bar(p[1]), lam_inv, bar(p[0])),
+               lambda p: f"(a, b) = {p!r}", used_seed)
     return rep
 
 
 def verify_ring_axioms(ring, seed=DEFAULT_SEED) -> Report:
     """Associativity, distributivity, identity; exhaustive on small carriers."""
     rep = Report()
-    pairs, _, used_seed = _pairs(ring, seed)
+    add, mul, one = ring.add, ring.mul, ring.one
+    _, used_seed = _pairs(ring, seed)
     elems = list(ring.elements())
     if ring.card <= 100:
         triples = [(a, b, c) for a in elems for b in elems for c in elems]
@@ -301,38 +302,12 @@ def verify_ring_axioms(ring, seed=DEFAULT_SEED) -> Report:
             (rng.choice(elems), rng.choice(elems), rng.choice(elems))
             for _ in range(SAMPLE_PAIRS)
         ]
-    bad = next(
-        (
-            t
-            for t in triples
-            if ring.mul(ring.mul(t[0], t[1]), t[2])
-            != ring.mul(t[0], ring.mul(t[1], t[2]))
-        ),
-        None,
-    )
-    rep.add("ring.mul_associative", "pass" if bad is None else "fail",
-            witness=None if bad is None else repr(bad), seed=used_seed)
-    bad = next(
-        (
-            t
-            for t in triples
-            if ring.mul(t[0], ring.add(t[1], t[2]))
-            != ring.add(ring.mul(t[0], t[1]), ring.mul(t[0], t[2]))
-            or ring.mul(ring.add(t[0], t[1]), t[2])
-            != ring.add(ring.mul(t[0], t[2]), ring.mul(t[1], t[2]))
-        ),
-        None,
-    )
-    rep.add("ring.distributive", "pass" if bad is None else "fail",
-            witness=None if bad is None else repr(bad), seed=used_seed)
-    bad = next(
-        (
-            a
-            for a in elems
-            if ring.mul(ring.one, a) != a or ring.mul(a, ring.one) != a
-        ),
-        None,
-    )
-    rep.add("ring.identity", "pass" if bad is None else "fail",
-            witness=None if bad is None else repr(bad))
+    rep.search("ring.mul_associative", triples,
+               lambda t: mul(mul(t[0], t[1]), t[2]) != mul(t[0], mul(t[1], t[2])),
+               seed=used_seed)
+    rep.search("ring.distributive", triples,
+               lambda t: mul(t[0], add(t[1], t[2])) != add(mul(t[0], t[1]), mul(t[0], t[2]))
+               or mul(add(t[0], t[1]), t[2]) != add(mul(t[0], t[2]), mul(t[1], t[2])),
+               seed=used_seed)
+    rep.search("ring.identity", elems, lambda a: mul(one, a) != a or mul(a, one) != a)
     return rep

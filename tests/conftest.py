@@ -1,6 +1,6 @@
 import pytest
 
-from oddunitary import MaxParameter, make_hyperbolic, make_ring, make_space
+from oddunitary import MaxParameter, OddQuadraticSpace, make_hyperbolic, make_ring
 
 
 @pytest.fixture(scope="session")
@@ -57,7 +57,7 @@ def hs_z2_n4(z2):
 def hs_rich(z3):
     """Z/3 with a rank-2 symplectic V0 and maximal parameter: the short
     generators carry nonzero vectors and the form is not symmetric."""
-    v0 = make_space(z3, ((0, 1), (2, 0)), MaxParameter())
+    v0 = OddQuadraticSpace(z3, ((0, 1), (2, 0)), MaxParameter())
     return make_hyperbolic(z3, 3, v0)
 
 

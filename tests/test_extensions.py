@@ -228,13 +228,25 @@ def test_mutation_rejects_trivial_delta(ext_z2, section_z2):
 
 def test_section_eval_is_multiplicative(ext_z2, section_z2):
     from oddunitary.extensions import section_eval
+    from oddunitary.generators import decode_gen, gen_codes
 
-    rng = random.Random(9)
+    hs = ext_z2.hs
     gens = list(section_z2)
+    codes = gen_codes(hs, gens).tolist()
+    assert [decode_gen(hs, c) for c in codes] == gens
+    by_code = [None] * (max(codes) + 1)
+    for g, c in zip(gens, codes):
+        by_code[c] = section_z2[g]
+    # a letter is its table entry, a formal inverse the entry's inverse,
+    # and 0 the identity
+    for g, c in zip(gens, codes):
+        assert section_eval(ext_z2, by_code, [c]) == section_z2[g]
+        assert section_eval(ext_z2, by_code, [0, -c, 0]) == ext_z2.inv(section_z2[g])
+    rng = random.Random(9)
     for _ in range(100):
-        w1 = tuple((rng.choice(gens), rng.choice((1, -1))) for _ in range(3))
-        w2 = tuple((rng.choice(gens), rng.choice((1, -1))) for _ in range(3))
-        assert section_eval(ext_z2, section_z2, w1 + w2) == ext_z2.mul(
-            section_eval(ext_z2, section_z2, w1),
-            section_eval(ext_z2, section_z2, w2),
+        w1 = [rng.choice(codes) * rng.choice((1, -1)) for _ in range(3)]
+        w2 = [rng.choice(codes) * rng.choice((1, -1)) for _ in range(3)]
+        assert section_eval(ext_z2, by_code, w1 + w2) == ext_z2.mul(
+            section_eval(ext_z2, by_code, w1),
+            section_eval(ext_z2, by_code, w2),
         )

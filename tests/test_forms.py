@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from oddunitary import (
@@ -7,10 +9,10 @@ from oddunitary import (
     ExplicitParameter,
     MaxParameter,
     MinParameter,
+    OddQuadraticSpace,
     WorkbenchError,
     make_hyperbolic,
     make_ring,
-    make_space,
     orthogonal_sum,
     span_form_parameter,
     verify_antihermitian,
@@ -20,7 +22,7 @@ from oddunitary import (
 
 
 def hyperbolic_plane(ring):
-    return make_space(ring, ((ring.zero, ring.one), (ring.neg(ring.lam), ring.zero)))
+    return OddQuadraticSpace(ring, ((ring.zero, ring.one), (ring.neg(ring.lam), ring.zero)))
 
 
 def test_form_eval_hyperbolic_plane(z5):
@@ -39,8 +41,8 @@ def test_form_eval_dimension_mismatch(z5):
 
 def test_verify_antihermitian(z5):
     assert verify_antihermitian(hyperbolic_plane(z5)).ok
-    assert verify_antihermitian(make_space(z5, ((0, 0), (0, 0)))).ok
-    bad = verify_antihermitian(make_space(z5, ((0, 1), (1, 0))))
+    assert verify_antihermitian(OddQuadraticSpace(z5, ((0, 0), (0, 0)))).ok
+    bad = verify_antihermitian(OddQuadraticSpace(z5, ((0, 1), (1, 0))))
     assert not bad.ok
     assert bad.failures()[0].check == "space.gram_antihermitian"
 
@@ -104,19 +106,19 @@ def test_action_axioms_small_scan(z3n):
 
 def test_lmin_lmax_examples(z5, z2):
     sp5 = hyperbolic_plane(z5)
-    assert sp5.lmin_member(((0, 0), 4))  # 4 = 2 + bar(2)
+    assert MinParameter().contains(sp5, ((0, 0), 4))  # 4 = 2 + bar(2)
     z4 = make_ring("residue", 4, involution="identity")
     sp4 = hyperbolic_plane(z4)
     assert sp4.lmin_scalars == frozenset({0, 2})
-    assert not sp4.lmin_member(((0, 0), 1))
+    assert not MinParameter().contains(sp4, ((0, 0), 1))
     sp2 = hyperbolic_plane(z2)
-    assert sp2.lmax_member(((1, 0), 0))
+    assert MaxParameter().contains(sp2, ((1, 0), 0))
 
 
 def test_min_max_are_parameters(z3):
     sp = hyperbolic_plane(z3)
     for param in (MinParameter(), MaxParameter()):
-        sp2 = make_space(z3, sp.gram, param)
+        sp2 = OddQuadraticSpace(z3, sp.gram, param)
         assert verify_form_parameter(sp2).ok
 
 
@@ -135,7 +137,7 @@ def test_span_with_seed_contains_action_orbit(z2):
     elems = param.elements(sp)
     for b in z2.elements():
         assert sp.heis_act(seed, b) in elems
-    sp_spanned = make_space(z2, sp.gram, param)
+    sp_spanned = OddQuadraticSpace(z2, sp.gram, param)
     assert verify_form_parameter(sp_spanned).ok
 
 
@@ -155,10 +157,10 @@ def test_span_cap(z5):
 def test_verify_form_parameter_detects_broken_set(z3):
     sp = hyperbolic_plane(z3)
     full = MaxParameter().elements(sp)
-    assert verify_form_parameter(make_space(z3, sp.gram, ExplicitParameter(full))).ok
+    assert verify_form_parameter(OddQuadraticSpace(z3, sp.gram, ExplicitParameter(full))).ok
     broken = full - {sorted(full)[1]}
     rep = verify_form_parameter(
-        make_space(z3, sp.gram, ExplicitParameter(broken))
+        OddQuadraticSpace(z3, sp.gram, ExplicitParameter(broken))
     )
     assert not rep.ok
     assert any(c.witness for c in rep.failures())
@@ -192,3 +194,24 @@ def test_hyperbolic_plane_parameter_z2(z2):
         ((a, b), (a * b) % 2) for a in range(2) for b in range(2)
     )
     assert sp.param_elements() == expected
+
+
+def test_form_arr_matches_form(z3n, m2z2):
+    m3t = make_ring("matrix", 3, 2, "transpose:negation")
+    rng = random.Random(5)
+
+    def rand_gram(ring, rank):
+        elems = list(ring.elements())
+        return tuple(tuple(rng.choice(elems) for _ in range(rank)) for _ in range(rank))
+
+    # Gram matrices need not be anti-Hermitian for the form itself
+    spaces = [OddQuadraticSpace(z3n, rand_gram(z3n, 3)),
+              OddQuadraticSpace(m2z2, rand_gram(m2z2, 2)),
+              OddQuadraticSpace(m3t, rand_gram(m3t, 2)),
+              zero_space(m3t)]
+    for sp in spaces:
+        r, elems = sp.ring, list(sp.ring.elements())
+        us, vs = ([tuple(rng.choice(elems) for _ in range(sp.rank)) for _ in range(60)]
+                  for _ in range(2))
+        got = sp.form_arr(r.arr(us, (60, sp.rank)), r.arr(vs, (60, sp.rank)))
+        assert np.array_equal(got, r.arr([sp.form(u, v) for u, v in zip(us, vs)], (60,)))

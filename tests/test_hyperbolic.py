@@ -9,6 +9,7 @@ from oddunitary import (
     Mat,
     MaxParameter,
     MinParameter,
+    OddQuadraticSpace,
     WorkbenchError,
     Xi,
     Xij,
@@ -19,7 +20,6 @@ from oddunitary import (
     is_isometry,
     make_hyperbolic,
     make_ring,
-    make_space,
     subgroup_closure,
     unitary_member,
 )
@@ -369,7 +369,7 @@ def _naive_v0_sets(hs):
 
 
 def _symplectic(ring, parameter):
-    return make_space(
+    return OddQuadraticSpace(
         ring, ((ring.zero, ring.one), (ring.neg(ring.lam), ring.zero)), parameter)
 
 
@@ -413,7 +413,7 @@ def test_contains_batch_matches_contains(request, space):
         "z4": lambda: make_hyperbolic(make_ring("residue", 4), 2),
         # only the zero V0 vector has a scalar set
         "v0_min": lambda: make_hyperbolic(
-            z3, 2, make_space(z3, ((0, 1), (2, 0)), MinParameter())),
+            z3, 2, OddQuadraticSpace(z3, ((0, 1), (2, 0)), MinParameter())),
     }[space]()
     sp, m = hs.space, hs.ring.modulus
     rng = np.random.default_rng(17)
@@ -448,3 +448,17 @@ def test_contains_batch_matches_contains(request, space):
         assert not sp.parameter.contains_batch(sp, along_v0, np.arange(m)).any()
         assert not any(sp.parameter.contains(sp, (tuple(along_v0[:, 0]), a))
                        for a in range(m))
+
+
+@pytest.mark.parametrize("block", [100, 2048])
+def test_equivalence_blocks_keep_the_verdicts(monkeypatch, hs_rich, z3, block):
+    from oddunitary import hyperbolic
+
+    monkeypatch.setattr(hyperbolic, "VECTORS", block)
+    assert hyperbolic.VECTORS == block
+    for _, mat in eu_generators(hs_rich)[::25]:
+        assert unitary_member(hs_rich, mat)
+    # under the minimal parameter a transvection is not equivalent to the
+    # identity; its displacement is nonzero only on some blocks of vectors
+    hs = make_hyperbolic(z3, 3, parameter=MinParameter())
+    assert not equiv_mod_param(hs, hs.transvection_ij(-3, -2, 1), hs.identity)

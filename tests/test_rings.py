@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from oddunitary import (
@@ -100,3 +101,34 @@ def test_matrix_ring_arithmetic(m2z2):
 def test_carrier_enumeration_sizes(m2z2):
     assert len(list(m2z2.elements())) == 16
     assert len(list(make_ring("residue", 7).elements())) == 7
+
+
+ARRAY_RINGS = [
+    ("residue", 5, 1, "identity"),
+    ("residue", 5, 1, "negation"),
+    ("residue", 5, 1, "table", (0, 2, 4, 1, 3)),  # multiplication by 2
+    ("matrix", 2, 2, "transpose"),
+    ("matrix", 3, 2, "transpose:negation"),
+    ("matrix", 3, 2, "transpose:table", (0, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("args", ARRAY_RINGS, ids=lambda a: "-".join(map(str, a[:4])))
+def test_array_forms_match_the_scalar_operations(args):
+    r = make_ring(*args)
+    elems = list(r.elements())
+    n = len(elems)
+    # a scalar's code is its position in elements()
+    vals = r.codes_arr(np.arange(n))
+    assert np.array_equal(vals, r.arr(elems, (n,)))
+    assert r.arr_codes(vals).tolist() == list(range(n))
+    assert [r.scalar(c) for c in range(n)] == elems
+    # every pair at once
+    a, b = np.repeat(vals, n, axis=0), np.tile(vals, (n, 1, 1))
+    pairs = [(x, y) for x in elems for y in elems]
+    for arr_op, op in ((r.arr_add, r.add), (r.arr_mul, r.mul)):
+        assert np.array_equal(arr_op(a, b), r.arr([op(x, y) for x, y in pairs], (n * n,)))
+    assert np.array_equal(r.arr_neg(vals), r.arr([r.neg(x) for x in elems], (n,)))
+    assert np.array_equal(r.arr_bar(vals), r.arr([r.bar(x) for x in elems], (n,)))
+    assert np.array_equal(r.arr_mul(r.arr(r.lam), r.arr(r.lam_inv), r.arr(r.one)),
+                          r.arr(r.one))

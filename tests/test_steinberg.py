@@ -2,6 +2,7 @@ import hashlib
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,6 @@ from oddunitary import (
     eu_generators,
     make_hyperbolic,
     make_ring,
-    make_space,
     relation_instance,
     steinberg,
     u1_decompose,
@@ -25,7 +25,10 @@ from oddunitary.config import build_space, parse_config
 from oddunitary.generators import (
     Xi,
     Xij,
+    decode_gen,
+    decode_word,
     format_word,
+    gen_codes,
     generators,
     parse_word,
     winv,
@@ -55,7 +58,7 @@ Z3 = make_ring("residue", 3)
 BATCH_SPACES = {
     # the Z/3 symplectic-V0 preset (configs/z3_sympl_v0.cfg)
     "z3_sympl_v0": make_hyperbolic(
-        Z3, 3, make_space(Z3, ((0, 1), (2, 0)), MaxParameter())),
+        Z3, 3, OddQuadraticSpace(Z3, ((0, 1), (2, 0)), MaxParameter())),
     "z4": make_hyperbolic(make_ring("residue", 4), 2),
     "m2z2": make_hyperbolic(make_ring("matrix", 2, 2, "transpose"), 2),
 }
@@ -287,15 +290,35 @@ def test_eval_words_matches_eval_word(space, data):
     hs = BATCH_SPACES[space]
     letters = st.tuples(st.sampled_from(list(generators(hs))), st.sampled_from((1, -1)))
     words = data.draw(st.lists(st.lists(letters, max_size=7).map(tuple), max_size=12))
-    cache = {}
-    got = eval_words(hs, words, cache=cache)
+    width = max(map(len, words), default=0)
+    # one row of letter codes per word, padded with the identity letter 0
+    codes = np.zeros((len(words), width), dtype=np.int64)
+    for row, w in zip(codes, words):
+        row[:len(w)] = gen_codes(hs, [g for g, _ in w]) * [e for _, e in w]
+        assert decode_word(hs, row) == w
+    got = eval_words(hs, codes)
     assert got.shape == (len(words),) + hs.identity.arr.shape
     assert got.dtype == hs.identity.arr.dtype
     for w, arr in zip(words, got):
         assert Mat(hs.ring, arr) == eval_word(hs, w)
-    # the shared cache holds each letter, with its inverse from Mat.inv
-    for (g, e), mat in cache.items():
-        assert mat is (cache[(g, 1)] if e == 1 else cache[(g, 1)].inv())
+
+
+@pytest.mark.parametrize("space", BATCH_SPACES)
+def test_letter_codes_round_trip(space):
+    hs = BATCH_SPACES[space]
+    gens = list(generators(hs))
+    codes = gen_codes(hs, gens)
+    # distinct positive codes, each decoding to its generator
+    assert len(set(codes.tolist())) == len(gens) and codes.min() > 0
+    assert [decode_gen(hs, c) for c in codes.tolist()] == gens
+
+
+def test_letter_codes_past_int64_raise(z3):
+    # 3^41 one-index arguments per index: the codes do not fit in int64
+    wide = OddQuadraticSpace(z3, tuple(tuple(0 for _ in range(40)) for _ in range(40)))
+    hs = make_hyperbolic(z3, 3, wide)
+    with pytest.raises(WorkbenchError, match="exceed int64"):
+        gen_codes(hs, [Xij(1, 2, 1)])
 
 
 def test_exhaustive_matrix_ring_counts():
