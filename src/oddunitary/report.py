@@ -51,13 +51,12 @@ class Report:
     def add(self, check, status, witness=None, seed=None):
         self.results.append(CheckResult(check, status, witness, seed))
 
-    def search(self, check, cases, bad, witness=repr, seed=None) -> bool:
+    def search(self, check, cases, bad, witness=repr, seed=None):
         """Add `check`: a fail whose witness is `witness(case)` for the first
         case where `bad(case)` holds, a pass when there is none."""
         found = next((case for case in cases if bad(case)), None)
         self.add(check, "pass" if found is None else "fail",
                  witness=None if found is None else witness(found), seed=seed)
-        return found is None
 
     def extend(self, other: "Report"):
         self.results.extend(other.results)
