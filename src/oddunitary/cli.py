@@ -92,17 +92,11 @@ def cmd_check_perfect(cfg, args) -> Report:
     _, seed, cap, _ = _run_settings(cfg)
     rep = Report()
     cache = {}
-    bad = None
-    count = 0
-    for gen, mat in hyperbolic.eu_generators(hs):
-        count += 1
-        witness_word = steinberg.perfect_witness(hs, gen)
-        if steinberg.eval_word(hs, witness_word, cache=cache) != mat:
-            bad = gen
-            break
-    rep.add("perfect.generator_witnesses",
-            "pass" if bad is None else "fail",
-            witness=repr(bad) if bad else f"{count} generators")
+    steinberg.sweep(
+        rep, "perfect.generator_witnesses", hyperbolic.eu_generators(hs),
+        lambda gm: steinberg.eval_word(
+            hs, steinberg.perfect_witness(hs, gm[0]), cache=cache) == gm[1],
+        lambda gm: repr(gm[0]), unit="generators")
     u1_gens = [m for g, m in hyperbolic.eu_generators(hs) if g.i in (hs.n, -hs.n)]
     try:
         closure = hyperbolic.enumerate_eu(hs, cap)
@@ -187,21 +181,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out_lines = []
     try:
         cfg = _load_config(args)
         report = _HANDLERS[args.command](cfg, args)
-    except (ConfigError, WorkbenchError, CapExceeded, ValueError) as exc:
+        text = report.to_json_lines()
+        if args.out and args.command != "enumerate-eu":
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+    except (ConfigError, WorkbenchError, CapExceeded, ValueError, OSError) as exc:
         line = Report()
         line.add("cli", "error", witness=str(exc))
         print(line.to_json_lines())
         return 2
-    text = report.to_json_lines()
     if text:
         print(text)
-    if args.out and args.command != "enumerate-eu":
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
     return 0 if report.ok else 1
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .forms import FormParameter, OddQuadraticSpace, ring_key, zero_space
 from .generators import Xi, Xij, format_word, generators
-from .matrices import Mat
+from .matrices import Mat, mulmod
 from .report import DEFAULT_CAP, CapExceeded, NotInvertible, WorkbenchError
 from .rings import place_values
 
@@ -256,12 +256,12 @@ def _equiv_batch(hs: HyperbolicSpace, f: Mat, g: Mat) -> bool:
     The module vectors are columns, VECTORS at a time in the order of
     sp.vectors(), so the arrays stay small on any module."""
     sp, m, total = hs.space, hs.ring.modulus, hs.space.vector_count()
-    gram_g = (np.array(hs.gram, dtype=np.int64) @ g.arr) % m
+    gram_g = mulmod(hs.ring, np.array(hs.gram, dtype=np.int64), g.arr)
     diff = f.arr.astype(np.int64) - g.arr
     for start in range(0, total, VECTORS):
         v = np.arange(start, min(start + VECTORS, total)) // place_values(m, hs.dim)[:, None] % m
-        disp = (diff @ v) % m  # fv - gv
-        scal = (-(disp * (gram_g @ v)).sum(axis=0)) % m  # B(gv - fv, gv)
+        disp = mulmod(hs.ring, diff, v).astype(np.int64)  # fv - gv
+        scal = (-(disp * mulmod(hs.ring, gram_g, v)).sum(axis=0)) % m  # B(gv - fv, gv)
         if not sp.parameter.contains_batch(sp, disp, scal).all():
             return False
     return True
@@ -336,14 +336,7 @@ class GroupClosure:
         self._cap = cap
         self._what = what
         ident = hs.identity
-        self._m = hs.ring.base_modulus
         self._d = ident.arr.shape[0]
-        # products are taken in float64, exact while every entry of an
-        # unreduced product, at most d (m-1)^2, is an integer below 2^52;
-        # see _expand for the reduction mod m
-        if self._d * (self._m - 1) ** 2 >= 2**52:
-            raise WorkbenchError(f"modulus {self._m} too large for exact closure products")
-        self._gen_arr = np.zeros((self._d, 0))
         self._index = {ident.key(): 0}
         self._rows = ident.arr.reshape(1, -1).copy()
         self._parent = np.array([-1])
@@ -406,8 +399,6 @@ class GroupClosure:
             return
         old, first = self.order, len(self.gens)
         self.gens.extend(gens)
-        self._gen_arr = np.hstack(
-            [self._gen_arr] + [m.arr.astype(np.float64) for _, m in gens])
         self._expand(0, old, first)
         head = old
         while head < self.order:
@@ -416,21 +407,15 @@ class GroupClosure:
     def _expand(self, lo, hi, first):
         """Multiply elements lo..hi-1 by generators first.. and keep the new
         products, checked in (element, generator) order; returns hi."""
-        d, m, index = self._d, self._m, self._index
-        gens = self._gen_arr[:, first * d:]
-        ng = gens.shape[1] // d
+        d, index = self._d, self._index
+        gens = np.hstack([m.arr for _, m in self.gens[first:]])
+        ng = len(self.gens) - first
         step = max(1, BLOCK // ng)
         for start in range(lo, hi, step):
             stop = min(hi, start + step)
-            prod = self._rows[start:stop].reshape(-1, d).astype(np.float64) @ gens
-            # p / m is correctly rounded, so its floor is the exact quotient;
-            # reduced in place, since temporaries of this size cost more
-            q = prod / m
-            np.floor(q, out=q)
-            q *= m
-            prod -= q
+            prod = mulmod(self.hs.ring, self._rows[start:stop].reshape(-1, d), gens)
             prod = prod.reshape(stop - start, d, ng, d).transpose(0, 2, 1, 3)
-            prod = prod.astype(self._rows.dtype).reshape(-1, d * d)
+            prod = prod.reshape(-1, d * d)
             keys = prod.view(np.dtype((np.void, prod.strides[0]))).ravel().tolist()
             fresh = []
             for p, k in enumerate(keys):

@@ -72,21 +72,36 @@ def _packed(a, ring):
     return _readonly((a % ring.base_modulus).astype(ring.dtype))
 
 
-def mulmod(ring, a, b):
-    """`a @ b` over Z/m for two matrices or two stacks of them: one int64
-    product, reduced mod m, packed in the ring's entry dtype, read-only.
+FLOAT_WORK = 2**14  # multiply-adds from which a product is one float64 GEMM
 
-    Exact while every entry of the unreduced product, at most d (m-1)^2 for
-    inner dimension d, fits in int64; past that bound (`ring.exact_dim`) it
-    raises WorkbenchError instead of wrapping.  Within it m - 1 < 2^32, so
-    neither factor is uint64, which would turn the product into float64.
-    """
-    if a.shape[-1] > ring.exact_dim:
+
+def exact_dims(m):
+    """The largest inner dimensions d of exact products over Z/m: the largest
+    unreduced entry, d (m-1)^2, stays below 2^63 in int64 and 2^52 in float64."""
+    return (2**63 - 1) // (m - 1) ** 2, (2**52 - 1) // (m - 1) ** 2
+
+
+def mulmod(ring, a, b):
+    """`a @ b` over Z/m for two matrices or two stacks of them, entries of `a`
+    down to -(m-1), reduced mod m, packed in the ring's entry dtype, read-only.
+    A product of FLOAT_WORK multiply-adds or more within `ring.float_dim` is a
+    float64 GEMM, where p / m is correctly rounded, so its floor is the exact
+    quotient.  Any other is taken in int64 (m - 1 < 2^32 there, so no factor
+    is uint64, which would make it float64) and raises WorkbenchError past
+    `ring.exact_dim` instead of wrapping."""
+    m = ring.base_modulus
+    if a.size * b.shape[-1] >= FLOAT_WORK and a.shape[-1] <= ring.float_dim:
+        p = a.astype(np.float64) @ b
+        q = p / m  # reduced in place: temporaries of this size cost more
+        np.floor(q, out=q)
+        q *= m
+        p -= q
+    elif a.shape[-1] <= ring.exact_dim:
+        p = a.astype(np.int64) @ b
+        p %= m
+    else:
         raise WorkbenchError(
-            f"modulus {ring.base_modulus} too large for exact products of "
-            f"dimension {a.shape[-1]}")
-    p = a.astype(np.int64) @ b
-    p %= ring.base_modulus
+            f"modulus {m} too large for exact products of dimension {a.shape[-1]}")
     return _readonly(p.astype(ring.dtype))
 
 

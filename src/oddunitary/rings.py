@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 
-from .matrices import inv_mod, invert_rows_mod, mulmod
+from .matrices import exact_dims, inv_mod, invert_rows_mod, mulmod
 from .report import DEFAULT_SEED, CapExceeded, NotInvertible, Report
 
 ENUM_THRESHOLD = 10**6
@@ -128,11 +128,9 @@ class ResidueRing(Ring):
         if gcd(self._lam, m) != 1:
             raise NotInvertible("bar(1) is not invertible")
         self._lam_inv = inv_mod(self._lam, m)
-        # `Mat` entries: the smallest unsigned dtype that holds every residue,
-        # and the largest inner dimension d whose int64 products are exact,
-        # d (m-1)^2 < 2^63 (see matrices.mulmod)
+        # `Mat` entries: the smallest unsigned dtype that holds every residue
         self.dtype = np.min_scalar_type(m - 1)
-        self.exact_dim = (2**63 - 1) // (m - 1) ** 2
+        self.exact_dim, self.float_dim = exact_dims(m)
 
     @property
     def card(self):
@@ -144,6 +142,10 @@ class ResidueRing(Ring):
     def scalar(self, code):
         """The element at position `code` of `elements()`."""
         return code
+
+    def is_scalar(self, v):
+        """Whether `v` is an element as `elements()` gives it."""
+        return type(v) is int and 0 <= v < self.modulus
 
     def add(self, a, b):
         return (a + b) % self.modulus
@@ -182,7 +184,7 @@ class MatrixRing(Ring):
         self.involution = f"transpose:{entry_involution}"
         self.table = self.base.table
         self.entry_bar_arr = self.base.entry_bar_arr
-        self.dtype, self.exact_dim = self.base.dtype, self.base.exact_dim
+        self.dtype, (self.exact_dim, self.float_dim) = self.base.dtype, exact_dims(m)
         self.zero = tuple(tuple(0 for _ in range(k)) for _ in range(k))
         self.one = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
         self._lam = self.bar(self.one)
@@ -202,6 +204,12 @@ class MatrixRing(Ring):
         k, m = self.degree, self.base_modulus
         vals = [code // m**e % m for e in range(k * k - 1, -1, -1)]
         return tuple(tuple(vals[i * k:(i + 1) * k]) for i in range(k))
+
+    def is_scalar(self, v):
+        k = self.degree
+        return (type(v) is tuple and len(v) == k and all(
+            type(row) is tuple and len(row) == k and all(map(self.base.is_scalar, row))
+            for row in v))
 
     def add(self, a, b):
         m = self.base_modulus

@@ -297,6 +297,11 @@ def relation_instance(hs: HyperbolicSpace, rid: str, params) -> tuple[Word, Word
     if (len(params) != fam.arity + len(fam.domains)
             or not fam.admits(*params[:fam.arity])):
         raise ValueError(f"{rid}{tuple(params)!r} violates the side condition")
+    for i in params[:fam.arity]:
+        hs.col(i)
+    for d, v in zip(fam.domains, params[fam.arity:]):
+        if not (hs.ring.is_scalar(v) if d == "ring" else v in hs.l0_set):
+            raise ValueError(f"{rid}{tuple(params)!r}: {v!r} is outside the {d} domain")
     idx = [np.array([i], dtype=np.int64) for i in params[:fam.arity]]
     args = [_values_arr(hs, d, [v]) for d, v in zip(fam.domains, params[fam.arity:])]
     return tuple(decode_word(hs, side[0]) for side in fam.sides(hs, *idx, *args))

@@ -195,6 +195,30 @@ def test_cli_bad_config_exits_2(capsys, tmp_path):
     assert lines[0]["status"] == "error"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--config", "/nonexistent.cfg", "verify-ring"],
+    ["--out", "/nonexistent/dir/x.json", "verify-ring"],
+    ["--out", "/nonexistent/dir/x.json", "enumerate-eu"],
+], ids=["config", "out", "enumerate-eu-out"])
+def test_cli_file_errors_are_one_error_record(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    lines = [json.loads(l) for l in out.splitlines() if l]
+    assert code == 2
+    assert [(l["check"], l["status"]) for l in lines] == [("cli", "error")]
+    assert "No such file or directory" in lines[0]["witness"]
+
+
+def test_cli_check_perfect_without_generators_is_vacuous(capsys, tmp_path):
+    cfg = tmp_path / "n1.cfg"
+    cfg.write_text(DEFAULT_CONFIG.replace("n = 3", "n = 1"))
+    code, lines = run_cli(capsys, "--config", str(cfg), "check-perfect")
+    assert code == 1
+    assert lines[0] == {"check": "perfect.generator_witnesses", "status": "vacuous",
+                        "witness": "0 generators"}
+
+
 def test_cli_unknown_subcommand_fails():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -323,7 +347,7 @@ SMALL_RANK_RUNS = [
     (1, ["verify-relations"], 1, ("relations.R9", "vacuous", "0 instances")),
     (1, ["decompose-u1", "X1(;0)"], 0, ("u1.eval_preserved", "pass")),
     (1, ["enumerate-eu"], 0, ("eu.enumerate", "pass", "order=1")),
-    (1, ["check-perfect"], 0, ("generation.u1_pair_closure", "pass", "order=1")),
+    (1, ["check-perfect"], 1, ("generation.u1_pair_closure", "pass", "order=1")),
     (1, ["free-identities"], 0, ("freewords.C6", "pass")),
     (1, ["check-dagger"], 2, ("cli", "error",
                               "property-dagger needs n >= 4 (no admissible quadruple)")),

@@ -1,13 +1,19 @@
 import itertools
+import math
 import random
 from math import gcd, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oddunitary import Mat, NotInvertible, WorkbenchError, make_ring
-from oddunitary.matrices import inv_mod, invert_rows_mod
+from oddunitary import (Mat, NotInvertible, WorkbenchError, enumerate_eu,
+                        make_hyperbolic, make_ring, matrices, verify_relations)
+from oddunitary.config import build_space, parse_config
+from oddunitary.matrices import inv_mod, invert_rows_mod, mulmod
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.mark.parametrize("m", [4, 6, 12])
@@ -209,14 +215,19 @@ def test_equality_needs_equal_shape_and_degree(z2, m2z2):
     assert a.key() == b.key() and a != b
 
 
-@pytest.mark.parametrize("m", [2**31 - 1, 2**33 + 1, 10**12 + 39])
+@pytest.mark.parametrize("m", [2**25 - 1, 2**25 + 1, 2**31 - 1, 2**33 + 1, 10**12 + 39])
 def test_products_on_large_moduli_are_exact_or_raise(m):
-    # int64 products wrap once d (m-1)^2 >= 2^63; past that bound a product
-    # must raise, never return wrapped entries
+    # int64 products wrap once d (m-1)^2 >= 2^63, and float64 ones lose
+    # integers once it reaches 2^52; past the int64 bound a product must
+    # raise, never return wrapped entries.  Around m = 2^25 the d = 4
+    # products sit on both sides of the float64 bound.
     ring = make_ring("residue", m)
     rng = random.Random(m)
+    gen = np.random.default_rng(m)
     for dim in (1, 2, 3, 4):
         exact = dim * (m - 1) ** 2 < 2**63
+        assert (dim <= ring.exact_dim) == exact
+        assert (dim <= ring.float_dim) == (dim * (m - 1) ** 2 < 2**52)
         for _ in range(50):
             a, b = ([[rng.randrange(m) for _ in range(dim)] for _ in range(dim)]
                     for _ in range(2))
@@ -229,3 +240,35 @@ def test_products_on_large_moduli_are_exact_or_raise(m):
             v = tuple(b[0])
             assert x.apply(v) == tuple(
                 sum(a[i][k] * v[k] for k in range(dim)) % m for i in range(dim))
+        # a stack and a closure-block GEMM, both of at least FLOAT_WORK
+        # multiply-adds, with entries down to -(m-1) on the left
+        count = matrices.FLOAT_WORK // dim**3 + 1
+        for shape_a, shape_b in (((count, dim, dim), (count, dim, dim)),
+                                 ((count * dim, dim), (dim, dim))):
+            a = gen.integers(1 - m, m, shape_a)
+            b = gen.integers(0, m, shape_b)
+            assert a.size * b.shape[-1] >= matrices.FLOAT_WORK
+            if not exact:
+                with pytest.raises(WorkbenchError):
+                    mulmod(ring, a, b)
+                continue
+            want = np.array(a.tolist(), dtype=object) @ np.array(b.tolist(), dtype=object)
+            assert mulmod(ring, a, b).tolist() == (want % m).tolist()
+
+
+def _sweeps():
+    """The exhaustive relation records on Z/3 + V0, and the keys and layer
+    sizes of the EU(6, Z/2) closure."""
+    hs = build_space(parse_config((CONFIGS / "z3_sympl_v0.cfg").read_text()))
+    cl = enumerate_eu(make_hyperbolic(make_ring("residue", 2), 3))
+    return verify_relations(hs).to_json_lines(), list(cl.keys()), cl.layers
+
+
+def test_both_product_kernels_give_the_same_sweeps(monkeypatch):
+    runs = []
+    for work in (0, math.inf):  # every product in float64, then every one in int64
+        monkeypatch.setattr(matrices, "FLOAT_WORK", work)
+        runs.append(_sweeps())
+    assert runs[0] == runs[1]
+    assert runs[0][0].count('"pass"') == 10
+    assert runs[0][2] == [1, 12, 96, 542, 2058, 5316, 7530, 4058, 541, 6]

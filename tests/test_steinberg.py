@@ -132,6 +132,30 @@ def test_relation_side_conditions_raise(hs_z2_n3):
         relation_instance(hs_z2_n3, "R1", (1, -1, 1, 1))  # j = -i
 
 
+def test_relation_instance_rejects_params_outside_their_domains(
+        hs_z2_n3, hs_z3_n3, hs_rich, m2z2):
+    # out-of-range scalars and indices once aliased other generators
+    hs_m2 = make_hyperbolic(m2z2, 3)
+    one = m2z2.one
+    assert relation_instance(hs_m2, "R1", (1, 2, ((0, 1), (1, 1)), one))
+    for hs, rid, params in [
+        (hs_z3_n3, "R1", (1, 2, 5, 1)),
+        (hs_z3_n3, "R1", (1, 2, -1, 1)),
+        (hs_z2_n3, "R1", (5, 1, 1, 1)),
+        (hs_z2_n3, "R1", (0, 1, 1, 1)),
+        (hs_z2_n3, "R0", (1, 4, 1)),
+        (hs_z2_n3, "R2", (1, ((), 0), ((), 1))),  # ((), 1) is not in l0
+        (hs_rich, "R4", (1, 2, 3, ((0, 0), 3), 2)),
+        (hs_rich, "R2", (1, hs_rich.l0[0], ((0, 5), 0))),
+        (hs_rich, "R4", (1, 2, 3, hs_rich.l0[0], 3)),
+        (hs_m2, "R1", (1, 2, ((0, 1), (1, 2)), one)),
+        (hs_m2, "R1", (1, 2, ((0, 1),), one)),
+        (hs_m2, "R1", (1, 2, 1, one)),
+    ]:
+        with pytest.raises(ValueError):
+            relation_instance(hs, rid, params)
+
+
 def test_relation_instance_r4_params_are_indices_then_arguments(hs_rich):
     xi = hs_rich.l0[-1]
     lhs, rhs = relation_instance(hs_rich, "R4", (1, 2, 3, xi, 2))
