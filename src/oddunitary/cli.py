@@ -92,8 +92,8 @@ def cmd_check_perfect(cfg, args) -> Report:
     _, seed, cap, _ = _run_settings(cfg)
     rep = Report()
     cache = {}
-    steinberg.sweep(
-        rep, "perfect.generator_witnesses", hyperbolic.eu_generators(hs),
+    rep.sweep(
+        "perfect.generator_witnesses", hyperbolic.eu_generators(hs),
         lambda gm: steinberg.eval_word(
             hs, steinberg.perfect_witness(hs, gm[0]), cache=cache) == gm[1],
         lambda gm: repr(gm[0]), unit="generators")

@@ -11,19 +11,22 @@ from __future__ import annotations
 
 import random
 
-from .generators import Xi, Xij, gen_codes, generators
-from .hyperbolic import HyperbolicSpace, eu_generators, gen_matrix
+from .generators import Xi, Xij, format_word, gen_codes, generators, word
+from .hyperbolic import HyperbolicSpace, gen_matrix
 from .matrices import Mat
 from .report import DEFAULT_SEED, Report, WorkbenchError
 from .steinberg import (
     DAGGER,
     RELATION_IDS,
     chunk_params,
+    eval_word,
     family_params,
-    sweep,
     sweep_relations,
     witness_index,
 )
+
+
+AGREEMENT_PAIRS = 100  # random pairs that `chooser_agreement` compares
 
 
 class ProductExtension:
@@ -106,10 +109,10 @@ def check_dagger(E: ProductExtension, strategy="exhaustive",
              for chunk in family_params(hs, DAGGER, "dagger", strategy, seed, samples)
              for params in chunk_params(hs, DAGGER, *chunk))
     rep = Report()
-    sweep(rep, "extension.dagger", cases, holds,
-          lambda p: "(i,j,k,h,a,b)=({},{},{},{},{!r},{!r})".format(*p),
-          unit="quadruple instances",
-          seed=seed if strategy == "sampled" else None)
+    rep.sweep("extension.dagger", cases, holds,
+              lambda p: "(i,j,k,h,a,b)=({},{},{},{},{!r},{!r})".format(*p),
+              unit="quadruple instances",
+              seed=seed if strategy == "sampled" else None)
     return rep
 
 
@@ -212,30 +215,25 @@ def mutate_section(E: ProductExtension, table: dict, gen, delta: int) -> dict:
     return out
 
 
-def chooser_agreement(hs: HyperbolicSpace, a_order: int, seed=DEFAULT_SEED,
-                      pairs=100) -> Report:
-    """Two independently seeded choosers give equal preimage commutators."""
+def chooser_agreement(hs: HyperbolicSpace, a_order: int, seed=DEFAULT_SEED) -> Report:
+    """Two independently seeded choosers give equal preimage commutators on
+    AGREEMENT_PAIRS seeded random pairs of words of 1 to 4 generators X_ij."""
     e1 = ProductExtension(hs, a_order, chooser_seed=(seed, 1))
     e2 = ProductExtension(hs, a_order, chooser_seed=(seed, 2))
     rng = random.Random(f"{seed}|pairs")
-    gens = [m for g, m in eu_generators(hs) if isinstance(g, Xij)]
-    witness = None
-    for _ in range(pairs):
-        x = _random_product(hs, gens, rng)
-        y = _random_product(hs, gens, rng)
-        c1 = e1.commutator(e1.chooser(x), e1.chooser(y))
-        c2 = e2.commutator(e2.chooser(x), e2.chooser(y))
-        if c1 != c2:
-            witness = "choosers disagreed"
-            break
+    gens = [g for g in generators(hs, nontrivial=True) if isinstance(g, Xij)]
+
+    def random_word():
+        return word(*(rng.choice(gens) for _ in range(rng.randint(1, 4))))
+
+    def holds(pair):
+        x, y = (eval_word(hs, w) for w in pair)
+        return (e1.commutator(e1.chooser(x), e1.chooser(y))
+                == e2.commutator(e2.chooser(x), e2.chooser(y)))
+
     rep = Report()
-    rep.add("extension.central_trick", "pass" if witness is None else "fail",
-            witness=witness or f"{pairs} pairs", seed=seed)
+    rep.sweep("extension.central_trick",
+              ((random_word(), random_word()) for _ in range(AGREEMENT_PAIRS)), holds,
+              lambda pair: "(x, y) = ({}, {})".format(*(format_word(w, hs) for w in pair)),
+              "pairs", seed)
     return rep
-
-
-def _random_product(hs, gens, rng, max_len=4):
-    acc = hs.identity
-    for _ in range(rng.randint(1, max_len)):
-        acc = acc * rng.choice(gens)
-    return acc

@@ -8,11 +8,14 @@ with composition (u, a) + (v, b) = (u + v, a + b + B(u, v)), negation
 from __future__ import annotations
 
 import itertools
-import random
 
 import numpy as np
 
-from .report import DEFAULT_CAP, DEFAULT_SEED, CapExceeded, Report, WorkbenchError
+from .report import (DEFAULT_CAP, DEFAULT_SEED, CapExceeded, Report, WorkbenchError,
+                     cases_or_sample)
+
+VECTOR_PAIRS = 10**5  # the most vector pairs that `verify_antihermitian` lists
+PARAM_PAIRS = 4 * 10**6  # the most parameter pairs that `verify_form_parameter` lists
 
 
 class FormParameter:
@@ -90,7 +93,7 @@ class OddQuadraticSpace:
             raise ValueError("gram matrix must be square")
         self.zero_vec = tuple(ring.zero for _ in range(self.rank))
         self.heis_identity = (self.zero_vec, ring.zero)
-        self.lmin_scalars = frozenset(ring.add(a, ring.bar(a)) for a in ring.elements())
+        self.lmin_scalars = ring.lmin_scalars
         self.parameter = parameter if parameter is not None else MinParameter()
 
     # -- form ------------------------------------------------------------
@@ -176,28 +179,24 @@ def zero_space(ring) -> OddQuadraticSpace:
     return OddQuadraticSpace(ring, (), MinParameter())
 
 
-def verify_antihermitian(space, seed=DEFAULT_SEED, pair_cap=10**5) -> Report:
+def verify_antihermitian(space, seed=DEFAULT_SEED) -> Report:
     """Gram anti-Hermitian on basis pairs; B(u, v) = -bar(B(v, u)) on vector pairs."""
     rep = Report()
     r = space.ring
     rank, gram = space.rank, space.gram
-    rep.search("space.gram_antihermitian",
-               ((i, j) for i in range(rank) for j in range(rank)),
-               lambda p: gram[p[0]][p[1]] != r.neg(r.bar(gram[p[1]][p[0]])),
-               lambda p: f"basis pair {p}")
-    used_seed = None
-    if space.vector_count() ** 2 <= pair_cap:
-        pairs = ((u, v) for u in space.vectors() for v in space.vectors())
-    else:
-        rng = random.Random(seed)
-        used_seed = seed
-        elems = list(r.elements())
-        def rand_vec():
-            return tuple(rng.choice(elems) for _ in range(rank))
-        pairs = ((rand_vec(), rand_vec()) for _ in range(4096))
-    rep.search("space.form_skew_axiom", pairs,
-               lambda p: space.form(*p) != r.neg(r.bar(space.form(p[1], p[0]))),
-               lambda p: f"(u, v) = {p!r}", used_seed)
+    rep.sweep("space.gram_antihermitian", itertools.product(range(rank), repeat=2),
+              lambda p: gram[p[0]][p[1]] == r.neg(r.bar(gram[p[1]][p[0]])),
+              lambda p: f"basis pair {p}", "basis pairs")
+    # rng.choice(range(card)) draws the position that rng.choice(elements) would
+    pairs, used_seed = cases_or_sample(
+        space.vector_count() ** 2, VECTOR_PAIRS,
+        lambda: itertools.product(space.vectors(), repeat=2),
+        lambda rng: tuple(tuple(r.scalar(rng.choice(range(r.card))) for _ in range(rank))
+                          for _ in range(2)),
+        seed)
+    rep.sweep("space.form_skew_axiom", pairs,
+              lambda p: space.form(*p) == r.neg(r.bar(space.form(p[1], p[0]))),
+              lambda p: f"(u, v) = {p!r}", "vector pairs", used_seed)
     return rep
 
 
@@ -228,23 +227,20 @@ def verify_form_parameter(space, cap=DEFAULT_CAP, seed=DEFAULT_SEED) -> Report:
     rep = Report()
     elems = space.param_elements(cap)
     zero = space.zero_vec
-    rep.search("param.contains_min", space.lmin_scalars,
-               lambda s: (zero, s) not in elems, lambda s: f"(0, {s!r})")
-    rep.search("param.inside_max", elems, lambda x: not MaxParameter().contains(space, x))
-    rep.search("param.closed_under_neg", elems, lambda x: space.heis_neg(x) not in elems)
-    used_seed = None
-    if len(elems) ** 2 <= 4 * 10**6:
-        pairs = ((x, y) for x in elems for y in elems)
-    else:
-        rng = random.Random(seed)
-        used_seed = seed
-        listed = sorted(elems)
-        pairs = ((rng.choice(listed), rng.choice(listed)) for _ in range(4096))
-    rep.search("param.closed_under_add", pairs,
-               lambda p: space.heis_add(*p) not in elems, seed=used_seed)
-    rep.search("param.action_stable",
-               ((x, b) for x in elems for b in space.ring.elements()),
-               lambda p: space.heis_act(*p) not in elems)
+    rep.sweep("param.contains_min", space.lmin_scalars, lambda s: (zero, s) in elems,
+              lambda s: f"(0, {s!r})", "scalars")
+    rep.sweep("param.inside_max", elems, lambda x: MaxParameter().contains(space, x),
+              unit="elements")
+    rep.sweep("param.closed_under_neg", elems, lambda x: space.heis_neg(x) in elems,
+              unit="elements")
+    listed = sorted(elems)
+    pairs, used_seed = cases_or_sample(
+        len(elems) ** 2, PARAM_PAIRS, lambda: itertools.product(elems, repeat=2),
+        lambda rng: (rng.choice(listed), rng.choice(listed)), seed)
+    rep.sweep("param.closed_under_add", pairs, lambda p: space.heis_add(*p) in elems,
+              unit="pairs", seed=used_seed)
+    rep.sweep("param.action_stable", itertools.product(elems, space.ring.elements()),
+              lambda p: space.heis_act(*p) in elems, unit="pairs")
     return rep
 
 

@@ -13,6 +13,7 @@ from .generators import winv as inverse, wmul as concat
 from .report import DEFAULT_SEED, Report
 
 IDENTITY_IDS = ("C1", "C2", "C3", "C4", "C5", "C6")
+ROUNDS = 100  # seeded random substitutions per identity
 
 
 def gen(symbol) -> tuple:
@@ -113,17 +114,23 @@ def random_assignment(cid: str, rng: random.Random, m: int = 4,
     return out
 
 
-def verify_identities(seed=DEFAULT_SEED, rounds=100) -> Report:
+def _substitutions(cid, ms, rng):
+    """(m, assignment): the letters themselves for each m, then ROUNDS
+    seeded random words."""
+    for m in ms:
+        yield m, {v: gen(v) for v in identity_variables(cid, m)}
+    for _ in range(ROUNDS):
+        m = rng.choice(ms)
+        yield m, random_assignment(cid, rng, m)
+
+
+def verify_identities(seed=DEFAULT_SEED) -> Report:
     """C1-C6 with canonical letters plus seeded random word substitutions."""
     rep = Report()
     for cid in IDENTITY_IDS:
         ms = (2, 3, 4, 5, 6, 7, 8) if cid == "C3" else (4,)
-        ok = all(verify_identity(cid, m=m) for m in ms)
-        rng = random.Random(f"{seed}|{cid}")
-        for _ in range(rounds):
-            if not ok:
-                break
-            m = rng.choice(ms)
-            ok = verify_identity(cid, random_assignment(cid, rng, m), m=m)
-        rep.add(f"freewords.{cid}", "pass" if ok else "fail", seed=seed)
+        rep.sweep(f"freewords.{cid}",
+                  _substitutions(cid, ms, random.Random(f"{seed}|{cid}")),
+                  lambda case: verify_identity(cid, case[1], m=case[0]),
+                  lambda case: "m={}, {!r}".format(*case), "substitutions", seed)
     return rep

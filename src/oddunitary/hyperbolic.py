@@ -112,7 +112,7 @@ class HyperbolicSpace:
         for a, row in enumerate(v0.gram):
             gram[2 * n + a][2 * n:] = row
 
-        smin = OddQuadraticSpace(ring, gram).lmin_scalars
+        smin = ring.lmin_scalars
         v0_sets = {}
         for (u0, a0) in v0.param_elements():
             ts = v0_sets.setdefault(u0, set())

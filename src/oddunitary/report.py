@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 DEFAULT_SEED = 3293
 DEFAULT_CAP = 10**6
+SAMPLES = 4096  # draws of a sweep whose cases exceed its limit
 
 
 class WorkbenchError(Exception):
@@ -51,12 +53,20 @@ class Report:
     def add(self, check, status, witness=None, seed=None):
         self.results.append(CheckResult(check, status, witness, seed))
 
-    def search(self, check, cases, bad, witness=repr, seed=None):
-        """Add `check`: a fail whose witness is `witness(case)` for the first
-        case where `bad(case)` holds, a pass when there is none."""
-        found = next((case for case in cases if bad(case)), None)
-        self.add(check, "pass" if found is None else "fail",
-                 witness=None if found is None else witness(found), seed=seed)
+    def sweep(self, check, cases, holds, witness=repr, unit="instances",
+              seed=None) -> bool:
+        """Add one record for `check`: fail at the first case that does not
+        hold, else `"<N> <unit>"`, vacuous when there is no case at all;
+        False on a failure."""
+        count = 0
+        for case in cases:
+            count += 1
+            if not holds(case):
+                self.add(check, "fail", witness=witness(case), seed=seed)
+                return False
+        self.add(check, "pass" if count else "vacuous", witness=f"{count} {unit}",
+                 seed=seed)
+        return True
 
     def extend(self, other: "Report"):
         self.results.extend(other.results)
@@ -76,3 +86,13 @@ class Report:
 
     def to_json_lines(self) -> str:
         return "\n".join(r.to_json() for r in self.results)
+
+
+def cases_or_sample(total, limit, every, draw, seed):
+    """`every()` when the `total` cases are at most `limit`, else SAMPLES
+    draws `draw(rng)` from `random.Random(seed)`; with the seed, None when
+    every case is listed."""
+    if total <= limit:
+        return every(), None
+    rng = random.Random(seed)
+    return (draw(rng) for _ in range(SAMPLES)), seed

@@ -7,18 +7,17 @@ bar(1) throughout.
 
 from __future__ import annotations
 
-import random
-from functools import reduce
+import itertools
+from functools import cached_property, reduce
 from math import gcd
 
 import numpy as np
 
 from .matrices import exact_dims, inv_mod, invert_rows_mod, mulmod
-from .report import DEFAULT_SEED, CapExceeded, NotInvertible, Report
+from .report import DEFAULT_SEED, CapExceeded, NotInvertible, Report, cases_or_sample
 
+# the largest carrier, and the most pairs or triples, that a check lists in full
 ENUM_THRESHOLD = 10**6
-PAIR_THRESHOLD = 10**3
-SAMPLE_PAIRS = 4096
 
 
 class Ring:
@@ -36,6 +35,11 @@ class Ring:
     @property
     def lam_inv(self):
         return self._lam_inv
+
+    @cached_property
+    def lmin_scalars(self):
+        """{a + bar(a)}: the scalars of the minimal form parameter."""
+        return frozenset(self.add(a, self.bar(a)) for a in self.elements())
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -261,16 +265,18 @@ def make_ring(kind="residue", modulus=2, degree=1, involution="identity", table=
     raise ValueError(f"unsupported ring kind {kind!r}")
 
 
-def _pairs(ring, seed):
-    """All (a, b) pairs when the carrier is small, else a seeded sample;
-    with the seed used (None for all pairs)."""
+def _elements(ring):
     if ring.card > ENUM_THRESHOLD:
         raise CapExceeded("carrier too large to enumerate")
-    elems = list(ring.elements())
-    if ring.card <= PAIR_THRESHOLD:
-        return [(a, b) for a in elems for b in elems], None
-    rng = random.Random(seed)
-    return [(rng.choice(elems), rng.choice(elems)) for _ in range(SAMPLE_PAIRS)], seed
+    return list(ring.elements())
+
+
+def _tuples(elems, arity, seed):
+    """The `arity`-tuples of `elems` as `cases_or_sample` gives them."""
+    return cases_or_sample(len(elems) ** arity, ENUM_THRESHOLD,
+                           lambda: itertools.product(elems, repeat=arity),
+                           lambda rng: tuple(rng.choice(elems) for _ in range(arity)),
+                           seed)
 
 
 def verify_pseudo_involution(ring, seed=DEFAULT_SEED) -> Report:
@@ -284,15 +290,16 @@ def verify_pseudo_involution(ring, seed=DEFAULT_SEED) -> Report:
         return rep
 
     bar, add, mul = ring.bar, ring.add, ring.mul
-    rep.search("ring.bar_involutive", ring.elements(), lambda a: bar(bar(a)) != a,
-               lambda a: f"bar(bar({a!r})) = {bar(bar(a))!r}")
-    pairs, used_seed = _pairs(ring, seed)
-    rep.search("ring.bar_additive", pairs,
-               lambda p: bar(add(*p)) != add(bar(p[0]), bar(p[1])),
-               lambda p: f"(a, b) = {p!r}", used_seed)
-    rep.search("ring.bar_antimultiplicative", pairs,
-               lambda p: bar(mul(*p)) != ring.prod(bar(p[1]), lam_inv, bar(p[0])),
-               lambda p: f"(a, b) = {p!r}", used_seed)
+    elems = _elements(ring)
+    rep.sweep("ring.bar_involutive", elems, lambda a: bar(bar(a)) == a,
+              lambda a: f"bar(bar({a!r})) = {bar(bar(a))!r}", "elements")
+    for check, holds in (
+        ("ring.bar_additive", lambda p: bar(add(*p)) == add(bar(p[0]), bar(p[1]))),
+        ("ring.bar_antimultiplicative",
+         lambda p: bar(mul(*p)) == ring.prod(bar(p[1]), lam_inv, bar(p[0]))),
+    ):
+        pairs, used_seed = _tuples(elems, 2, seed)
+        rep.sweep(check, pairs, holds, lambda p: f"(a, b) = {p!r}", "pairs", used_seed)
     return rep
 
 
@@ -300,22 +307,16 @@ def verify_ring_axioms(ring, seed=DEFAULT_SEED) -> Report:
     """Associativity, distributivity, identity; exhaustive on small carriers."""
     rep = Report()
     add, mul, one = ring.add, ring.mul, ring.one
-    _, used_seed = _pairs(ring, seed)
-    elems = list(ring.elements())
-    if ring.card <= 100:
-        triples = [(a, b, c) for a in elems for b in elems for c in elems]
-    else:
-        rng = random.Random(seed)
-        triples = [
-            (rng.choice(elems), rng.choice(elems), rng.choice(elems))
-            for _ in range(SAMPLE_PAIRS)
-        ]
-    rep.search("ring.mul_associative", triples,
-               lambda t: mul(mul(t[0], t[1]), t[2]) != mul(t[0], mul(t[1], t[2])),
-               seed=used_seed)
-    rep.search("ring.distributive", triples,
-               lambda t: mul(t[0], add(t[1], t[2])) != add(mul(t[0], t[1]), mul(t[0], t[2]))
-               or mul(add(t[0], t[1]), t[2]) != add(mul(t[0], t[2]), mul(t[1], t[2])),
-               seed=used_seed)
-    rep.search("ring.identity", elems, lambda a: mul(one, a) != a or mul(a, one) != a)
+    elems = _elements(ring)
+    for check, holds in (
+        ("ring.mul_associative",
+         lambda t: mul(mul(t[0], t[1]), t[2]) == mul(t[0], mul(t[1], t[2]))),
+        ("ring.distributive",
+         lambda t: mul(t[0], add(t[1], t[2])) == add(mul(t[0], t[1]), mul(t[0], t[2]))
+         and mul(add(t[0], t[1]), t[2]) == add(mul(t[0], t[2]), mul(t[1], t[2]))),
+    ):
+        triples, used_seed = _tuples(elems, 3, seed)
+        rep.sweep(check, triples, holds, unit="triples", seed=used_seed)
+    rep.sweep("ring.identity", elems, lambda a: mul(one, a) == a and mul(a, one) == a,
+              unit="elements")
     return rep

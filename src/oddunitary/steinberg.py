@@ -23,20 +23,6 @@ from .matrices import Mat, mulmod
 from .report import DEFAULT_SEED, Report, WorkbenchError
 
 
-def validate_gen(hs: HyperbolicSpace, gen):
-    if isinstance(gen, Xij):
-        hs.col(gen.i)
-        hs.col(gen.j)
-        if gen.j in (gen.i, -gen.i):
-            raise ValueError(f"invalid generator {gen!r}")
-    elif isinstance(gen, Xi):
-        hs.col(gen.i)
-        if gen.xi not in hs.l0_set:
-            raise WorkbenchError(f"{gen!r}: argument outside the form parameter")
-    else:
-        raise ValueError(f"not a generator: {gen!r}")
-
-
 def eval_word(hs: HyperbolicSpace, w: Word, rep=None, cache=None) -> Mat:
     """Defining representation; eval(w1 w2) = eval(w1) * eval(w2).  `cache`
     keeps each generator's matrix; inverses come from the memoised Mat.inv."""
@@ -316,20 +302,6 @@ def relation_cases(hs, rid, strategy="exhaustive", seed=DEFAULT_SEED, samples=25
             yield params, decode_word(hs, lhs[t]), decode_word(hs, rhs[t])
 
 
-def sweep(report: Report, check: str, cases, holds, witness,
-          unit="instances", seed=None) -> bool:
-    """Add one record for `check`: fail at the first case that does not hold,
-    vacuous when there is no case at all; False on a failure."""
-    count = 0
-    for case in cases:
-        count += 1
-        if not holds(case):
-            report.add(check, "fail", witness=witness(case), seed=seed)
-            return False
-    report.add(check, "pass" if count else "vacuous", witness=f"{count} {unit}", seed=seed)
-    return True
-
-
 def sweep_relations(hs: HyperbolicSpace, prefix: str, verdicts, strategy, seed,
                     samples, relation_ids=RELATION_IDS,
                     stop_on_fail=False) -> Report:
@@ -342,9 +314,9 @@ def sweep_relations(hs: HyperbolicSpace, prefix: str, verdicts, strategy, seed,
         def witness(verdict, fam=_family(rid)):
             (idx, pos, *_), t = verdict[0]
             return f"{rid}{chunk_params(hs, fam, idx[t:t + 1], pos[t:t + 1])[0]!r}"
-        ok = sweep(report, f"{prefix}.{rid}",
-                   verdicts(relation_chunks(hs, rid, strategy, seed, samples)),
-                   lambda verdict: verdict[1], witness, seed=used_seed)
+        ok = report.sweep(f"{prefix}.{rid}",
+                          verdicts(relation_chunks(hs, rid, strategy, seed, samples)),
+                          lambda verdict: verdict[1], witness, seed=used_seed)
         if not ok and stop_on_fail:
             break
     return report

@@ -197,7 +197,7 @@ def test_criterion_4_u1_normal_form():
 
 def test_criterion_5_commutation_identities():
     with criterion(5, "free-group identities C1-C6", budget=1.0):
-        rep = verify_identities(seed=SEED, rounds=100)
+        rep = verify_identities(seed=SEED)
         assert rep.ok, rep.to_json_lines()
 
 
@@ -259,5 +259,5 @@ def test_criterion_8_steinberg_central_trick():
         ring = make_ring("residue", 2, involution="identity")
         hs = make_hyperbolic(ring, 4)
         for a_order in (2, 3):
-            rep = chooser_agreement(hs, a_order, seed=SEED, pairs=100)
+            rep = chooser_agreement(hs, a_order, seed=SEED)
             assert rep.ok, rep.to_json_lines()

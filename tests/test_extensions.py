@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -15,8 +16,8 @@ from oddunitary import (
     s_ij,
     verify_section,
 )
-from oddunitary.extensions import chooser_agreement, mutate_section
-from oddunitary.generators import Xi, Xij, generators
+from oddunitary.extensions import ProductExtension, chooser_agreement, mutate_section
+from oddunitary.generators import Xi, Xij, generators, parse_word
 from oddunitary.steinberg import gen_matrix
 
 
@@ -74,8 +75,20 @@ def test_comm_preimages_central_parts_cancel(hs_z2_n4):
 
 
 def test_chooser_agreement_hundred_pairs(hs_z2_n4):
-    rep = chooser_agreement(hs_z2_n4, 3, seed=3293, pairs=100)
+    rep = chooser_agreement(hs_z2_n4, 3, seed=3293)
     assert rep.ok
+    assert [(r.check, r.witness, r.seed) for r in rep] == [
+        ("extension.central_trick", "100 pairs", 3293)]
+
+
+def test_chooser_disagreement_names_the_pair(monkeypatch, hs_z2_n4):
+    # a commutator that depends on the chooser seed breaks the central trick
+    monkeypatch.setattr(ProductExtension, "commutator",
+                        lambda self, x, y: (x[0], self.chooser_seed))
+    rep = chooser_agreement(hs_z2_n4, 3, seed=3293)
+    assert not rep.ok
+    x, y = re.fullmatch(r"\(x, y\) = \((.+), (.+)\)", rep.results[0].witness).groups()
+    assert parse_word(x, hs_z2_n4) and parse_word(y, hs_z2_n4)
 
 
 def test_dagger_needs_n4(hs_z2_n3):

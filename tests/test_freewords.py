@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oddunitary import freewords
 from oddunitary.freewords import (
     IDENTITY_IDS,
     comm,
@@ -71,9 +72,20 @@ def test_identities_under_random_substitution(cid):
 
 
 def test_verify_identities_report():
-    rep = verify_identities(seed=3293, rounds=100)
+    rep = verify_identities(seed=3293)
     assert rep.ok
     assert len(rep) == 6
+    # C3 checks its letters at m = 2..8, the others at m = 4, then 100 words
+    assert [(r.witness, r.seed) for r in rep] == [
+        (f"{101 + 6 * (cid == 'C3')} substitutions", 3293)
+        for cid in ("C1", "C2", "C3", "C4", "C5", "C6")]
+
+
+def test_failing_identity_names_m_and_substitution(monkeypatch):
+    monkeypatch.setattr(freewords, "verify_identity", lambda cid, a, m: m != 3)
+    rep = verify_identities(seed=3293)
+    assert [r.check for r in rep.failures()] == ["freewords.C3"]
+    assert rep.failures()[0].witness.startswith("m=3, {'x': (('x', 1),), 'y1': ")
 
 
 def test_substitute_is_homomorphism():

@@ -146,6 +146,25 @@ def test_unitary_member(hs_z2_n3, hs_z3n_n3, hs_rich):
     assert not unitary_member(hs_z2_n3, singular)
 
 
+def test_unitary_member_over_a_matrix_ring(m2z2):
+    # M_2(Z/2) has no modulus, so membership takes the vector-by-vector
+    # loop of equiv_mod_param over the 256 module vectors
+    hs = make_hyperbolic(m2z2, 1)
+    hmin = make_hyperbolic(m2z2, 1, parameter=MinParameter())
+    assert hs.space.vector_count() == 256 and m2z2.modulus is None
+    mats = [mat for _, mat in eu_generators(hs)]
+    assert len(mats) == 2
+    assert [unitary_member(hs, mat) for mat in mats] == [True, True]
+    assert [unitary_member(hmin, mat) for mat in mats] == [False, False]
+
+
+def test_spaces_share_the_rings_minimal_scalars(hs_rich):
+    # {a + bar(a)} depends only on the ring, so it is listed once per ring
+    hs = hs_rich
+    assert hs.space.lmin_scalars is hs.v0.lmin_scalars is hs.ring.lmin_scalars
+    assert hs.space.lmin_scalars == frozenset({0, 1, 2})
+
+
 def test_enumerate_eu_no_generators_is_trivial(z2):
     hs = make_hyperbolic(z2, 1)
     assert eu_generators(hs) == []

@@ -132,3 +132,15 @@ def test_array_forms_match_the_scalar_operations(args):
     assert np.array_equal(r.arr_bar(vals), r.arr([r.bar(x) for x in elems], (n,)))
     assert np.array_equal(r.arr_mul(r.arr(r.lam), r.arr(r.lam_inv), r.arr(r.one)),
                           r.arr(r.one))
+
+
+@pytest.mark.parametrize("m, triples, seed", [(7, "343 triples", None),
+                                              (101, "4096 triples", 3293)])
+def test_ring_axiom_records_state_their_count_and_sample_seed(m, triples, seed):
+    # every triple up to 100^3 triples, else 4096 draws with the seed stated
+    rep = verify_ring_axioms(make_ring("residue", m), seed=3293)
+    assert [(r.check, r.status, r.witness, r.seed) for r in rep] == [
+        ("ring.mul_associative", "pass", triples, seed),
+        ("ring.distributive", "pass", triples, seed),
+        ("ring.identity", "pass", f"{m} elements", None),
+    ]

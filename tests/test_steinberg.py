@@ -47,9 +47,7 @@ from oddunitary.steinberg import (
     perfect_witness,
     relation_cases,
     remark2_witness_search,
-    sweep,
     u1_alphabet,
-    validate_gen,
 )
 
 
@@ -91,12 +89,22 @@ def test_eval_is_homomorphism(hs_z3_n3):
 
 
 def test_validate_gen(hs_z2_n3):
-    validate_gen(hs_z2_n3, Xij(1, -2, 1))
-    validate_gen(hs_z2_n3, Xi(1, ((), 0)))
+    # gen_matrix rejects an invalid generator through the transvection builders
+    hs = hs_z2_n3
+    assert gen_matrix(hs, Xij(1, -2, 1)) == hs.transvection_ij(1, -2, 1)
+    assert gen_matrix(hs, Xi(1, ((), 0))) == hs.identity
     with pytest.raises(ValueError):
-        validate_gen(hs_z2_n3, Xij(1, 1, 1))
+        gen_matrix(hs, Xij(1, 4, 1))  # an index outside Omega
+    with pytest.raises(ValueError):
+        gen_matrix(hs, Xi(0, ((), 0)))  # an index outside Omega
+    with pytest.raises(ValueError):
+        gen_matrix(hs, Xij(1, 1, 1))  # j = i
+    with pytest.raises(ValueError):
+        gen_matrix(hs, Xij(1, -1, 1))  # j = -i
     with pytest.raises(WorkbenchError):
-        validate_gen(hs_z2_n3, Xi(1, ((), 1)))
+        gen_matrix(hs, Xi(1, ((), 1)))  # xi outside l0
+    with pytest.raises(ValueError):
+        gen_matrix(hs, (1, 2, 1))  # not a generator
 
 
 def test_relation_instance_r1(hs_z3_n3):
@@ -276,9 +284,10 @@ def _per_case_records(hs, rep=None):
     case: the reference for the batched sweep."""
     report, cache = Report(), {}
     for rid in RELATION_IDS:
-        sweep(report, f"relations.{rid}", relation_cases(hs, rid),
-              lambda c: eval_word(hs, c[1], rep, cache) == eval_word(hs, c[2], rep, cache),
-              lambda c: f"{rid}{c[0]!r}")
+        report.sweep(
+            f"relations.{rid}", relation_cases(hs, rid),
+            lambda c: eval_word(hs, c[1], rep, cache) == eval_word(hs, c[2], rep, cache),
+            lambda c: f"{rid}{c[0]!r}")
     return report
 
 
