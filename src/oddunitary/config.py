@@ -86,11 +86,7 @@ def parse_config(text: str) -> WorkbenchConfig:
 
 
 def _validate(cfg: WorkbenchConfig):
-    try:
-        modulus = int(cfg.ring["modulus"])
-        degree = int(cfg.ring["degree"])
-    except ValueError as exc:
-        raise ConfigError(f"ring: {exc}") from None
+    modulus, degree = _integer(cfg.ring, "modulus"), _integer(cfg.ring, "degree")
     if modulus < 2:
         raise ConfigError("modulus: ring must have at least 2 elements")
     if degree < 1:
@@ -103,17 +99,20 @@ def _validate(cfg: WorkbenchConfig):
         raise ConfigError(f"involution: unknown name {inv!r} for matrix ring")
     if cfg.ring["kind"] not in ("residue", "matrix"):
         raise ConfigError(f"kind: unknown ring kind {cfg.ring['kind']!r}")
-    if int(cfg.space["n"]) < 1:
+    if _integer(cfg.space, "n") < 1:
         raise ConfigError("n: hyperbolic rank must be at least 1")
     if cfg.run["strategy"] not in ("exhaustive", "sampled"):
         raise ConfigError(f"strategy: unknown value {cfg.run['strategy']!r}")
     for key in ("seed", "cap", "samples"):
-        try:
-            value = int(cfg.run[key])
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer") from None
-        if key != "seed" and value < 0:
+        if _integer(cfg.run, key) < 0 and key != "seed":
             raise ConfigError(f"{key}: must not be negative")
+
+
+def _integer(spec, key):
+    try:
+        return int(spec[key])
+    except ValueError:
+        raise ConfigError(f"{key}: expected an integer") from None
 
 
 def format_config(cfg: WorkbenchConfig) -> str:

@@ -25,9 +25,11 @@ class FormParameter:
         raise NotImplementedError
 
     def contains_batch(self, space, disp, scal):
-        """`contains` on each column (disp[:, c], scal[c]) of integer arrays
-        over Z/m, as a boolean array."""
-        cols = zip(map(tuple, disp.T.tolist()), scal.tolist())
+        """`contains` on each (disp[c], scal[c]) of the stacks (N, rank, k, k)
+        and (N, k, k) laid out as in `Ring.arr`, as a boolean array."""
+        r = space.ring
+        vecs = (tuple(map(r.scalar, codes)) for codes in r.arr_codes(disp).tolist())
+        cols = zip(vecs, map(r.scalar, r.arr_codes(scal).tolist()))
         return np.array([self.contains(space, xi) for xi in cols], dtype=bool)
 
     def elements(self, space, cap=DEFAULT_CAP) -> frozenset:
@@ -56,6 +58,10 @@ class MaxParameter(FormParameter):
         u, a = xi
         r = space.ring
         return r.sub(a, r.bar(a)) == space.form(u, u)
+
+    def contains_batch(self, space, disp, scal):
+        lhs = (scal - space.ring.arr_bar(scal)) % space.ring.base_modulus
+        return (lhs == space.form_arr(disp, disp)).all(axis=(-2, -1))
 
     def elements(self, space, cap=DEFAULT_CAP):
         total = space.ring.card ** (space.rank + 1)

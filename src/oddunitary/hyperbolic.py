@@ -51,21 +51,20 @@ class ProductParameter(FormParameter):
         return r.sub(t, base) in scalars
 
     def contains_batch(self, space, disp, scal):
-        """`contains` on every column at once: the hyperbolic part by array
-        arithmetic, the V0 part by one lookup in a boolean table indexed by
-        (V0 vector code, scalar), built on the first call."""
-        m, n = space.ring.modulus, self.n
-        r0 = space.rank - 2 * n
-        radix = m ** np.arange(r0 - 1, -1, -1)  # V0 vector -> its code
+        """`contains` on every (disp[c], scal[c]) at once: the planes by one
+        sum, the V0 part by one lookup in a boolean table indexed by the code
+        of (V0 vector, scalar), built on the first call."""
+        r, n, r0 = space.ring, self.n, space.rank - 2 * self.n
+        radix = place_values(r.card, r0 + 1)  # scalar codes -> the pair's code
         if self._v0_table is None:
-            sets = self.v0_scalar_sets
-            codes = np.array(list(sets), dtype=np.int64).reshape(len(sets), r0) @ radix
-            self._v0_table = np.zeros((m ** r0, m), dtype=bool)
-            for code, ts in zip(codes.tolist(), sets.values()):
-                self._v0_table[code, list(ts)] = True
-        # bar(a) lam^-1 b = a b on Z/m, where bar(x) = x lam
-        base = (disp[:n] * disp[n:2 * n][::-1]).sum(axis=0)
-        return self._v0_table[radix @ disp[2 * n:], (scal - base) % m]
+            elems = [u0 + (t,) for u0, ts in self.v0_scalar_sets.items() for t in ts]
+            self._v0_table = np.zeros(r.card ** (r0 + 1), dtype=bool)
+            self._v0_table[r.arr_codes(r.arr(elems, (len(elems), r0 + 1))) @ radix] = True
+        # sum_i bar(a_i) lam^-1 b_i over the planes (e_i a_i + e_-i b_i),
+        # which is bar(sum_i bar(b_i) a_i) as bar(xy) = bar(y) lam^-1 bar(x)
+        base = r.arr_bar(r.arr_bar_dot(disp[:, n:2 * n][:, ::-1], disp[:, :n]))
+        pairs = np.concatenate([disp[:, 2 * n:], (scal - base)[:, None] % r.base_modulus], 1)
+        return self._v0_table[r.arr_codes(pairs) @ radix]
 
     def elements(self, space, cap=DEFAULT_CAP):
         r = space.ring
@@ -176,17 +175,11 @@ class HyperbolicSpace:
             raise ValueError("T_ij needs j outside {i, -i}")
         r = self.ring
         ci, cmj = self.col(i), self.col(-j)
-        rows = [list(row) for row in self.identity.rows]
-        k1 = r.prod(self.eps(-j), r.bar(a), r.lam_inv)
-        k2 = r.mul(a, self.eps(j))
-        gi = self.gram[ci]
-        gmj = self.gram[cmj]
-        for c in range(self.dim):
-            if gi[c] != r.zero:
-                rows[cmj][c] = r.add(rows[cmj][c], r.mul(k1, gi[c]))
-            if gmj[c] != r.zero:
-                rows[ci][c] = r.sub(rows[ci][c], r.mul(k2, gmj[c]))
-        return Mat.from_rows(r, rows)
+        # B(e_c, w) is row c of the Gram matrix applied to w, as bar(1) lam^-1 = 1
+        t, gram = self._blocks()
+        t[cmj] += r.arr_mul(r.arr(r.prod(self.eps(-j), r.bar(a), r.lam_inv)), gram[ci])
+        t[ci] -= r.arr_mul(r.arr(r.mul(a, self.eps(j))), gram[cmj])
+        return Mat.from_rows(r, t)
 
     def transvection_i(self, i: int, xi) -> Mat:
         """T_i(u, b): w -> w - e_i eps_i B(u, w) - e_i eps_i b eps_-i B(e_i, w) + u eps_-i B(e_i, w).
@@ -196,23 +189,14 @@ class HyperbolicSpace:
         """
         if xi not in self.l0_set:
             raise WorkbenchError(f"{xi!r} is not in the V0-supported form parameter")
-        u, b = self.embed_v0(xi[0]), xi[1]
         r = self.ring
-        ci = self.col(i)
-        ei, emi = self.eps(i), self.eps(-i)
-        rows = [list(row) for row in self.identity.rows]
-        bu = [self.space.form(u, self.basis_vec(c)) for c in range(self.dim)]
-        gi = self.gram[ci]
-        k = r.prod(ei, b, emi)
-        for c in range(self.dim):
-            if bu[c] != r.zero:
-                rows[ci][c] = r.sub(rows[ci][c], r.mul(ei, bu[c]))
-            if gi[c] != r.zero:
-                rows[ci][c] = r.sub(rows[ci][c], r.mul(k, gi[c]))
-                for rr in range(self.dim):
-                    if u[rr] != r.zero:
-                        rows[rr][c] = r.add(rows[rr][c], r.prod(u[rr], emi, gi[c]))
-        return Mat.from_rows(r, rows)
+        u, b = r.arr(self.embed_v0(xi[0]), (self.dim,)), xi[1]
+        ci, ei, emi = self.col(i), self.eps(i), self.eps(-i)
+        t, gram = self._blocks()
+        bu = self.space.form_arr(u, t)  # B(u, e_c), by c
+        t[ci] -= r.arr_mul(r.arr(ei), bu) + r.arr_mul(r.arr(r.prod(ei, b, emi)), gram[ci])
+        t += r.arr_mul(r.arr_mul(u, r.arr(emi))[:, None], gram[ci][None])
+        return Mat.from_rows(r, t)
 
 
 def make_hyperbolic(ring, n, v0: OddQuadraticSpace | None = None,
@@ -227,41 +211,34 @@ def is_isometry(hs: HyperbolicSpace, f: Mat) -> bool:
     if f.dim != hs.dim:
         raise ValueError("dimension mismatch")
     gram = hs._blocks()[1]
-    cols = hs.ring.arr(f.rows, (hs.dim, hs.dim)).swapaxes(0, 1)  # f b_c, by c
+    cols = f.blocks().swapaxes(0, 1)  # f b_c, by c
     return bool((hs.space.form_arr(cols[:, None], cols[None]) == gram).all())
 
 
+VECTORS = 2048  # module vectors per block of equiv_mod_param
+
+
 def equiv_mod_param(hs: HyperbolicSpace, f: Mat, g: Mat, cap=DEFAULT_CAP) -> bool:
-    """(fv - gv, B(gv - fv, gv)) in the parameter for every module vector v."""
-    sp = hs.space
-    if sp.vector_count() > cap:
+    """(fv - gv, B(gv - fv, gv)) in the parameter for every module vector v.
+
+    The vectors go VECTORS at a time, in the order of `sp.vectors()`, as the
+    (dim k) x k block columns of one array, so f - g and lam^-1 G g act on a
+    block in one product each and the arrays stay small on any module.
+    """
+    sp, r = hs.space, hs.ring
+    total = sp.vector_count()
+    if total > cap:
         raise CapExceeded("module too large to enumerate")
-    if hs.ring.modulus is not None:
-        return _equiv_batch(hs, f, g)
-    for v in sp.vectors():
-        fv = f.apply(v)
-        gv = g.apply(v)
-        d = tuple(sp.ring.sub(x, y) for x, y in zip(fv, gv))
-        disp = (d, sp.form(tuple(sp.ring.neg(x) for x in d), gv))
-        if not sp.param_contains(disp):
-            return False
-    return True
-
-
-VECTORS = 2048  # module vectors per block of _equiv_batch
-
-
-def _equiv_batch(hs: HyperbolicSpace, f: Mat, g: Mat) -> bool:
-    """Residue-ring fast path; bar(x) = x bar(1) there, so B(u, v) = u^T G v.
-    The module vectors are columns, VECTORS at a time in the order of
-    sp.vectors(), so the arrays stay small on any module."""
-    sp, m, total = hs.space, hs.ring.modulus, hs.space.vector_count()
-    gram_g = mulmod(hs.ring, np.array(hs.gram, dtype=np.int64), g.arr)
-    diff = f.arr.astype(np.int64) - g.arr
+    m, k, d = r.base_modulus, r.degree, hs.dim
+    lam_gram = Mat.from_rows(r, r.arr_mul(r.arr(r.lam_inv), hs._blocks()[1]))
+    maps = (f.arr.astype(np.int64) - g.arr, (lam_gram * g).arr)
     for start in range(0, total, VECTORS):
-        v = np.arange(start, min(start + VECTORS, total)) // place_values(m, hs.dim)[:, None] % m
-        disp = mulmod(hs.ring, diff, v).astype(np.int64)  # fv - gv
-        scal = (-(disp * mulmod(hs.ring, gram_g, v)).sum(axis=0)) % m  # B(gv - fv, gv)
+        v = np.unravel_index(np.arange(start, min(start + VECTORS, total)), (m,) * d * k * k)
+        cols = np.reshape(v, (d * k, k, -1)).swapaxes(1, 2).reshape(d * k, -1)
+        # fv - gv and w = lam^-1 G gv, back as stacks (N, dim, k, k)
+        disp, w = (mulmod(r, a, cols).astype(np.int64).reshape(d * k, -1, k)
+                   .swapaxes(0, 1).reshape(-1, d, k, k) for a in maps)
+        scal = r.arr_neg(r.arr_bar_dot(disp, w))  # B(gv - fv, gv)
         if not sp.parameter.contains_batch(sp, disp, scal).all():
             return False
     return True

@@ -127,6 +127,7 @@ class Mat:
 
     @classmethod
     def from_rows(cls, ring, rows):
+        """From rows of ring values, or their (n, n, k, k) blocks as `blocks`."""
         n, k = len(rows), ring.degree
         a = np.array(rows, dtype=np.int64).reshape(n, n, k, k)
         return cls.from_arr(ring, a.transpose(0, 2, 1, 3).reshape(n * k, n * k))
@@ -150,11 +151,14 @@ class Mat:
             if self.ring.modulus is not None:
                 self._rows = tuple(map(tuple, self.arr.tolist()))
             else:
-                k, n = self.ring.degree, self.dim
-                blocks = self.arr.reshape(n, k, n, k).transpose(0, 2, 1, 3)
                 self._rows = tuple(tuple(tuple(map(tuple, e)) for e in row)
-                                   for row in blocks.tolist())
+                                   for row in self.blocks().tolist())
         return self._rows
+
+    def blocks(self):
+        """The entries as an int64 array (n, n, k, k), the layout of `Ring.arr`."""
+        n, k = self.dim, self.ring.degree
+        return self.arr.astype(np.int64).reshape(n, k, n, k).swapaxes(1, 2)
 
     def __mul__(self, other: "Mat") -> "Mat":
         return Mat(self.ring, mulmod(self.ring, self.arr, other.arr))

@@ -86,6 +86,12 @@ class Ring:
         """The entry involution, then the transpose (a no-op at k = 1)."""
         return np.swapaxes(self.entry_bar_arr(a), -1, -2)
 
+    def arr_bar_dot(self, u, v):
+        """sum_i bar(u_i) v_i over the axis -3 of two stacks (..., r, k, k), with
+        bar(x) = ebar(x)^T; the int64 sums are exact while r k (m-1)^2 < 2^63."""
+        dot = np.einsum("...ibj,...ibl->...jl", self.entry_bar_arr(u), v)
+        return dot % self.base_modulus
+
 
 def place_values(base, digits):
     """base^(digits-1), ..., base, 1 as int64."""

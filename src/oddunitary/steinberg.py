@@ -472,9 +472,9 @@ def embed_matrix(small: HyperbolicSpace, big: HyperbolicSpace, m: Mat) -> Mat:
         raise ValueError("embedding expects ranks n and n+1 with the same V0")
     # e_1..e_n keep their columns; e_-n..e_-1 and V0 shift past the new pair
     cols = [c if c < small.n else c + 2 for c in range(small.dim)]
-    rows = big._blocks()[0]
-    rows[np.ix_(cols, cols)] = small.ring.arr(m.rows, (small.dim, small.dim))
-    return Mat.from_rows(small.ring, rows)
+    blocks = big._blocks()[0]
+    blocks[np.ix_(cols, cols)] = m.blocks()
+    return Mat.from_rows(small.ring, blocks)
 
 
 def remark2_witness_search(hs: HyperbolicSpace, limit=2000):

@@ -334,6 +334,10 @@ def test_negative_cap_and_samples_are_config_errors(capsys):
         parse_config("[run]\nsamples = -1\n")
     with pytest.raises(ConfigError, match="cap"):
         parse_config("[run]\ncap = -1\n")
+    with pytest.raises(ConfigError, match="n: expected an integer"):
+        parse_config("[space]\nn = abc\n")
+    with pytest.raises(ConfigError, match="modulus: expected an integer"):
+        parse_config("[ring]\nmodulus = x\n")
     code, lines = run_cli(capsys, "--cap", "-5", "enumerate-eu")
     assert code == 2
     assert lines[0]["status"] == "error"

@@ -23,6 +23,7 @@ from oddunitary import (
     subgroup_closure,
     unitary_member,
 )
+from oddunitary.generators import generators
 from oddunitary.hyperbolic import dump_closure, gen_matrix
 
 
@@ -112,6 +113,48 @@ def test_transvection_i_z2_only_identity(hs_z2_n3):
         hs_z2_n3.transvection_i(1, ((), 1))
 
 
+def _formula_image(hs, gen, w):
+    """The image of w under gen's transvection, by the docstring formula of
+    transvection_ij or transvection_i through the scalar form."""
+    sp, r = hs.space, hs.ring
+    form, eps = sp.form, hs.eps
+
+    def e(i, s):  # e_i s
+        return sp.vec_scale(hs.basis_vec(hs.col(i)), s)
+
+    if isinstance(gen, Xij):
+        i, j, a = gen.i, gen.j, gen.a
+        terms = [e(-j, r.prod(eps(-j), r.bar(a), r.lam_inv, form(e(i, r.one), w))),
+                 sp.vec_neg(e(i, r.prod(a, eps(j), form(e(-j, r.one), w))))]
+    else:
+        i, (u0, b) = gen.i, gen.xi
+        u, bi = hs.embed_v0(u0), form(e(i, r.one), w)
+        terms = [sp.vec_neg(e(i, r.mul(eps(i), form(u, w)))),
+                 sp.vec_neg(e(i, r.prod(eps(i), b, eps(-i), bi))),
+                 sp.vec_scale(u, r.mul(eps(-i), bi))]
+    for term in terms:
+        w = sp.vec_add(w, term)
+    return w
+
+
+@pytest.mark.parametrize("space", ["m2z3_negation", "z5_negation_v0"])
+def test_transvections_match_their_formulas(space):
+    if space == "m2z3_negation":
+        hs = make_hyperbolic(make_ring("matrix", 3, 2, "transpose:negation"), 2)
+    else:
+        z5n = make_ring("residue", 5, involution="negation")
+        hs = make_hyperbolic(z5n, 2, OddQuadraticSpace(z5n, ((1,),), MaxParameter()))
+        assert any(any(u0) for u0, _ in hs.l0)  # some X_i carries a nonzero vector
+    basis = [hs.basis_vec(c) for c in range(hs.dim)]
+    count = 0
+    for gen in generators(hs):
+        t = gen_matrix(hs, gen)
+        for w in basis:
+            assert t.apply(w) == _formula_image(hs, gen, w), (gen, w)
+        count += 1
+    assert count == {"m2z3_negation": 660, "z5_negation_v0": 60}[space]
+
+
 def test_is_isometry(hs_z2_n3, z5):
     assert is_isometry(hs_z2_n3, hs_z2_n3.identity)
     assert is_isometry(hs_z2_n3, hs_z2_n3.transvection_ij(1, 2, 1))
@@ -147,8 +190,6 @@ def test_unitary_member(hs_z2_n3, hs_z3n_n3, hs_rich):
 
 
 def test_unitary_member_over_a_matrix_ring(m2z2):
-    # M_2(Z/2) has no modulus, so membership takes the vector-by-vector
-    # loop of equiv_mod_param over the 256 module vectors
     hs = make_hyperbolic(m2z2, 1)
     hmin = make_hyperbolic(m2z2, 1, parameter=MinParameter())
     assert hs.space.vector_count() == 256 and m2z2.modulus is None
@@ -227,23 +268,43 @@ def test_constructed_spaces_have_antihermitian_gram(
     assert verify_antihermitian(hs_rich.space).ok
 
 
-def test_equiv_batch_matches_reference(z3):
-    hs = make_hyperbolic(z3, 1)
-    sp = hs.space
-    t = hs.transvection_i(1, ((), 1))
-    skew = Mat.from_rows(z3, ((2, 0), (0, 2)))  # isometry but not in U
+def test_equiv_batch_matches_reference(z3, z5n, m2z2, hs_rich):
+    v0 = hs_rich.v0  # rank 2, so displacements have nonzero V0 parts
+    spaces = {
+        "z3": make_hyperbolic(z3, 1),
+        "m2z2": make_hyperbolic(m2z2, 1),
+        "m2z2_min": make_hyperbolic(m2z2, 1, parameter=MinParameter()),
+        "m2z2_max": make_hyperbolic(m2z2, 1, parameter=MaxParameter()),
+        "z3_v0": make_hyperbolic(z3, 1, v0),
+        # only the zero V0 vector has a scalar set
+        "z3_v0_min": make_hyperbolic(z3, 1, OddQuadraticSpace(z3, v0.gram, MinParameter())),
+        # lam = -1, so the lam^-1 in the form counts
+        "z5n_v0": make_hyperbolic(z5n, 1, OddQuadraticSpace(z5n, ((1,),), MaxParameter())),
+    }
+    for name, hs in spaces.items():
+        sp, r = hs.space, hs.ring
+        size = hs.dim * r.degree
+        t, *gens = [mat for _, mat in eu_generators(hs)][:4]
+        minus = Mat.from_arr(r, -np.eye(size, dtype=np.int64))  # an isometry
+        other = Mat.from_arr(r, np.random.default_rng(3).integers(0, r.base_modulus, (size, size)))
 
-    def reference(f, g):
-        for v in sp.vectors():
-            fv, gv = f.apply(v), g.apply(v)
-            d = tuple(sp.ring.sub(x, y) for x, y in zip(fv, gv))
-            disp = (d, sp.form(tuple(sp.ring.neg(x) for x in d), gv))
-            if not sp.param_contains(disp):
-                return False
-        return True
+        def reference(f, g):
+            for v in sp.vectors():
+                fv, gv = f.apply(v), g.apply(v)
+                d = tuple(sp.ring.sub(x, y) for x, y in zip(fv, gv))
+                disp = (d, sp.form(tuple(sp.ring.neg(x) for x in d), gv))
+                if not sp.param_contains(disp):
+                    return False
+            return True
 
-    for f in (hs.identity, t, skew, t * t):
-        assert equiv_mod_param(hs, f, hs.identity) == reference(f, hs.identity)
+        verdicts = set()
+        for f in (hs.identity, t, *gens, t * t, minus, other):
+            for g in (hs.identity, t):
+                verdicts.add(equiv_mod_param(hs, f, g))
+                assert equiv_mod_param(hs, f, g) == reference(f, g), (name, f, g)
+        # on Z/3 with V0 = 0 or maximal, smin is all of Z/3 and the hyperbolic
+        # parameter is the whole Heisenberg group
+        assert verdicts == ({True} if name in ("z3", "z3_v0") else {True, False}), name
 
 
 def test_closure_elements_are_unitary_members(hs_z2_n3, eu_z2_n3):
@@ -413,14 +474,14 @@ def test_v0_scalar_sets_on_a_large_modulus():
 
 def _displacement_columns(hs, f, vectors):
     """(disp, scal) of f against the identity on each vector, as in
-    equiv_mod_param, as integer arrays with one column per vector."""
+    equiv_mod_param, as the stacks (N, dim, k, k) and (N, k, k) of `Ring.arr`."""
     sp, r = hs.space, hs.ring
     disp, scal = [], []
     for v in vectors:
         d = tuple(r.sub(x, y) for x, y in zip(f.apply(v), v))
         disp.append(d)
         scal.append(sp.form(tuple(r.neg(x) for x in d), v))
-    return np.array(disp, dtype=np.int64).T, np.array(scal, dtype=np.int64)
+    return r.arr(disp, (len(vectors), hs.dim)), r.arr(scal, (len(vectors),))
 
 
 @pytest.mark.parametrize("space", ["rich", "z3n", "z4", "v0_min"])
@@ -440,12 +501,13 @@ def test_contains_batch_matches_contains(request, space):
     columns = [_displacement_columns(hs, mat, vectors)
                for _, mat in eu_generators(hs)[::7]]
     # random columns: mostly outside every parameter
-    columns.append((rng.integers(0, m, (hs.dim, 300)), rng.integers(0, m, 300)))
-    disp = np.hstack([d for d, _ in columns])
+    columns.append((rng.integers(0, m, (hs.dim, 300)).T.reshape(300, hs.dim, 1, 1),
+                    rng.integers(0, m, (300, 1, 1))))
+    disp = np.concatenate([d for d, _ in columns])
     scal = np.concatenate([s for _, s in columns])
     for param in (sp.parameter, MinParameter(), MaxParameter()):
         expected = [param.contains(sp, (tuple(d), t))
-                    for d, t in zip(disp.T.tolist(), scal.tolist())]
+                    for d, t in zip(disp[..., 0, 0].tolist(), scal[:, 0, 0].tolist())]
         got = param.contains_batch(sp, disp, scal)
         assert got.dtype == bool and got.tolist() == expected, param.kind
         assert any(expected), param.kind
@@ -462,11 +524,29 @@ def test_contains_batch_matches_contains(request, space):
     assert sp.parameter.contains_batch(sp, d, s).all()
     if space == "v0_min":
         # a displacement along V0 has no scalar set, whatever the scalar
-        along_v0 = np.zeros((hs.dim, m), dtype=np.int64)
-        along_v0[-1] = 1
-        assert not sp.parameter.contains_batch(sp, along_v0, np.arange(m)).any()
-        assert not any(sp.parameter.contains(sp, (tuple(along_v0[:, 0]), a))
+        along_v0 = np.zeros((m, hs.dim, 1, 1), dtype=np.int64)
+        along_v0[:, -1] = 1
+        assert not sp.parameter.contains_batch(sp, along_v0, hs.ring.arr(range(m), (m,))).any()
+        assert not any(sp.parameter.contains(sp, (tuple(along_v0[0, :, 0, 0]), a))
                        for a in range(m))
+
+
+def test_contains_batch_over_a_matrix_ring(m2z2):
+    v0 = OddQuadraticSpace(m2z2, ((((0, 1), (1, 0)),),), MaxParameter())
+    hs = make_hyperbolic(m2z2, 1, v0)
+    sp, r = hs.space, hs.ring
+    rng = np.random.default_rng(17)
+    vectors = [tuple(map(r.scalar, v)) for v in rng.integers(0, r.card, (60, hs.dim)).tolist()]
+    columns = [_displacement_columns(hs, mat, vectors) for _, mat in eu_generators(hs)[::5]]
+    columns.append((r.codes_arr(rng.integers(0, r.card, (300, hs.dim))),
+                    r.codes_arr(rng.integers(0, r.card, 300))))
+    disp = np.concatenate([d for d, _ in columns])
+    scal = np.concatenate([s for _, s in columns])
+    for param in (sp.parameter, MinParameter(), MaxParameter()):
+        expected = [param.contains(sp, (tuple(map(r.scalar, d)), r.scalar(t)))
+                    for d, t in zip(r.arr_codes(disp).tolist(), r.arr_codes(scal).tolist())]
+        assert param.contains_batch(sp, disp, scal).tolist() == expected, param.kind
+        assert any(expected) and not all(expected), param.kind
 
 
 @pytest.mark.parametrize("block", [100, 2048])

@@ -12,7 +12,9 @@ strategies, every subcommand on the built-in default config, the README's
 `configs/z2_n3.cfg`, the exhaustive `verify-relations` on M_2(Z/2) with
 transpose at n = 3 (90,384 instances) and the sampled one on the same ring
 and rank with a rank-1 V0 of Gram `[0,1;1,0]` under the maximal parameter,
-both from configs written into OUTDIR.
+and `verify-ring` on Z/101, whose 101^3 triples are too many to list, so
+the triple checks draw 4096 seeded samples (seed 3293), all from configs
+written into OUTDIR.
 Run it on two checkouts and compare with
 `diff -r OUTDIR1 OUTDIR2`: a refactor that keeps the behaviour leaves no
 difference, exit codes included.
@@ -62,6 +64,14 @@ strategy = exhaustive
 M2Z2_V0_N3_CFG = "m2z2_v0_n3.cfg"
 M2Z2_V0_N3_TEXT = M2Z2_N3_TEXT.replace(
     "n = 3\n", "n = 3\nv0_gram = [0,1;1,0]\nv0_parameter = max\n")
+Z101_CFG = "z101.cfg"
+Z101_TEXT = """\
+[ring]
+kind = residue
+modulus = 101
+[run]
+seed = 3293
+"""
 
 
 def subcommand_args(name, n):
@@ -103,6 +113,7 @@ def runs():
     yield ("m2z2_v0_n3.sampled.verify-relations",
            ["--config", M2Z2_V0_N3_CFG, "--strategy", "sampled",
             "verify-relations"])
+    yield "z101.verify-ring", ["--config", Z101_CFG, "verify-ring"]
 
 
 def main(argv=None) -> int:
@@ -114,6 +125,7 @@ def main(argv=None) -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     (outdir / M2Z2_N3_CFG).write_text(M2Z2_N3_TEXT)
     (outdir / M2Z2_V0_N3_CFG).write_text(M2Z2_V0_N3_TEXT)
+    (outdir / Z101_CFG).write_text(Z101_TEXT)
     for fname, cli_args in runs():
         proc = subprocess.run(
             [sys.executable, "-m", "oddunitary", *cli_args],
