@@ -12,8 +12,11 @@ strategies, every subcommand on the built-in default config, the README's
 `configs/z2_n3.cfg`, the exhaustive `verify-relations` on M_2(Z/2) with
 transpose at n = 3 (90,384 instances) and the sampled one on the same ring
 and rank with a rank-1 V0 of Gram `[0,1;1,0]` under the maximal parameter,
-and `verify-ring` on Z/101, whose 101^3 triples are too many to list, so
-the triple checks draw 4096 seeded samples (seed 3293), all from configs
+`verify-ring` on Z/101, whose 101^3 triples are too many to list, so
+the triple checks draw 4096 seeded samples (seed 3293), and `split-demo 3`
+under both strategies on Z/3 at n = 4 with the symplectic rank-2 V0 of
+`configs/z3_sympl_v0.cfg` (its section has nontrivial one-index entries
+S_k(u, a), which every one-index entry over Z/2 is not), all from configs
 written into OUTDIR.
 Run it on two checkouts and compare with
 `diff -r OUTDIR1 OUTDIR2`: a refactor that keeps the behaviour leaves no
@@ -64,6 +67,16 @@ strategy = exhaustive
 M2Z2_V0_N3_CFG = "m2z2_v0_n3.cfg"
 M2Z2_V0_N3_TEXT = M2Z2_N3_TEXT.replace(
     "n = 3\n", "n = 3\nv0_gram = [0,1;1,0]\nv0_parameter = max\n")
+Z3_V0_N4_CFG = "z3_v0_n4.cfg"
+Z3_V0_N4_TEXT = """\
+[ring]
+kind = residue
+modulus = 3
+[space]
+n = 4
+v0_gram = 0,1;2,0
+v0_parameter = max
+"""
 Z101_CFG = "z101.cfg"
 Z101_TEXT = """\
 [ring]
@@ -114,6 +127,9 @@ def runs():
            ["--config", M2Z2_V0_N3_CFG, "--strategy", "sampled",
             "verify-relations"])
     yield "z101.verify-ring", ["--config", Z101_CFG, "verify-ring"]
+    for strategy in STRATEGIES:
+        yield (f"z3_v0_n4.{strategy}.split-demo",
+               ["--config", Z3_V0_N4_CFG, "--strategy", strategy, "split-demo", "3"])
 
 
 def main(argv=None) -> int:
@@ -126,6 +142,7 @@ def main(argv=None) -> int:
     (outdir / M2Z2_N3_CFG).write_text(M2Z2_N3_TEXT)
     (outdir / M2Z2_V0_N3_CFG).write_text(M2Z2_V0_N3_TEXT)
     (outdir / Z101_CFG).write_text(Z101_TEXT)
+    (outdir / Z3_V0_N4_CFG).write_text(Z3_V0_N4_TEXT)
     for fname, cli_args in runs():
         proc = subprocess.run(
             [sys.executable, "-m", "oddunitary", *cli_args],
