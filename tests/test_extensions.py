@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -5,6 +6,8 @@ import re
 import pytest
 
 from oddunitary import (
+    MaxParameter,
+    OddQuadraticSpace,
     WorkbenchError,
     build_section,
     check_dagger,
@@ -17,7 +20,7 @@ from oddunitary import (
     verify_section,
 )
 from oddunitary.extensions import ProductExtension, chooser_agreement, mutate_section
-from oddunitary.generators import Xi, Xij, generators, parse_word
+from oddunitary.generators import Xi, Xij, format_gen, generators, parse_word
 from oddunitary.steinberg import gen_matrix
 
 
@@ -29,6 +32,13 @@ def ext_z2(hs_z2_n4):
 @pytest.fixture(scope="module")
 def ext_z3(hs_z2_n4):
     return product_extension(hs_z2_n4, 3)
+
+
+@pytest.fixture(scope="module")
+def hs_z3v0_n4(z3):
+    """Z/3 at n = 4 with the symplectic V0 of `hs_rich`: its one-index
+    section entries S_k(u, a) are not all trivial."""
+    return make_hyperbolic(z3, 4, OddQuadraticSpace(z3, ((0, 1), (2, 0)), MaxParameter()))
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +211,25 @@ def test_build_section_needs_n4(hs_z2_n3):
 def test_sections_have_zero_central_parts(section_z2, section_z3):
     for table in (section_z2, section_z3):
         assert all(c == 0 for _, c in table.values())
+
+
+# sha256 over `format_gen|central part|Mat.key()` of each entry, in table order
+SECTION_DIGESTS = {
+    "hs_z2_n4": (104, "522ef1c3618725f68b0b78adc124644982c0b1b7ae808807389ab0f27c70c6ba"),
+    "hs_z3v0_n4": (360, "8c64a1d13c9e34a1c85561f864760dac5c0e9e437a8b5adff55fa783c85bf78c"),
+}
+
+
+@pytest.mark.parametrize("space", sorted(SECTION_DIGESTS))
+@pytest.mark.parametrize("order", (2, 3))
+@pytest.mark.parametrize("seed", (None, 3293))
+def test_section_tables_are_pinned(request, space, order, seed):
+    hs = request.getfixturevalue(space)
+    table = build_section(product_extension(hs, order, chooser_seed=seed))
+    h = hashlib.sha256()
+    for g, (m, c) in table.items():
+        h.update(f"{format_gen(g, hs)}|{c}|".encode() + m.key())
+    assert (len(table), h.hexdigest()) == SECTION_DIGESTS[space]
 
 
 def test_section_chooser_independence(hs_z2_n4, section_z2):
