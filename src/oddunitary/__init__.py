@@ -48,8 +48,7 @@ from .extensions import (
     check_dagger,
     comm_preimages,
     product_extension,
-    s_i,
-    s_ij,
+    section_entry,
     verify_section,
 )
 from .freewords import comm, conj, reduce_word, verify_identities, verify_identity

@@ -4,14 +4,15 @@ A product extension is base x A with componentwise product, epsilon the
 first projection, and pluggable preimage choosers.  Commutators of
 preimages do not depend on the chooser (central trick), which is asserted
 on every call.  Section elements S_ij(a), S_i(u, a) are built from
-commutators of preimages and verified against every relation family.
+commutators of preimages, over the generator pairs that prove the group
+perfect, and verified against every relation family.
 """
 
 from __future__ import annotations
 
 import random
 
-from .generators import Xi, Xij, format_word, gen_codes, generators, word
+from .generators import Xij, format_word, gen_codes, generators, word
 from .hyperbolic import HyperbolicSpace, gen_matrix
 from .matrices import Mat
 from .report import DEFAULT_SEED, Report, WorkbenchError
@@ -22,7 +23,7 @@ from .steinberg import (
     eval_word,
     family_params,
     sweep_relations,
-    witness_index,
+    witness_pairs,
 )
 
 
@@ -116,36 +117,14 @@ def check_dagger(E: ProductExtension, strategy="exhaustive",
     return rep
 
 
-def s_ij(E: ProductExtension, i, j, a, witness=None):
-    """S_ij(a) = [eps^-1 X_iw(a), eps^-1 X_wj(1)] for a witness w outside +-i, +-j."""
+def section_entry(E: ProductExtension, gen, witness=None):
+    """The section element of a generator: the product of the preimage
+    commutators of its `witness_pairs`, so S_ij(a) = [eps^-1 X_iw(a), eps^-1 X_wj(1)]."""
     hs = E.hs
-    if hs.n < 4:
-        raise WorkbenchError("section elements need n >= 4")
-    if j in (i, -i):
-        raise ValueError("S_ij needs j outside {i, -i}")
-    w = witness if witness is not None else witness_index(hs, {i, -i, j, -j})
-    if w in (i, -i, j, -j):
-        raise ValueError("witness collides with the target indices")
-    x = gen_matrix(hs, Xij(i, w, a))
-    y = gen_matrix(hs, Xij(w, j, hs.ring.one))
-    return comm_preimages(E, x, y)
-
-
-def s_i(E: ProductExtension, k, xi, witness=None):
-    """S_k(u, a) = S_{w,-k}(eps_w bar(a)) * [eps^-1 X_w(u, -bar(a)), eps^-1 X_{-w,-k}(1)]."""
-    hs = E.hs
-    r = hs.ring
-    if hs.n < 4:
-        raise WorkbenchError("section elements need n >= 4")
-    u, a = xi
-    w = witness if witness is not None else witness_index(hs, {k, -k})
-    if w in (k, -k):
-        raise ValueError("witness collides with the target index")
-    abar = r.bar(a)
-    head = s_ij(E, w, -k, r.mul(hs.eps(w), abar))
-    x = gen_matrix(hs, Xi(w, (u, r.neg(abar))))
-    y = gen_matrix(hs, Xij(-w, -k, r.one))
-    return E.mul(head, comm_preimages(E, x, y))
+    out = E.identity
+    for x, y in witness_pairs(hs, gen, witness):
+        out = E.mul(out, comm_preimages(E, gen_matrix(hs, x), gen_matrix(hs, y)))
+    return out
 
 
 def build_section(E: ProductExtension) -> dict:
@@ -157,13 +136,7 @@ def build_section(E: ProductExtension) -> dict:
         dag = check_dagger(E)
         if not dag.ok:
             raise WorkbenchError(f"property-dagger failed: {dag.failures()[0].witness}")
-    table = {}
-    for g in generators(hs):
-        if isinstance(g, Xij):
-            table[g] = s_ij(E, g.i, g.j, g.a)
-        else:
-            table[g] = s_i(E, g.i, g.xi)
-    return table
+    return {g: section_entry(E, g) for g in generators(hs)}
 
 
 def section_eval(E: ProductExtension, table: list, codes):

@@ -45,6 +45,11 @@ class MinParameter(FormParameter):
         u, a = xi
         return u == space.zero_vec and a in space.lmin_scalars
 
+    def contains_batch(self, space, disp, scal):
+        r = space.ring
+        lmin = r.arr_codes(r.arr(list(space.lmin_scalars), (-1,)))
+        return ~disp.any(axis=(-3, -2, -1)) & np.isin(r.arr_codes(scal), lmin)
+
     def elements(self, space, cap=DEFAULT_CAP):
         return frozenset((space.zero_vec, s) for s in space.lmin_scalars)
 

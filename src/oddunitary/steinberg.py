@@ -437,33 +437,41 @@ def witness_index(hs, excluded):
     raise WorkbenchError("no admissible witness index; rank too small")
 
 
-def perfect_witness(hs: HyperbolicSpace, gen) -> Word:
-    """A product of commutators of generators evaluating like [gen].
+def witness_pairs(hs: HyperbolicSpace, gen, witness=None):
+    """The generator pairs (x, y) whose commutators, multiplied in order,
+    evaluate like `gen`; none for a zero argument.
 
-    X_ik(a) = [X_il(a), X_lk(1)]; X_k(u, c) is rebuilt from the commutator
-    shape of the mixed relation, solved for its one-index factor.
+    X_ij(a) = [X_iw(a), X_wj(1)] (R5) for a witness w outside +-i, +-j.
+    X_k(u, c) is R5 then R8 solved for its one-index factor, with witnesses
+    w outside +-k and m outside +-k, +-w:
+    [X_wm(eps_w bar(c)), X_m,-k(1)] [X_w(u, -bar(c)), X_-w,-k(1)].
+    `witness` replaces the default w.
     """
     r = hs.ring
+    if isinstance(gen, Xij) and gen.j not in (gen.i, -gen.i):
+        targets, zero = {gen.i, -gen.i, gen.j, -gen.j}, gen.a == r.zero
+    elif isinstance(gen, Xi):
+        targets, zero = {gen.i, -gen.i}, gen.xi == hs.v0.heis_identity
+    else:
+        raise ValueError(f"not a generator: {gen!r}")
+    if witness in targets:
+        raise ValueError("witness collides with the target indices")
+    if zero:
+        return ()
+    w = witness_index(hs, targets) if witness is None else witness
     if isinstance(gen, Xij):
-        if gen.a == r.zero:
-            return ()
-        l = witness_index(hs, {gen.i, -gen.i, gen.j, -gen.j})
-        return commutator_word(word(Xij(gen.i, l, gen.a)), word(Xij(l, gen.j, r.one)))
-    if isinstance(gen, Xi):
-        if gen.xi == hs.v0.heis_identity:
-            return ()
-        k = gen.i
-        u, c = gen.xi
-        i0 = witness_index(hs, {k, -k})
-        m0 = witness_index(hs, {k, -k, i0, -i0})
-        cbar = r.bar(c)
-        part1 = commutator_word(
-            word(Xij(i0, m0, r.mul(hs.eps(i0), cbar))),
-            word(Xij(m0, -k, r.one)),
-        )
-        part2 = commutator_word(word(Xi(i0, (u, r.neg(cbar)))), word(Xij(-i0, -k, r.one)))
-        return wmul(part1, part2)
-    raise ValueError(f"not a generator: {gen!r}")
+        return ((Xij(gen.i, w, gen.a), Xij(w, gen.j, r.one)),)
+    k, (u, c) = gen.i, gen.xi
+    m = witness_index(hs, {k, -k, w, -w})
+    cbar = r.bar(c)
+    return ((Xij(w, m, r.mul(hs.eps(w), cbar)), Xij(m, -k, r.one)),
+            (Xi(w, (u, r.neg(cbar))), Xij(-w, -k, r.one)))
+
+
+def perfect_witness(hs: HyperbolicSpace, gen) -> Word:
+    """A product of commutators of generators evaluating like [gen]: the
+    commutator words of its `witness_pairs`."""
+    return wmul(*(commutator_word(word(x), word(y)) for x, y in witness_pairs(hs, gen)))
 
 
 def embed_matrix(small: HyperbolicSpace, big: HyperbolicSpace, m: Mat) -> Mat:

@@ -25,8 +25,9 @@ from oddunitary import (
     verify_relations,
     verify_section,
 )
-from oddunitary.extensions import chooser_agreement, mutate_section, s_i, s_ij
+from oddunitary.extensions import chooser_agreement, mutate_section, section_entry
 from oddunitary.freewords import verify_identities
+from oddunitary.generators import Xi, Xij
 from oddunitary.steinberg import (
     eval_word,
     normal_form_word,
@@ -235,12 +236,12 @@ def test_criterion_7_main_lemma_pipeline():
             for i, j in ((1, 2), (2, -3), (-4, 1)):
                 admissible = [w for w in hs.omega if w not in (i, -i, j, -j)]
                 assert len({
-                    s_ij(ext_rand, i, j, 1, witness=w) for w in admissible
+                    section_entry(ext_rand, Xij(i, j, 1), witness=w) for w in admissible
                 }) == 1
             for k in (1, -2):
                 admissible = [w for w in hs.omega if w not in (k, -k)]
                 assert len({
-                    s_i(ext_rand, k, ((), 0), witness=w) for w in admissible
+                    section_entry(ext_rand, Xi(k, ((), 0)), witness=w) for w in admissible
                 }) == 1
 
             rep = verify_section(ext, table)  # includes eps(sigma) = id

@@ -15,13 +15,12 @@ from oddunitary import (
     eu_generators,
     make_hyperbolic,
     product_extension,
-    s_i,
-    s_ij,
+    section_entry,
     verify_section,
 )
 from oddunitary.extensions import ProductExtension, chooser_agreement, mutate_section
 from oddunitary.generators import Xi, Xij, format_gen, generators, parse_word
-from oddunitary.steinberg import gen_matrix
+from oddunitary.steinberg import eval_word, gen_matrix, perfect_witness
 
 
 @pytest.fixture(scope="module")
@@ -115,20 +114,39 @@ def test_dagger_exhaustive_n4(ext_z2):
 
 def test_s_ij_examples(ext_z2, hs_z2_n4):
     # in a product extension the section element is the bare transvection
-    assert s_ij(ext_z2, 1, 2, 1) == (gen_matrix(hs_z2_n4, Xij(1, 2, 1)), 0)
-    assert s_ij(ext_z2, 1, 2, 0) == ext_z2.identity
+    assert section_entry(ext_z2, Xij(1, 2, 1)) == (gen_matrix(hs_z2_n4, Xij(1, 2, 1)), 0)
+    assert section_entry(ext_z2, Xij(1, 2, 0)) == ext_z2.identity
+
+
+def test_section_entry_rejects_collisions(ext_z2):
+    # checked before the zero-argument shortcut
+    for gen, w in ((Xij(1, 2, 0), 1), (Xij(1, 2, 1), -2), (Xi(3, ((), 0)), -3)):
+        with pytest.raises(ValueError):
+            section_entry(ext_z2, gen, witness=w)
+    with pytest.raises(ValueError):
+        section_entry(ext_z2, Xij(1, -1, 0))
+
+
+@pytest.mark.parametrize("space", ("hs_z2_n4", "hs_z3v0_n4"))
+def test_section_entries_lift_the_perfect_witnesses(request, space):
+    hs = request.getfixturevalue(space)
+    ext = product_extension(hs, 3, chooser_seed=3293)
+    cache = {}
+    for g in generators(hs):
+        assert ext.eps(section_entry(ext, g)) == eval_word(
+            hs, perfect_witness(hs, g), cache=cache), g
 
 
 def test_s_ij_witness_independence(ext_z2, hs_z2_n4):
     for i, j in ((1, 2), (2, -1), (-3, 4)):
         admissible = [w for w in hs_z2_n4.omega if w not in (i, -i, j, -j)]
-        results = {s_ij(ext_z2, i, j, 1, witness=w) for w in admissible}
+        results = {section_entry(ext_z2, Xij(i, j, 1), witness=w) for w in admissible}
         assert len(results) == 1
 
 
 def test_s_i_examples(ext_z2, hs_z2_n4):
     xi0 = hs_z2_n4.v0.heis_identity
-    assert s_i(ext_z2, 1, xi0) == ext_z2.identity
+    assert section_entry(ext_z2, Xi(1, xi0)) == ext_z2.identity
 
 
 def test_s_i_witness_independence_z3(z3):
@@ -136,7 +154,7 @@ def test_s_i_witness_independence_z3(z3):
     ext = product_extension(hs, 3, chooser_seed=1)
     xi = ((), 1)  # l0 over (Z/3, id) is {(0,0),(0,1),(0,2)}
     admissible = [w for w in hs.omega if w not in (2, -2)]
-    results = {s_i(ext, 2, xi, witness=w) for w in admissible}
+    results = {section_entry(ext, Xi(2, xi), witness=w) for w in admissible}
     assert len(results) == 1
     assert results.pop() == (gen_matrix(hs, Xi(2, xi)), 0)
 
@@ -146,7 +164,7 @@ def test_s_ij_witness_independence_n5(z2):
     ext = product_extension(hs, 2, chooser_seed=3)
     admissible = [w for w in hs.omega if w not in (1, -1, 2, -2)]
     assert len(admissible) == 6
-    results = {s_ij(ext, 1, 2, 1, witness=w) for w in admissible}
+    results = {section_entry(ext, Xij(1, 2, 1), witness=w) for w in admissible}
     assert len(results) == 1
 
 

@@ -187,6 +187,15 @@ def test_unitary_member(hs_z2_n3, hs_z3n_n3, hs_rich):
         hs_z2_n3.ring, [[0] * 6 for _ in range(6)]
     )
     assert not unitary_member(hs_z2_n3, singular)
+    # Z/4 with the identity involution at n = 1 has lmin = {0, 2}:
+    # e_-1 -> e_-1 + e_1 is an isometry that only the parameter rejects
+    z4 = make_ring("residue", 4, involution="identity")
+    hs = make_hyperbolic(z4, 1)
+    assert hs.space.lmin_scalars == frozenset({0, 2})
+    for rows, member in (([[1, 1], [0, 1]], False), ([[1, 2], [0, 1]], True)):
+        mat = Mat.from_rows(z4, rows)
+        assert is_isometry(hs, mat)
+        assert unitary_member(hs, mat) is member
 
 
 def test_unitary_member_over_a_matrix_ring(m2z2):

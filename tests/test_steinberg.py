@@ -476,6 +476,12 @@ def test_perfect_witness_examples(hs_z3_n3):
     assert perfect_witness(hs, Xi(1, hs.v0.heis_identity)) == ()
 
 
+def test_perfect_witness_rejects_non_generators(hs_z3_n3):
+    for gen in (Xij(1, -1, 1), Xij(2, 2, 0), "X12(1)"):
+        with pytest.raises(ValueError):
+            perfect_witness(hs_z3_n3, gen)
+
+
 def test_perfect_witnesses_evaluate(hs_z3_n3, hs_rich):
     for hs in (hs_z3_n3, hs_rich):
         cache = {}
