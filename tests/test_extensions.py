@@ -8,6 +8,7 @@ import pytest
 from oddunitary import (
     MaxParameter,
     OddQuadraticSpace,
+    Report,
     WorkbenchError,
     build_section,
     check_dagger,
@@ -18,9 +19,33 @@ from oddunitary import (
     section_entry,
     verify_section,
 )
-from oddunitary.extensions import ProductExtension, chooser_agreement, mutate_section
-from oddunitary.generators import Xi, Xij, format_gen, generators, parse_word
-from oddunitary.steinberg import eval_word, gen_matrix, perfect_witness
+from oddunitary import extensions, steinberg
+from oddunitary.extensions import (
+    ProductExtension,
+    chooser_agreement,
+    mutate_section,
+    section_eval,
+)
+from oddunitary.generators import (
+    Xi,
+    Xij,
+    decode_gen,
+    format_gen,
+    gen_codes,
+    generators,
+    parse_word,
+)
+from oddunitary.steinberg import (
+    DAGGER,
+    FAMILIES,
+    RELATION_IDS,
+    chunk_params,
+    eval_word,
+    family_params,
+    gen_matrix,
+    perfect_witness,
+    relation_chunks,
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +135,52 @@ def test_dagger_exhaustive_n4(ext_z2):
     rep = check_dagger(ext_z2)
     assert rep.ok
     assert "1536" in rep.results[0].witness
+
+
+def _per_case_dagger_records(E, strategy, samples):
+    """The dagger record of a case-by-case sweep, one `comm_preimages` per
+    quadruple instance: the reference for the batched check."""
+    hs, rep = E.hs, Report()
+    cases = (params
+             for chunk in family_params(hs, DAGGER, "dagger", strategy, 3293, samples)
+             for params in chunk_params(hs, DAGGER, *chunk))
+    rep.sweep("extension.dagger", cases,
+              lambda p: comm_preimages(
+                  E, extensions.gen_matrix(hs, Xij(p[0], p[1], p[4])),
+                  extensions.gen_matrix(hs, Xij(p[2], p[3], p[5]))) == E.identity,
+              lambda p: "(i,j,k,h,a,b)=({},{},{},{},{!r},{!r})".format(*p),
+              unit="quadruple instances", seed=3293 if strategy == "sampled" else None)
+    return rep
+
+
+@pytest.mark.parametrize("chunk", [256, 7, 5])
+def test_dagger_reports_the_first_failing_case(monkeypatch, hs_z2_n4, chunk):
+    hs = hs_z2_n4
+    ext = product_extension(hs, 3, chooser_seed=3293)
+    monkeypatch.setattr(steinberg, "CHUNK", chunk)
+    records = []
+    for corrupt in (False, True):
+        if corrupt:
+            wrong = hs.transvection_ij(1, 2, 1)
+            monkeypatch.setattr(extensions, "gen_matrix", lambda h, g: (
+                wrong if g.i == -1 else gen_matrix(h, g)))
+        for strategy in ("exhaustive", "sampled"):
+            got = check_dagger(ext, strategy, 3293, 300)
+            assert got.to_json_lines() == _per_case_dagger_records(
+                ext, strategy, 300).to_json_lines()
+            records.append(got.results[0].witness)
+    # the exhaustive check first fails at its case 250, the first case of a
+    # chunk when the chunk size is 5
+    assert records == ["1536 quadruple instances", "300 quadruple instances",
+                       "(i,j,k,h,a,b)=(2,3,-1,4,1,0)", "(i,j,k,h,a,b)=(-1,4,2,3,1,1)"]
+
+
+def test_dagger_raises_when_the_choosers_disagree(monkeypatch, hs_z2_n4):
+    # an inverse that keeps the central part makes the preimage commutators
+    # depend on the chooser
+    monkeypatch.setattr(ProductExtension, "inv", lambda self, x: (x[0].inv(), x[1]))
+    with pytest.raises(WorkbenchError, match="depended on the chooser"):
+        check_dagger(product_extension(hs_z2_n4, 3))
 
 
 def test_s_ij_examples(ext_z2, hs_z2_n4):
@@ -280,6 +351,45 @@ def test_every_mutation_is_detected(ext_z2, section_z2):
         assert not verify_section(ext_z2, bad, stop_on_fail=True).ok, g
 
 
+def _per_case_section_records(E, table):
+    """The records of `verify_section(..., stop_on_fail=True)` from a
+    case-by-case sweep, two `section_eval` calls per case: the reference for
+    the batched check."""
+    hs = E.hs
+    codes = gen_codes(hs, table).tolist()
+    by_code = [None] * (max(codes) + 1)
+    for c, t in zip(codes, table.values()):
+        by_code[c] = t
+    rep = Report()
+    rep.add("section.eps_sigma", "pass")
+    for rid in RELATION_IDS:
+        cases = (case for idx, pos, lhs, rhs in relation_chunks(hs, rid)
+                 for case in zip(chunk_params(hs, FAMILIES[rid], idx, pos),
+                                 lhs.tolist(), rhs.tolist()))
+        if not rep.sweep(f"section.{rid}", cases,
+                         lambda c: (section_eval(E, by_code, c[1])
+                                    == section_eval(E, by_code, c[2])),
+                         lambda c, rid=rid: f"{rid}{c[0]!r}"):
+            break
+    return rep
+
+
+@pytest.mark.parametrize("chunk", [256, 7, 5])
+def test_section_reports_the_first_failing_case(monkeypatch, ext_z3, section_z3, chunk):
+    ext = ext_z3
+    monkeypatch.setattr(steinberg, "CHUNK", chunk)
+    tables = [section_z3] + [mutate_section(ext, section_z3, g, delta)
+                             for g in section_z3 for delta in (1, 2)]
+    first_fails = set()
+    for table in tables:
+        got = verify_section(ext, table, stop_on_fail=True)
+        assert got.to_json_lines() == _per_case_section_records(ext, table).to_json_lines()
+        first_fails.update(r.check for r in got.failures())
+    assert verify_section(ext, section_z3).ok
+    # mutations are first caught in several families, not only at R0
+    assert len(first_fails) > 1, first_fails
+
+
 def test_mutation_rejects_trivial_delta(ext_z2, section_z2):
     gen = next(iter(section_z2))
     with pytest.raises(ValueError):
@@ -287,9 +397,6 @@ def test_mutation_rejects_trivial_delta(ext_z2, section_z2):
 
 
 def test_section_eval_is_multiplicative(ext_z2, section_z2):
-    from oddunitary.extensions import section_eval
-    from oddunitary.generators import decode_gen, gen_codes
-
     hs = ext_z2.hs
     gens = list(section_z2)
     codes = gen_codes(hs, gens).tolist()
