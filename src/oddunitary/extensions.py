@@ -5,14 +5,18 @@ first projection, and pluggable preimage choosers.  Commutators of
 preimages do not depend on the chooser (central trick), which is asserted
 on every call.  Section elements S_ij(a), S_i(u, a) are built from
 commutators of preimages, over the generator pairs that prove the group
-perfect, and verified against every relation family.
+perfect, and verified against every relation family.  The dagger and
+section checks evaluate chunks of letter-code words at once (`eval_rows`).
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
-from .generators import Xij, format_word, gen_codes, generators, word
+import numpy as np
+
+from .generators import Xij, decode_gen, format_word, gen_codes, generators, word
 from .hyperbolic import HyperbolicSpace, gen_matrix
 from .matrices import Mat
 from .report import DEFAULT_SEED, Report, WorkbenchError
@@ -24,10 +28,12 @@ from .steinberg import (
     family_params,
     sweep_relations,
     witness_pairs,
+    word_products,
 )
 
 
 AGREEMENT_PAIRS = 100  # random pairs that `chooser_agreement` compares
+CHOOSER_DEPENDENT = "commutator of preimages depended on the chooser"
 
 
 class ProductExtension:
@@ -51,11 +57,10 @@ class ProductExtension:
         return x[0]
 
     def _central_part(self, g: Mat, seed) -> int:
+        # a bytes seed goes through the sha512 that `random` already loads
         if seed is None:
             return 0
-        import hashlib  # here, so that runs without a seeded chooser never load it
-        digest = hashlib.sha256(repr(seed).encode() + repr(g.key()).encode()).digest()
-        return int.from_bytes(digest[:8], "big") % self.a_order
+        return random.Random(repr(seed).encode() + g.key()).randrange(self.a_order)
 
     def chooser(self, g: Mat):
         return (g, self._central_part(g, self.chooser_seed))
@@ -63,6 +68,23 @@ class ProductExtension:
     def alt_chooser(self, g: Mat):
         alt_seed = 1 if self.chooser_seed is None else (self.chooser_seed, "alt")
         return (g, self._central_part(g, alt_seed))
+
+    def eval_rows(self, codes, element):
+        """The words of an (N, L) array of letter codes as N comparable rows,
+        the base entries then the central part: `element(c)` is the element of
+        a code c > 0, -c its inverse, 0 the identity.  Base parts are stacked
+        products (`word_products`), central parts signed sums mod `a_order`."""
+        central = [0]  # the identity, the value of an empty row
+
+        def letter(c):
+            x = element(c) if c > 0 else self.inv(element(-c)) if c else self.identity
+            central.append(x[1])
+            return x[0].arr
+
+        base, idx = word_products(self.hs.ring, self.hs.identity.arr, codes, letter)
+        parts = np.array(central)[idx].sum(axis=1) % self.a_order
+        flat = base.reshape(len(base), self.hs.identity.arr.size)
+        return np.concatenate([flat, parts[:, None]], axis=1)
 
     def commutator(self, x, y):
         return self.mul(self.mul(x, y), self.mul(self.inv(x), self.inv(y)))
@@ -89,29 +111,38 @@ def comm_preimages(E: ProductExtension, x: Mat, y: Mat):
     c1 = E.commutator(E.chooser(x), E.chooser(y))
     c2 = E.commutator(E.alt_chooser(x), E.alt_chooser(y))
     if c1 != c2:
-        raise WorkbenchError("commutator of preimages depended on the chooser")
+        raise WorkbenchError(CHOOSER_DEPENDENT)
     return c1
 
 
 def check_dagger(E: ProductExtension, strategy="exhaustive",
                  seed=DEFAULT_SEED, samples=256) -> Report:
-    """Preimage commutators vanish on index quadruples with all eight signs distinct."""
+    """Preimage commutators vanish on index quadruples with all eight signs
+    distinct: a chunk's rows x y x' y' under both choosers, memoised by code."""
     hs = E.hs
     if hs.n < 4:
         raise WorkbenchError("property-dagger needs n >= 4 (no admissible quadruple)")
 
-    def holds(params):
-        i, j, k, h, a, b = params
-        t1 = gen_matrix(hs, Xij(i, j, a))
-        t2 = gen_matrix(hs, Xij(k, h, b))
-        return comm_preimages(E, t1, t2) == E.identity
+    def memo(chooser):
+        return functools.cache(lambda c: chooser(gen_matrix(hs, decode_gen(hs, c))))
 
-    cases = (params
-             for chunk in family_params(hs, DAGGER, "dagger", strategy, seed, samples)
-             for params in chunk_params(hs, DAGGER, *chunk))
+    element, alt_element = memo(E.chooser), memo(E.alt_chooser)
+    identity = E.eval_rows(np.zeros((1, 0), dtype=np.int64), element)
+
+    def verdicts():
+        for idx, pos in family_params(hs, DAGGER, "dagger", strategy, seed, samples):
+            comm, _ = DAGGER.sides(hs, *idx.T, *map(hs.ring.codes_arr, pos.T))
+            rows = E.eval_rows(comm, element)
+            agree = (rows == E.eval_rows(comm, alt_element)).all(axis=1).tolist()
+            holds = (rows == identity).all(axis=1).tolist()
+            for params, same, ok in zip(chunk_params(hs, DAGGER, idx, pos), agree, holds):
+                if not same:
+                    raise WorkbenchError(CHOOSER_DEPENDENT)
+                yield params, ok
+
     rep = Report()
-    rep.sweep("extension.dagger", cases, holds,
-              lambda p: "(i,j,k,h,a,b)=({},{},{},{},{!r},{!r})".format(*p),
+    rep.sweep("extension.dagger", verdicts(), lambda verdict: verdict[1],
+              lambda verdict: "(i,j,k,h,a,b)=({},{},{},{},{!r},{!r})".format(*verdict[0]),
               unit="quadruple instances",
               seed=seed if strategy == "sampled" else None)
     return rep
@@ -161,21 +192,10 @@ def verify_section(E: ProductExtension, table: dict, strategy="exhaustive",
             witness=None if bad is None else repr(bad))
     if bad is not None and stop_on_fail:
         return rep
-    codes = gen_codes(hs, table).tolist()
-    by_code = [None] * (max(codes) + 1)
-    for c, t in zip(codes, table.values()):
-        by_code[c] = t
-
-    def verdicts(chunks):
-        # case by case: a mutated table usually fails within a few cases
-        for chunk in chunks:
-            lhs, rhs = chunk[2].tolist(), chunk[3].tolist()
-            for t, (left, right) in enumerate(zip(lhs, rhs)):
-                yield ((chunk, t), section_eval(E, by_code, left)
-                       == section_eval(E, by_code, right))
-
-    rep.extend(sweep_relations(hs, "section", verdicts, strategy, seed, samples,
-                               relation_ids, stop_on_fail))
+    by_code = dict(zip(gen_codes(hs, table).tolist(), table.values()))
+    rep.extend(sweep_relations(hs, "section",
+                               lambda codes: E.eval_rows(codes, by_code.__getitem__),
+                               strategy, seed, samples, relation_ids, stop_on_fail))
     return rep
 
 

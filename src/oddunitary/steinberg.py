@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -39,11 +39,27 @@ def eval_word(hs: HyperbolicSpace, w: Word, rep=None, cache=None) -> Mat:
     return acc
 
 
+def word_products(ring, identity, codes, letter):
+    """The product along each row of an (N, L) array of letter codes, as one
+    stack, and the (N, max(L, 1)) positions of its letters in the stack of
+    their values: `identity` first (the value of an empty row), then
+    `letter(c)` for each distinct letter c in increasing order.  Each letter
+    position is one batched product mod m over all the rows."""
+    n, width = codes.shape
+    letters, inverse = np.unique(codes, return_inverse=True)
+    stack = np.stack([identity] + [letter(c) for c in letters.tolist()])
+    idx = np.zeros((n, max(width, 1)), dtype=np.intp)
+    idx[:, :width] = inverse.reshape(n, width) + 1
+    acc = stack[idx[:, 0]]
+    for t in range(1, idx.shape[1]):
+        acc = mulmod(ring, acc, stack[idx[:, t]])
+    return acc, idx
+
+
 def eval_words(hs: HyperbolicSpace, codes, rep=None) -> np.ndarray:
     """`eval_word` of each row of an (N, L) array of letter codes, as one
-    stack of `Mat.arr`s: the distinct letters index one stack of their
-    matrices (inverses from the memoised `Mat.inv`), and each letter
-    position is one batched product mod m over all the rows."""
+    stack of `Mat.arr`s (see `word_products`); inverses come from the
+    memoised `Mat.inv`."""
     if rep is None:
         rep = partial(gen_matrix, hs)
 
@@ -51,16 +67,7 @@ def eval_words(hs: HyperbolicSpace, codes, rep=None) -> np.ndarray:
         m = rep(decode_gen(hs, abs(c))) if c else hs.identity
         return (m if c >= 0 else m.inv()).arr
 
-    n, width = codes.shape
-    letters, inverse = np.unique(codes, return_inverse=True)
-    # stack[0] is the identity, the value of an empty row
-    stack = np.stack([hs.identity.arr] + [letter(c) for c in letters.tolist()])
-    idx = np.zeros((n, max(width, 1)), dtype=np.intp)
-    idx[:, :width] = inverse.reshape(n, width) + 1
-    acc = stack[idx[:, 0]]
-    for t in range(1, idx.shape[1]):
-        acc = mulmod(hs.ring, acc, stack[idx[:, t]])
-    return acc
+    return word_products(hs.ring, hs.identity.arr, codes, letter)[0]
 
 
 # -- relation families --------------------------------------------------------
@@ -181,7 +188,7 @@ class Family:
     arity: int
     admits: Callable
     domains: tuple
-    sides: Optional[Callable] = None
+    sides: Callable
 
 
 # Adding a relation family means adding one entry here.
@@ -201,8 +208,9 @@ FAMILIES = {
 }
 RELATION_IDS = tuple(FAMILIES)
 
-# Property-dagger: index quadruples with all eight signed indices distinct.
-DAGGER = Family(4, _disjoint, ("ring", "ring"))
+# Property-dagger: R3's commutators on index quadruples with all eight
+# signed indices distinct.
+DAGGER = Family(4, _disjoint, ("ring", "ring"), _r3)
 
 # parameter tuples per chunk; chunks of 128-512 ran equally fast, and a
 # chunk's arrays add to the peak memory
@@ -302,14 +310,22 @@ def relation_cases(hs, rid, strategy="exhaustive", seed=DEFAULT_SEED, samples=25
             yield params, decode_word(hs, lhs[t]), decode_word(hs, rhs[t])
 
 
-def sweep_relations(hs: HyperbolicSpace, prefix: str, verdicts, strategy, seed,
+def sweep_relations(hs: HyperbolicSpace, prefix: str, evaluate, strategy, seed,
                     samples, relation_ids=RELATION_IDS,
                     stop_on_fail=False) -> Report:
-    """One record `prefix.rid` per family; `verdicts(chunks)` yields
-    ((chunk, t), holds) for case t of each chunk of `relation_chunks`, in
-    their order."""
+    """One record `prefix.rid` per family, a chunk of `relation_chunks` at a
+    time: `evaluate` maps an (N, L) array of letter codes to N comparable
+    rows, and a case holds when its two sides give equal rows."""
     report = Report()
     used_seed = seed if strategy == "sampled" else None
+
+    def verdicts(chunks):
+        for chunk in chunks:
+            lhs, rhs = chunk[2:]
+            same = (evaluate(lhs) == evaluate(rhs)).reshape(len(lhs), -1).all(axis=1)
+            for t, ok in enumerate(same.tolist()):
+                yield (chunk, t), ok
+
     for rid in relation_ids:
         def witness(verdict, fam=_family(rid)):
             (idx, pos, *_), t = verdict[0]
@@ -327,15 +343,8 @@ def verify_relations(hs: HyperbolicSpace, strategy="exhaustive",
                      relation_ids=RELATION_IDS) -> Report:
     """Evaluate every relation instance in the defining representation, a
     chunk of instances at a time."""
-
-    def verdicts(chunks):
-        for chunk in chunks:
-            lhs, rhs = chunk[2:]
-            same = eval_words(hs, lhs, rep) == eval_words(hs, rhs, rep)
-            for t, ok in enumerate(same.reshape(len(lhs), -1).all(axis=1).tolist()):
-                yield (chunk, t), ok
-
-    return sweep_relations(hs, "relations", verdicts, strategy, seed, samples, relation_ids)
+    return sweep_relations(hs, "relations", partial(eval_words, hs, rep=rep),
+                           strategy, seed, samples, relation_ids)
 
 
 # -- U1 normal form ----------------------------------------------------------

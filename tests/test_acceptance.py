@@ -11,6 +11,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from oddunitary import (
+    MaxParameter,
+    OddQuadraticSpace,
     build_section,
     check_dagger,
     commutator_closure,
@@ -222,6 +224,10 @@ def test_criterion_7_main_lemma_pipeline():
     with criterion(7, "Main Lemma splitting pipeline", budget=600.0):
         ring = make_ring("residue", 2, involution="identity")
         hs = make_hyperbolic(ring, 4)
+        z3 = make_ring("residue", 3, involution="identity")
+        hs_v0 = make_hyperbolic(
+            z3, 4, OddQuadraticSpace(z3, ((0, 1), (2, 0)), MaxParameter()))
+        assert hs_v0.l0[0] == hs_v0.v0.heis_identity
         for a_order in (2, 3):
             ext = product_extension(hs, a_order)
             ext_rand = product_extension(hs, a_order, chooser_seed=SEED)
@@ -238,11 +244,15 @@ def test_criterion_7_main_lemma_pipeline():
                 assert len({
                     section_entry(ext_rand, Xij(i, j, 1), witness=w) for w in admissible
                 }) == 1
+            # one-index entries at nonzero arguments, which need Z/3; the
+            # symplectic V0 gives them nonzero vector parts too
+            ext_v0 = product_extension(hs_v0, a_order, chooser_seed=SEED)
             for k in (1, -2):
-                admissible = [w for w in hs.omega if w not in (k, -k)]
-                assert len({
-                    section_entry(ext_rand, Xi(k, ((), 0)), witness=w) for w in admissible
-                }) == 1
+                admissible = [w for w in hs_v0.omega if w not in (k, -k)]
+                for xi in hs_v0.l0[1:]:
+                    assert len({
+                        section_entry(ext_v0, Xi(k, xi), witness=w) for w in admissible
+                    }) == 1
 
             rep = verify_section(ext, table)  # includes eps(sigma) = id
             assert rep.ok, rep.to_json_lines()

@@ -1,9 +1,12 @@
+import functools
 import hashlib
 import itertools
 import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oddunitary import (
     MaxParameter,
@@ -15,6 +18,7 @@ from oddunitary import (
     comm_preimages,
     eu_generators,
     make_hyperbolic,
+    make_ring,
     product_extension,
     section_entry,
     verify_section,
@@ -58,11 +62,20 @@ def ext_z3(hs_z2_n4):
     return product_extension(hs_z2_n4, 3)
 
 
+Z3 = make_ring("residue", 3, involution="identity")
+ROW_SPACES = {
+    "hs_z2_n4": make_hyperbolic(make_ring("residue", 2, involution="identity"), 4),
+    # the symplectic V0 of `hs_rich`: the one-index section entries
+    # S_k(u, a) are not all trivial
+    "hs_z3v0_n4": make_hyperbolic(
+        Z3, 4, OddQuadraticSpace(Z3, ((0, 1), (2, 0)), MaxParameter())),
+}
+
+
 @pytest.fixture(scope="module")
-def hs_z3v0_n4(z3):
-    """Z/3 at n = 4 with the symplectic V0 of `hs_rich`: its one-index
-    section entries S_k(u, a) are not all trivial."""
-    return make_hyperbolic(z3, 4, OddQuadraticSpace(z3, ((0, 1), (2, 0)), MaxParameter()))
+def hs_z3v0_n4():
+    """Z/3 at n = 4 with a symplectic V0."""
+    return ROW_SPACES["hs_z3v0_n4"]
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +407,49 @@ def test_mutation_rejects_trivial_delta(ext_z2, section_z2):
     gen = next(iter(section_z2))
     with pytest.raises(ValueError):
         mutate_section(ext_z2, section_z2, gen, 2)  # 2 == 0 in Z/2
+
+
+@functools.cache
+def _row_tables(space, order):
+    """A seeded product extension of `space` with its generators' codes and
+    two code -> element tables: the chooser's preimages of the generators
+    (nonzero central parts), and the section with every fifth entry mutated."""
+    hs = ROW_SPACES[space]
+    ext = product_extension(hs, order, chooser_seed=3293)
+    gens = list(generators(hs))
+    codes = gen_codes(hs, gens).tolist()
+    chosen = [ext.chooser(gen_matrix(hs, g)) for g in gens]
+    assert any(c for _, c in chosen)
+    mutated = build_section(ext)
+    for k, g in enumerate(gens[::5]):
+        mutated = mutate_section(ext, mutated, g, 1 + k % (order - 1))
+    return ext, codes, (dict(zip(codes, chosen)), dict(zip(codes, mutated.values())))
+
+
+# derandomized and without the example database, so every run draws the
+# same examples
+@pytest.mark.parametrize("space, order",
+                         [("hs_z2_n4", 2), ("hs_z2_n4", 3), ("hs_z3v0_n4", 3)])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_eval_rows_matches_section_eval(space, order, data):
+    ext, codes, tables = _row_tables(space, order)
+    table = data.draw(st.sampled_from(tables))
+    by_code = [None] * (max(codes) + 1)
+    for c, t in table.items():
+        by_code[c] = t
+    # a generator, its formal inverse or the identity letter 0
+    letters = st.tuples(st.sampled_from(codes), st.sampled_from((1, -1, 0))).map(
+        lambda t: t[0] * t[1])
+    width = data.draw(st.integers(0, 7))
+    rows = data.draw(st.lists(st.lists(letters, min_size=width, max_size=width),
+                              max_size=12))
+    got = ext.eval_rows(np.array(rows, dtype=np.int64).reshape(len(rows), width),
+                        table.__getitem__)
+    assert got.shape == (len(rows), ext.hs.identity.arr.size + 1)
+    for row, out in zip(rows, got.tolist()):
+        m, c = section_eval(ext, by_code, row)
+        assert out == m.arr.ravel().tolist() + [c]
 
 
 def test_section_eval_is_multiplicative(ext_z2, section_z2):
