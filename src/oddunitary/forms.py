@@ -27,10 +27,7 @@ class FormParameter:
     def contains_batch(self, space, disp, scal):
         """`contains` on each (disp[c], scal[c]) of the stacks (N, rank, k, k)
         and (N, k, k) laid out as in `Ring.arr`, as a boolean array."""
-        r = space.ring
-        vecs = (tuple(map(r.scalar, codes)) for codes in r.arr_codes(disp).tolist())
-        cols = zip(vecs, map(r.scalar, r.arr_codes(scal).tolist()))
-        return np.array([self.contains(space, xi) for xi in cols], dtype=bool)
+        raise NotImplementedError
 
     def elements(self, space, cap=DEFAULT_CAP) -> frozenset:
         raise NotImplementedError
@@ -85,12 +82,29 @@ class ExplicitParameter(FormParameter):
 
     def __init__(self, elems):
         self.set = frozenset(elems)
+        self._keys = None  # built by the first contains_batch
 
     def contains(self, space, xi):
         return xi in self.set
 
+    def contains_batch(self, space, disp, scal):
+        """`np.isin` of the scalar codes of (vector, scalar), each row one
+        void key, against those of the set, built on the first call."""
+        r = space.ring
+        if self._keys is None:
+            elems = [u + (a,) for u, a in self.set]
+            self._keys = _row_keys(r.arr_codes(r.arr(elems, (len(elems), space.rank + 1))))
+        pairs = np.concatenate([disp, scal[:, None]], 1)
+        return np.isin(_row_keys(r.arr_codes(pairs)), self._keys)
+
     def elements(self, space, cap=DEFAULT_CAP):
         return self.set
+
+
+def _row_keys(codes):
+    """The rows of an int64 array (N, w) as N void keys."""
+    codes = np.ascontiguousarray(codes)
+    return codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel()
 
 
 class OddQuadraticSpace:

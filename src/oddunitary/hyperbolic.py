@@ -14,7 +14,7 @@ import numpy as np
 
 from .forms import FormParameter, OddQuadraticSpace, ring_key, zero_space
 from .generators import Xi, Xij, format_word, generators
-from .matrices import Mat, mulmod
+from .matrices import Mat, mulmod, mulmod_unpacked
 from .report import DEFAULT_CAP, CapExceeded, NotInvertible, WorkbenchError
 from .rings import place_values
 
@@ -274,37 +274,76 @@ def eu_generators(hs: HyperbolicSpace):
 
 
 BLOCK = 8192  # products per numpy block of the closure engine
+FLUSH = 1 << 16  # products deduplicated at once, at least: the flush is max(FLUSH, order)
+
+
+def _code_plan(m, d):
+    """How a d x d matrix over Z/m becomes its code, its d^2 entries as base-m
+    digits, first most significant: each matrix row in segments of at most
+    the digits that float64 holds exactly (the columns of the returned place
+    values, (d, segments)), and the segments in order, as many to a uint64
+    word as fit (m^digits <= 2^64); returns the places, the (word, m^length)
+    of every segment in order, and the number of words."""
+    size = 1
+    while size < d and m ** (size + 1) <= 2**52:
+        size += 1
+    bounds = [(lo, min(d, lo + size)) for lo in range(0, d, size)]
+    places = np.zeros((d, len(bounds)))
+    for k, (lo, hi) in enumerate(bounds):
+        places[lo:hi, k] = [m ** (hi - 1 - j) for j in range(lo, hi)]
+    steps, word, digits = [], 0, 0
+    for _ in range(d):
+        for lo, hi in bounds:
+            if m ** (digits + hi - lo) > 2**64:
+                word, digits = word + 1, 0
+            digits += hi - lo
+            steps.append((word, m ** (hi - lo)))
+    return places, steps, word + 1
 
 
 class _LazyMap(Mapping):
-    """Read-only view of a key -> index dict that builds a value when read."""
+    """Read-only view of a closure: row bytes -> a value built from the
+    element's index when read.  `values()` and `items()` are one pass in
+    discovery order, built without a lookup."""
 
-    def __init__(self, index, build):
-        self._index = index
+    def __init__(self, closure, build):
+        self._closure = closure
         self._build = build
 
     def __getitem__(self, key):
-        return self._build(self._index[key])
+        i = self._closure._find(key)
+        if i < 0:
+            raise KeyError(key)
+        return self._build(i)
 
     def __contains__(self, key):
-        return key in self._index
+        return key in self._closure
 
     def __iter__(self):
-        return iter(self._index)
+        return iter(self._closure)
 
     def __len__(self):
-        return len(self._index)
+        return self._closure.order
+
+    def values(self):
+        return map(self._build, range(len(self)))
+
+    def items(self):
+        return zip(self, self.values())
 
 
 class GroupClosure:
     """Closure of generator matrices under right multiplication, breadth first.
 
     Elements are the rows of one packed unsigned array over Z/m (`Mat.arr`
-    flattened, so a row's bytes are `Mat.key()`), numbered in discovery order by one
-    dict from row bytes, so `mat.key() in closure` tests membership.  Each
-    element stores its parent, the index in `gens` of the generator that
-    reached it, and its depth, the length of that word; `mats` and `words`
-    build a `Mat` or a word only when one is read.
+    flattened, so a row's bytes are `Mat.key()`), numbered in discovery order.
+    Each element has one code, its entries as base-m digits: a uint64 while
+    m^(d^2) <= 2^64, else the bytes of the uint64 words that hold the digits.
+    The codes, sorted, with the index of each element, are the closure's only
+    index, so `mat.key() in closure` is one binary search.  Each element
+    stores its parent, the index in `gens` of the generator that reached it,
+    and its depth, the length of that word; `mats` and `words` build a `Mat`
+    or a word only when one is read.
     """
 
     def __init__(self, hs: HyperbolicSpace, cap=DEFAULT_CAP, what="closure"):
@@ -314,37 +353,44 @@ class GroupClosure:
         self._what = what
         ident = hs.identity
         self._d = ident.arr.shape[0]
-        self._index = {ident.key(): 0}
+        self._plan = _code_plan(hs.ring.base_modulus, self._d)
         self._rows = ident.arr.reshape(1, -1).copy()
+        self._key = np.dtype((np.void, ident.arr.nbytes))  # a row's bytes
         self._parent = np.array([-1])
         self._gen = np.array([-1], dtype=np.int32)
         self._depth = np.array([0], dtype=np.int32)
+        self._order = 1
+        self._codes = self._code(ident.arr[None, :, None])  # sorted
+        self._slots = np.zeros(1, dtype=np.intp)  # the element of each code
 
     @property
     def mats(self):
         """Key -> `Mat`, in discovery order."""
-        return _LazyMap(self._index, self._mat)
+        return _LazyMap(self, self._mat)
 
     @property
     def words(self):
         """Key -> tuple of generator indices, in discovery order."""
-        return _LazyMap(self._index, self._word)
+        return _LazyMap(self, self._word)
 
     @property
     def order(self):
-        return len(self._index)
+        return self._order
 
     def __len__(self):
-        return len(self._index)
+        return self._order
 
     def __iter__(self):
-        return iter(self._index)
+        """Row bytes in discovery order."""
+        for start in range(0, self._order, FLUSH):
+            rows = self._rows[start:min(self._order, start + FLUSH)]
+            yield from rows.view(self._key).ravel().tolist()
 
     def __contains__(self, key):
-        return key in self._index
+        return self._find(key) >= 0
 
     def keys(self):
-        return self._index.keys()
+        return self.mats.keys()
 
     @property
     def layers(self):
@@ -352,11 +398,31 @@ class GroupClosure:
         identity under all generators, the breadth-first layer sizes."""
         return np.bincount(self._depth[:self.order]).tolist()
 
-    def word_tokens(self, key) -> str:
-        """The element's word as tokens; the generators must be labelled by
-        Steinberg generators, as in `enumerate_eu`."""
-        w = tuple((self.gens[k][0], 1) for k in self.words[key])
-        return format_word(w, self.hs)
+    def _code(self, res):
+        """The codes of the matrices (:, g, :) of each block of a stack (N, d,
+        G, d) of residues, in (block, g) order, as a uint64 or void array (N G,)."""
+        n, d, g, _ = res.shape
+        places, steps, words = self._plan
+        segs = (res.reshape(-1, d) @ places).astype(np.uint64).reshape(n, d, g, -1)
+        codes = np.zeros((n, g, words), dtype=np.uint64)
+        for (w, scale), (i, k) in zip(steps, np.ndindex(d, places.shape[1])):
+            word = codes[:, :, w]
+            word *= np.uint64(scale)
+            word += segs[:, i, :, k]
+        if words == 1:
+            return codes.ravel()
+        return codes.view(np.dtype((np.void, 8 * words))).ravel()
+
+    def _find(self, key):
+        """The index of the element whose row bytes are `key`, or -1."""
+        if not isinstance(key, bytes) or len(key) != self._key.itemsize:
+            return -1
+        row = np.frombuffer(key, dtype=self._rows.dtype)
+        if (row >= self.hs.ring.base_modulus).any():
+            return -1
+        code = self._code(row.reshape(1, self._d, 1, self._d))
+        at = min(int(np.searchsorted(self._codes, code)[0]), len(self._codes) - 1)
+        return int(self._slots[at]) if self._codes[at] == code[0] else -1
 
     def _mat(self, i):
         return Mat.from_arr(self.hs.ring, self._rows[i].reshape(self._d, self._d))
@@ -383,41 +449,66 @@ class GroupClosure:
 
     def _expand(self, lo, hi, first):
         """Multiply elements lo..hi-1 by generators first.. and keep the new
-        products, checked in (element, generator) order; returns hi."""
-        d, index = self._d, self._index
-        gens = np.hstack([m.arr for _, m in self.gens[first:]])
-        ng = len(self.gens) - first
+        products, in (element, generator) order; returns hi.  The products of
+        max(FLUSH, order) at a time are coded in blocks of BLOCK and then
+        deduplicated at once by `_keep`."""
+        d = self._d
+        mats = [m.arr for _, m in self.gens[first:]]
+        gens, stack, ng = np.hstack(mats), np.stack(mats), len(mats)
         step = max(1, BLOCK // ng)
-        for start in range(lo, hi, step):
-            stop = min(hi, start + step)
-            prod = mulmod(self.hs.ring, self._rows[start:stop].reshape(-1, d), gens)
-            prod = prod.reshape(stop - start, d, ng, d).transpose(0, 2, 1, 3)
-            prod = prod.reshape(-1, d * d)
-            keys = prod.view(np.dtype((np.void, prod.strides[0]))).ravel().tolist()
-            fresh = []
-            for p, k in enumerate(keys):
-                if k not in index:
-                    index[k] = len(index)
-                    fresh.append(p)
-                    if len(index) > self._cap:
-                        raise CapExceeded(f"{self._what} exceeded cap {self._cap}")
-            if fresh:
-                fresh = np.array(fresh)
-                self._append(prod[fresh], start + fresh // ng, first + fresh % ng)
+        start = lo
+        while start < hi:
+            stop = min(hi, start + step * max(1, max(FLUSH, self.order) // (step * ng)))
+            codes = []
+            for s in range(start, stop, step):
+                t = min(stop, s + step)
+                prod = mulmod_unpacked(self.hs.ring, self._rows[s:t].reshape(-1, d), gens)
+                codes.append(self._code(prod.reshape(t - s, d, ng, d)))
+            self._keep(np.concatenate(codes), start, first, stack)
+            start = stop
         return hi
 
-    def _append(self, rows, parent, gen):
-        """Store the rows whose keys were just added to the index."""
-        end = self.order
+    def _keep(self, codes, start, first, gens):
+        """Add the products whose codes are new, in order of first position in
+        the stream `codes` of (element start + p // ng, generator p % ng)."""
+        by_code = np.argsort(codes)
+        ranked = codes[by_code]
+        runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        uniq, firsts = ranked[runs], np.minimum.reduceat(by_code, runs)
+        at = np.searchsorted(self._codes, uniq)
+        new = self._codes.take(at, mode="clip") != uniq  # past the end: last < code
+        if not new.any():
+            return
+        found, pos = self._order, firsts[new]
+        if found + len(pos) > self._cap:
+            raise CapExceeded(f"{self._what} exceeded cap {self._cap}")
+        self._order += len(pos)
+        by_pos = np.argsort(pos)
+        pos = pos[by_pos]
+        parent, gen = start + pos // len(gens), pos % len(gens)
+        self._append(parent, gen, gens, first)
+        slots = np.empty(len(pos), dtype=np.intp)
+        slots[by_pos] = np.arange(found, self._order)
+        self._codes = np.insert(self._codes, at[new], uniq[new])
+        self._slots = np.insert(self._slots, at[new], slots)
+
+    def _append(self, parent, gen, gens, first):
+        """Store the elements just counted in `order`, the products of the
+        rows `parent` by `gens[gen]`, recomputed BLOCK at a time."""
+        end, d = self.order, self._d
         if end > len(self._rows):
             size = max(2 * len(self._rows), end)
             self._rows, self._parent, self._gen, self._depth = (
                 _grown(a, size)
                 for a in (self._rows, self._parent, self._gen, self._depth))
-        new = slice(end - len(rows), end)
-        self._rows[new] = rows
+        begin = end - len(parent)
+        for s in range(0, len(parent), BLOCK):
+            p, g = parent[s:s + BLOCK], gen[s:s + BLOCK]
+            rows = mulmod(self.hs.ring, self._rows[p].reshape(-1, d, d), gens[g])
+            self._rows[begin + s:begin + s + len(p)] = rows.reshape(-1, d * d)
+        new = slice(begin, end)
         self._parent[new] = parent
-        self._gen[new] = gen
+        self._gen[new] = first + gen
         self._depth[new] = self._depth[parent] + 1
 
 
@@ -462,8 +553,10 @@ def commutator_closure(hs: HyperbolicSpace, gens=None, cap=DEFAULT_CAP) -> Group
 
 
 def dump_closure(cl: GroupClosure, stream):
-    """One element per line: shortest word, a tab, then row-major entries."""
+    """One element per line: shortest word, a tab, then row-major entries; the
+    generators must be labelled by Steinberg generators, as in `enumerate_eu`."""
     r = cl.hs.ring
-    for key, mat in cl.mats.items():
+    for mat, word in zip(cl.mats.values(), cl.words.values()):
+        tokens = format_word(tuple((cl.gens[k][0], 1) for k in word), cl.hs)
         entries = " ".join(r.format_scalar(v) for row in mat.rows for v in row)
-        stream.write(f"{cl.word_tokens(key)}\t{entries}\n")
+        stream.write(f"{tokens}\t{entries}\n")

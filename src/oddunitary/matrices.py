@@ -83,7 +83,12 @@ def exact_dims(m):
 
 def mulmod(ring, a, b):
     """`a @ b` over Z/m for two matrices or two stacks of them, entries of `a`
-    down to -(m-1), reduced mod m, packed in the ring's entry dtype, read-only.
+    down to -(m-1), reduced mod m, packed in the ring's entry dtype, read-only."""
+    return _readonly(mulmod_unpacked(ring, a, b).astype(ring.dtype))
+
+
+def mulmod_unpacked(ring, a, b):
+    """`mulmod` before packing: the residues as float64 or int64.
     A product of FLOAT_WORK multiply-adds or more within `ring.float_dim` is a
     float64 GEMM, where p / m is correctly rounded, so its floor is the exact
     quotient.  Any other is taken in int64 (m - 1 < 2^32 there, so no factor
@@ -102,7 +107,7 @@ def mulmod(ring, a, b):
     else:
         raise WorkbenchError(
             f"modulus {m} too large for exact products of dimension {a.shape[-1]}")
-    return _readonly(p.astype(ring.dtype))
+    return p
 
 
 class Mat:

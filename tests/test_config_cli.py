@@ -277,6 +277,20 @@ def test_cli_check_perfect_cap_reports_every_closure_check(capsys):
     assert lines[1]["witness"] == lines[2]["witness"] == "EU closure exceeded cap 100"
 
 
+@pytest.mark.parametrize("preset", ["z2_n4", "z3_sympl_v0"])
+def test_cli_check_perfect_cap_on_both_code_widths(capsys, preset):
+    # d = 8: one uint64 code per element over Z/2, two words over Z/3
+    code, lines = run_cli(capsys, "--config", str(CONFIGS / f"{preset}.cfg"),
+                          "--cap", "5000", "check-perfect")
+    assert code == 1
+    assert [(l["check"], l["status"]) for l in lines] == [
+        ("perfect.generator_witnesses", "pass"),
+        ("perfect.commutator_closure", "error"),
+        ("generation.u1_pair_closure", "error"),
+    ]
+    assert lines[1]["witness"] == lines[2]["witness"] == "EU closure exceeded cap 5000"
+
+
 def test_cli_split_demo(capsys):
     code, lines = run_cli(capsys, "split-demo", "2")
     assert code == 0

@@ -1,4 +1,5 @@
 import io
+import math
 from collections import deque
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from oddunitary import (
     CapExceeded,
+    ExplicitParameter,
     Mat,
     MaxParameter,
     MinParameter,
@@ -20,6 +22,7 @@ from oddunitary import (
     is_isometry,
     make_hyperbolic,
     make_ring,
+    span_form_parameter,
     subgroup_closure,
     unitary_member,
 )
@@ -403,20 +406,23 @@ def test_sp4_z3_order(z3):
     assert enumerate_eu(make_hyperbolic(z3, 2)).order == 3**4 * (3**2 - 1) * (3**4 - 1)
 
 
-def test_closure_cap_boundary(z3n):
-    hs = make_hyperbolic(z3n, 2)
-    gens = eu_generators(hs)
-    closures = {
-        "enumerate_eu": lambda cap: enumerate_eu(hs, cap),
-        "subgroup_closure": lambda cap: subgroup_closure(hs, [m for _, m in gens], cap),
-        "commutator_closure": lambda cap: commutator_closure(hs, cap=cap),
-    }
-    for name, close in closures.items():
-        order = close(10**6).order
-        assert close(order).order == order, name
-        with pytest.raises(CapExceeded, match=f"exceeded cap {order - 1}$"):
-            close(order - 1)
-    assert closures["enumerate_eu"](288).order == 288
+def test_closure_cap_boundary(z3n, hs_rich):
+    narrow = make_hyperbolic(z3n, 2)
+    # rows of 64 entries mod 3: codes of two uint64 words, as void keys
+    wide = [(g, gen_matrix(hs_rich, g)) for g in (Xij(1, 2, 1), Xij(2, 1, 1))]
+    for hs, gens in ((narrow, eu_generators(narrow)), (hs_rich, wide)):
+        closures = {
+            "enumerate_eu": lambda cap: enumerate_eu(hs, cap, gens),
+            "subgroup_closure": lambda cap: subgroup_closure(hs, [m for _, m in gens], cap),
+            "commutator_closure": lambda cap: commutator_closure(hs, gens, cap),
+        }
+        for name, close in closures.items():
+            order = close(10**6).order
+            assert close(order).order == order, name
+            with pytest.raises(CapExceeded, match=f"exceeded cap {order - 1}$"):
+                close(order - 1)
+    assert enumerate_eu(narrow, 288).order == 288
+    assert enumerate_eu(hs_rich, 24, wide).order == 24  # SL_2(3)
 
 
 def test_gen_matrix_is_cached_per_space(z3, hs_rich):
@@ -446,6 +452,56 @@ def test_engine_with_two_byte_entries():
     assert len(cl.gens) == 1  # the second generator is already inside
     assert dict(cl.mats) == mats
     assert dict(cl.words) == words
+
+
+def _assert_words_hold_the_digits(cl, m, d):
+    """The all-(m-1) matrix codes to words w with w + 1 a power of the prime
+    m and with m^(d^2) as their product: every word holds whole digits and
+    none wraps around 2^64."""
+    top = cl._code(np.full((1, d, 1, d), m - 1))
+    spans = [int(w) + 1 for w in np.frombuffer(top.tobytes(), dtype=np.uint64)]
+    assert math.prod(spans) == m ** (d * d)
+    assert all(m ** (d * d) % v == 0 for v in spans)
+
+
+@pytest.mark.parametrize("space,words", [("hs_z2_n4", 1), ("hs_rich", 2)])
+def test_engine_on_both_code_widths(request, space, words):
+    # d = 8: over Z/2 the codes use all 64 bits of one uint64 (the identity's
+    # first digit is the top bit); over Z/3 (the z3_sympl_v0 preset) 3^64 > 2^64,
+    # so the codes are two words, sorted as void keys
+    hs = request.getfixturevalue(space)
+    gens = [(None, gen_matrix(hs, g)) for g in (Xij(1, 2, 1), Xij(2, 1, 1), Xij(2, 3, 1))]
+    cl = enumerate_eu(hs, gens=gens)
+    mats, words_ = naive_closure(hs, gens)
+    assert set(subgroup_closure(hs, [m for _, m in gens])) == set(mats)
+    # the stabilizer of <e1, e2> in SL_3(q): SL_2(q) and q^2 translations
+    assert cl.order == len(mats) == (24 if words == 1 else 216)
+    assert list(cl) == list(mats)  # same discovery order
+    assert dict(cl.words) == words_
+    assert dict(cl.mats) == mats
+    assert cl._codes.itemsize == 8 * words
+    if words == 1:
+        assert cl._codes.dtype == np.uint64 and int(cl._codes.max()) >= 2**63
+    _assert_words_hold_the_digits(cl, hs.ring.modulus, 8)
+    # keys that are not rows of the closure
+    assert hs.identity.key() in cl and hs.transvection_ij(3, 1, 1).key() not in cl
+    assert b"" not in cl and bytes(65) not in cl and bytes(64) not in cl
+    row = np.frombuffer(hs.identity.key(), dtype=np.uint8).copy()
+    row[0], row[1] = 0, hs.ring.modulus  # the identity's code, from digits out of range
+    assert row.tobytes() not in cl
+
+
+def test_engine_with_rows_coded_in_segments():
+    # 419^6 > 2^52: each matrix row is coded as two float64-exact segments,
+    # and the 36 digits take six uint64 words, one matrix row each
+    hs = make_hyperbolic(make_ring("residue", 419), 3)
+    gens = [(None, gen_matrix(hs, Xij(1, 2, 1)))]
+    cl = enumerate_eu(hs, gens=gens)
+    mats, words = naive_closure(hs, gens)
+    assert cl.order == 419 and list(cl) == list(mats)
+    assert dict(cl.mats) == mats and dict(cl.words) == words
+    assert cl._codes.itemsize == 6 * 8 and len(cl._plan[0][0]) == 2
+    _assert_words_hold_the_digits(cl, 419, 6)
 
 
 def _naive_v0_sets(hs):
@@ -514,7 +570,12 @@ def test_contains_batch_matches_contains(request, space):
                     rng.integers(0, m, (300, 1, 1))))
     disp = np.concatenate([d for d, _ in columns])
     scal = np.concatenate([s for _, s in columns])
-    for param in (sp.parameter, MinParameter(), MaxParameter()):
+    # explicit parameters: a spanned one, {(e_1 b, s) : s in lmin}, and the
+    # maximal one less one element, as in the broken set of test_forms.py
+    e1 = (1,) + (0,) * (hs.dim - 1)
+    full = MaxParameter().elements(sp)
+    explicit = (span_form_parameter(sp, [(e1, 0)]), ExplicitParameter(full - {sorted(full)[1]}))
+    for param in (sp.parameter, MinParameter(), MaxParameter(), *explicit):
         expected = [param.contains(sp, (tuple(d), t))
                     for d, t in zip(disp[..., 0, 0].tolist(), scal[:, 0, 0].tolist())]
         got = param.contains_batch(sp, disp, scal)
@@ -551,7 +612,8 @@ def test_contains_batch_over_a_matrix_ring(m2z2):
                     r.codes_arr(rng.integers(0, r.card, 300))))
     disp = np.concatenate([d for d, _ in columns])
     scal = np.concatenate([s for _, s in columns])
-    for param in (sp.parameter, MinParameter(), MaxParameter()):
+    spanned = span_form_parameter(sp, [((r.one,) + (r.zero,) * (hs.dim - 1), r.zero)])
+    for param in (sp.parameter, MinParameter(), MaxParameter(), spanned):
         expected = [param.contains(sp, (tuple(map(r.scalar, d)), r.scalar(t)))
                     for d, t in zip(r.arr_codes(disp).tolist(), r.arr_codes(scal).tolist())]
         assert param.contains_batch(sp, disp, scal).tolist() == expected, param.kind
