@@ -6,7 +6,8 @@ preimages do not depend on the chooser (central trick), which is asserted
 on every call.  Section elements S_ij(a), S_i(u, a) are built from
 commutators of preimages, over the generator pairs that prove the group
 perfect, and verified against every relation family.  The dagger and
-section checks evaluate chunks of letter-code words at once (`eval_rows`).
+section checks evaluate chunks of letter-code words at once (`eval_rows`),
+each letter built once per check (`letter_memo`).
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .matrices import Mat
 from .report import DEFAULT_SEED, Report, WorkbenchError
 from .steinberg import (
     DAGGER,
+    LetterMemo,
     RELATION_IDS,
     chunk_params,
     eval_word,
     family_params,
     sweep_relations,
     witness_pairs,
-    word_products,
 )
 
 
@@ -69,20 +70,27 @@ class ProductExtension:
         alt_seed = 1 if self.chooser_seed is None else (self.chooser_seed, "alt")
         return (g, self._central_part(g, alt_seed))
 
-    def eval_rows(self, codes, element):
-        """The words of an (N, L) array of letter codes as N comparable rows,
-        the base entries then the central part: `element(c)` is the element of
-        a code c > 0, -c its inverse, 0 the identity.  Base parts are stacked
-        products (`word_products`), central parts signed sums mod `a_order`."""
-        central = [0]  # the identity, the value of an empty row
+    def letter_memo(self, element):
+        """A `LetterMemo` of elements: the base parts as its matrices, the
+        central parts in the same slots.  `element(c)` is the element of a
+        generator code c > 0, asked for once; -c is its inverse."""
+        element = functools.cache(element)
 
         def letter(c):
-            x = element(c) if c > 0 else self.inv(element(-c)) if c else self.identity
-            central.append(x[1])
-            return x[0].arr
+            x = element(abs(c))
+            if c < 0:
+                x = self.inv(x)
+            return x[0].arr, x[1]
 
-        base, idx = word_products(self.hs.ring, self.hs.identity.arr, codes, letter)
-        parts = np.array(central)[idx].sum(axis=1) % self.a_order
+        return LetterMemo(self.hs.ring, (self.hs.identity.arr, 0), letter)
+
+    def eval_rows(self, codes, memo):
+        """The words of an (N, L) array of letter codes as N comparable rows,
+        the base entries then the central part, from the values of a
+        `letter_memo`: base parts are stacked products, central parts signed
+        sums mod `a_order`."""
+        base, slots = memo.products(codes)
+        parts = memo.values[1][slots].sum(axis=1) % self.a_order
         flat = base.reshape(len(base), self.hs.identity.arr.size)
         return np.concatenate([flat, parts[:, None]], axis=1)
 
@@ -118,33 +126,42 @@ def comm_preimages(E: ProductExtension, x: Mat, y: Mat):
 def check_dagger(E: ProductExtension, strategy="exhaustive",
                  seed=DEFAULT_SEED, samples=256) -> Report:
     """Preimage commutators vanish on index quadruples with all eight signs
-    distinct: a chunk's rows x y x' y' under both choosers, memoised by code."""
+    distinct: a chunk's rows x y x' y' under both choosers, each with one
+    `letter_memo` for the sweep.  A chunk whose cases all agree and hold is
+    one verdict; any other is judged case by case."""
     hs = E.hs
     if hs.n < 4:
         raise WorkbenchError("property-dagger needs n >= 4 (no admissible quadruple)")
-
-    def memo(chooser):
-        return functools.cache(lambda c: chooser(gen_matrix(hs, decode_gen(hs, c))))
-
-    element, alt_element = memo(E.chooser), memo(E.alt_chooser)
-    identity = E.eval_rows(np.zeros((1, 0), dtype=np.int64), element)
+    memo, alt_memo = (
+        E.letter_memo(lambda c, chooser=chooser: chooser(gen_matrix(hs, decode_gen(hs, c))))
+        for chooser in (E.chooser, E.alt_chooser))
+    identity = E.eval_rows(np.zeros((1, 0), dtype=np.int64), memo)
 
     def verdicts():
         for idx, pos in family_params(hs, DAGGER, "dagger", strategy, seed, samples):
             comm, _ = DAGGER.sides(hs, *idx.T, *map(hs.ring.codes_arr, pos.T))
-            rows = E.eval_rows(comm, element)
-            agree = (rows == E.eval_rows(comm, alt_element)).all(axis=1).tolist()
-            holds = (rows == identity).all(axis=1).tolist()
-            for params, same, ok in zip(chunk_params(hs, DAGGER, idx, pos), agree, holds):
+            rows = E.eval_rows(comm, memo)
+            agree = (rows == E.eval_rows(comm, alt_memo)).all(axis=1)
+            holds = (rows == identity).all(axis=1)
+            if agree.all() and holds.all():
+                yield idx, pos, range(len(idx)), True
+                continue
+            for t, (same, ok) in enumerate(zip(agree.tolist(), holds.tolist())):
                 if not same:
                     raise WorkbenchError(CHOOSER_DEPENDENT)
-                yield params, ok
+                yield idx, pos, range(t, t + 1), ok
+
+    def witness(verdict):
+        idx, pos, rows, _ = verdict
+        t = rows.start
+        params = chunk_params(hs, DAGGER, idx[t:t + 1], pos[t:t + 1])[0]
+        return "(i,j,k,h,a,b)=({},{},{},{},{!r},{!r})".format(*params)
 
     rep = Report()
-    rep.sweep("extension.dagger", verdicts(), lambda verdict: verdict[1],
-              lambda verdict: "(i,j,k,h,a,b)=({},{},{},{},{!r},{!r})".format(*verdict[0]),
+    rep.sweep("extension.dagger", verdicts(), lambda verdict: verdict[3], witness,
               unit="quadruple instances",
-              seed=seed if strategy == "sampled" else None)
+              seed=seed if strategy == "sampled" else None,
+              size=lambda verdict: len(verdict[2]))
     return rep
 
 
@@ -187,14 +204,18 @@ def verify_section(E: ProductExtension, table: dict, strategy="exhaustive",
     """Every relation family with S substituted for X, plus eps(sigma) = id."""
     hs = E.hs
     rep = Report()
-    bad = next((g for g, t in table.items() if E.eps(t) != gen_matrix(hs, g)), None)
-    rep.add("section.eps_sigma", "pass" if bad is None else "fail",
-            witness=None if bad is None else repr(bad))
-    if bad is not None and stop_on_fail:
+    gens = list(table)
+    same = np.equal([E.eps(t).arr for t in table.values()],
+                    [gen_matrix(hs, g).arr for g in gens])
+    bad = np.flatnonzero(~same.reshape(len(gens), hs.identity.arr.size).all(axis=1))
+    bad = bad[:1].tolist()
+    rep.add("section.eps_sigma", "fail" if bad else "pass",
+            witness=repr(gens[bad[0]]) if bad else None)
+    if bad and stop_on_fail:
         return rep
-    by_code = dict(zip(gen_codes(hs, table).tolist(), table.values()))
-    rep.extend(sweep_relations(hs, "section",
-                               lambda codes: E.eval_rows(codes, by_code.__getitem__),
+    by_code = dict(zip(gen_codes(hs, gens).tolist(), table.values()))
+    memo = E.letter_memo(by_code.__getitem__)
+    rep.extend(sweep_relations(hs, "section", lambda codes: E.eval_rows(codes, memo),
                                strategy, seed, samples, relation_ids, stop_on_fail))
     return rep
 

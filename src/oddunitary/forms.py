@@ -160,14 +160,14 @@ class OddQuadraticSpace:
         return self.ring.card ** self.rank
 
     def vec_add(self, u, v):
-        return tuple(self.ring.add(a, b) for a, b in zip(u, v))
+        return tuple([self.ring.add(a, b) for a, b in zip(u, v)])
 
     def vec_neg(self, u):
-        return tuple(self.ring.neg(a) for a in u)
+        return tuple([self.ring.neg(a) for a in u])
 
     def vec_scale(self, u, b):
         """u * b with the scalar on the right."""
-        return tuple(self.ring.mul(a, b) for a in u)
+        return tuple([self.ring.mul(a, b) for a in u])
 
     # -- Heisenberg group --------------------------------------------------
 

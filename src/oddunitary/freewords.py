@@ -107,9 +107,7 @@ def random_assignment(cid: str, rng: random.Random, m: int = 4,
     out = {}
     for v in identity_variables(cid, m):
         length = rng.randint(0, max_len)
-        w = tuple(
-            (rng.choice(symbols), rng.choice((1, -1))) for _ in range(length)
-        )
+        w = tuple([(rng.choice(symbols), rng.choice((1, -1))) for _ in range(length)])
         out[v] = reduce_word(w)
     return out
 

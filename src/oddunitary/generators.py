@@ -117,12 +117,18 @@ def decode_word(hs, codes) -> Word:
                  for c in codes.tolist() if c)
 
 
+# Words built and dropped per case are made with tuple([...]), not
+# tuple(<generator>): the latter resizes its result, and each such tuple,
+# once freed, joins the interpreter's free list of its size (up to 2000 kept
+# per size) without having been taken from it, so those lists fill and stay.
+
+
 def word(*gens) -> Word:
-    return tuple((g, 1) for g in gens)
+    return tuple([(g, 1) for g in gens])
 
 
 def winv(w: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(w))
+    return tuple([(g, -e) for g, e in reversed(w)])
 
 
 def wmul(*ws) -> Word:

@@ -54,13 +54,14 @@ class Report:
         self.results.append(CheckResult(check, status, witness, seed))
 
     def sweep(self, check, cases, holds, witness=repr, unit="instances",
-              seed=None) -> bool:
+              seed=None, size=None) -> bool:
         """Add one record for `check`: fail at the first case that does not
         hold, else `"<N> <unit>"`, vacuous when there is no case at all;
-        False on a failure."""
+        False on a failure.  `size(case)`, 1 by default, is the number of
+        instances that a case stands for, such as a whole chunk that holds."""
         count = 0
         for case in cases:
-            count += 1
+            count += 1 if size is None else size(case)
             if not holds(case):
                 self.add(check, "fail", witness=witness(case), seed=seed)
                 return False

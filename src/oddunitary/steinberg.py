@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -39,35 +39,72 @@ def eval_word(hs: HyperbolicSpace, w: Word, rep=None, cache=None) -> Mat:
     return acc
 
 
-def word_products(ring, identity, codes, letter):
-    """The product along each row of an (N, L) array of letter codes, as one
-    stack, and the (N, max(L, 1)) positions of its letters in the stack of
-    their values: `identity` first (the value of an empty row), then
-    `letter(c)` for each distinct letter c in increasing order.  Each letter
-    position is one batched product mod m over all the rows."""
-    n, width = codes.shape
-    letters, inverse = np.unique(codes, return_inverse=True)
-    stack = np.stack([identity] + [letter(c) for c in letters.tolist()])
-    idx = np.zeros((n, max(width, 1)), dtype=np.intp)
-    idx[:, :width] = inverse.reshape(n, width) + 1
-    acc = stack[idx[:, 0]]
-    for t in range(1, idx.shape[1]):
-        acc = mulmod(ring, acc, stack[idx[:, t]])
-    return acc, idx
+class LetterMemo:
+    """The values of the letter codes that one sweep meets, each built once.
+
+    `values` are stacks with one slot per code met so far, `codes` gives
+    the code of each slot, and `sorted` and `slots` are the codes in
+    increasing order and their slots.  Slot 0 holds `identity`, the value of
+    the code 0 and of an empty row.  `letter(c)` builds the values of a
+    code c != 0 the first time a chunk holds it, one entry per stack.  The
+    first stack holds matrices (`Mat.arr`), which `products` multiplies
+    along the rows.
+    """
+
+    def __init__(self, ring, identity, letter):
+        self.ring = ring
+        self.letter = letter
+        self.values = tuple(np.asarray(v)[None] for v in identity)
+        self.codes = self.sorted = np.zeros(1, dtype=np.int64)
+        self.slots = np.zeros(1, dtype=np.intp)
+
+    def slots_of(self, codes):
+        """The slot of every code of an array, building the new ones."""
+        letters, inverse = np.unique(codes, return_inverse=True)
+        pos = np.searchsorted(self.sorted, letters)
+        new = letters[self.sorted.take(pos, mode="clip") != letters]
+        if new.size:
+            built = zip(*map(self.letter, new.tolist()))
+            self.values = tuple(np.concatenate([old, np.stack(part)])
+                                for old, part in zip(self.values, built))
+            self.codes = np.concatenate([self.codes, new])
+            self.slots = self.codes.argsort()
+            self.sorted = self.codes[self.slots]
+            pos = np.searchsorted(self.sorted, letters)
+        return self.slots[pos][inverse].reshape(codes.shape)
+
+    def products(self, codes):
+        """The product along each row of an (N, L) array of letter codes, as
+        one stack, and the (N, max(L, 1)) slots of its letters.  Each letter
+        position is one batched product mod m over all the rows."""
+        n, width = codes.shape
+        slots = np.zeros((n, max(width, 1)), dtype=np.intp)
+        slots[:, :width] = self.slots_of(codes)
+        stack = self.values[0]
+        acc = stack[slots[:, 0]]
+        for t in range(1, slots.shape[1]):
+            acc = mulmod(self.ring, acc, stack[slots[:, t]])
+        return acc, slots
+
+
+def letter_memo(hs: HyperbolicSpace, rep=None) -> LetterMemo:
+    """The memo of `eval_word`'s letters: `rep` (default `gen_matrix`) runs
+    once per generator, and inverses come from the memoised `Mat.inv`."""
+    if rep is None:
+        rep = partial(gen_matrix, hs)
+    matrix = cache(lambda c: rep(decode_gen(hs, c)))
+
+    def letter(c):
+        m = matrix(abs(c))
+        return ((m if c > 0 else m.inv()).arr,)
+
+    return LetterMemo(hs.ring, (hs.identity.arr,), letter)
 
 
 def eval_words(hs: HyperbolicSpace, codes, rep=None) -> np.ndarray:
     """`eval_word` of each row of an (N, L) array of letter codes, as one
-    stack of `Mat.arr`s (see `word_products`); inverses come from the
-    memoised `Mat.inv`."""
-    if rep is None:
-        rep = partial(gen_matrix, hs)
-
-    def letter(c):
-        m = rep(decode_gen(hs, abs(c))) if c else hs.identity
-        return (m if c >= 0 else m.inv()).arr
-
-    return word_products(hs.ring, hs.identity.arr, codes, letter)[0]
+    stack of `Mat.arr`s (see `LetterMemo.products`)."""
+    return letter_memo(hs, rep).products(codes)[0]
 
 
 # -- relation families --------------------------------------------------------
@@ -224,6 +261,17 @@ def _family(rid: str) -> Family:
         raise ValueError(f"unknown relation id {rid!r}") from None
 
 
+@cache
+def _index_table(omega, fam: Family):
+    """The admissible index tuples of a family in Omega order, as a
+    read-only (T, arity) array, built once per (Omega, family)."""
+    indices = [idx for idx in itertools.product(omega, repeat=fam.arity)
+               if fam.admits(*idx)]
+    table = np.array(indices, dtype=np.int64).reshape(len(indices), fam.arity)
+    table.flags.writeable = False
+    return table
+
+
 def family_params(hs: HyperbolicSpace, fam: Family, tag: str,
                   strategy="exhaustive", seed=DEFAULT_SEED, samples=256):
     """The parameter tuples of one family in chunks (idx, pos) of at most
@@ -236,12 +284,10 @@ def family_params(hs: HyperbolicSpace, fam: Family, tag: str,
     """
     if strategy not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    indices = [idx for idx in itertools.product(hs.omega, repeat=fam.arity)
-               if fam.admits(*idx)]
-    table = np.array(indices, dtype=np.int64).reshape(len(indices), fam.arity)
+    table = _index_table(hs.omega, fam)
     sizes = [hs.ring.card if d == "ring" else len(hs.l0) for d in fam.domains]
     if strategy == "exhaustive":
-        total = len(indices) * math.prod(sizes)
+        total = len(table) * math.prod(sizes)
         for start in range(0, total, CHUNK):
             # split the flat positions by divmod, the last domain first, into
             # [index tuple, first argument, ..., last argument]
@@ -252,8 +298,8 @@ def family_params(hs: HyperbolicSpace, fam: Family, tag: str,
         return
     # rng.choice(range(n)) draws the position that rng.choice(pool) would
     rng = random.Random(f"{seed}|{tag}")
-    draws = ([rng.choice(range(len(indices)))] + [rng.choice(range(n)) for n in sizes]
-             for _ in range(samples if indices else 0))
+    draws = ([rng.choice(range(len(table)))] + [rng.choice(range(n)) for n in sizes]
+             for _ in range(samples if len(table) else 0))
     for chunk in iter(lambda: list(itertools.islice(draws, CHUNK)), []):
         rows = np.array(chunk, dtype=np.int64)
         yield table[rows[:, 0]], rows[:, 1:]
@@ -315,7 +361,9 @@ def sweep_relations(hs: HyperbolicSpace, prefix: str, evaluate, strategy, seed,
                     stop_on_fail=False) -> Report:
     """One record `prefix.rid` per family, a chunk of `relation_chunks` at a
     time: `evaluate` maps an (N, L) array of letter codes to N comparable
-    rows, and a case holds when its two sides give equal rows."""
+    rows, and a case holds when its two sides give equal rows.  A chunk
+    whose cases all hold is one verdict; a chunk with a failing case is
+    judged case by case."""
     report = Report()
     used_seed = seed if strategy == "sampled" else None
 
@@ -323,16 +371,21 @@ def sweep_relations(hs: HyperbolicSpace, prefix: str, evaluate, strategy, seed,
         for chunk in chunks:
             lhs, rhs = chunk[2:]
             same = (evaluate(lhs) == evaluate(rhs)).reshape(len(lhs), -1).all(axis=1)
+            if same.all():
+                yield chunk, range(len(lhs)), True
+                continue
             for t, ok in enumerate(same.tolist()):
-                yield (chunk, t), ok
+                yield chunk, range(t, t + 1), ok
 
     for rid in relation_ids:
         def witness(verdict, fam=_family(rid)):
-            (idx, pos, *_), t = verdict[0]
+            (idx, pos, *_), rows, _ = verdict
+            t = rows.start
             return f"{rid}{chunk_params(hs, fam, idx[t:t + 1], pos[t:t + 1])[0]!r}"
         ok = report.sweep(f"{prefix}.{rid}",
                           verdicts(relation_chunks(hs, rid, strategy, seed, samples)),
-                          lambda verdict: verdict[1], witness, seed=used_seed)
+                          lambda verdict: verdict[2], witness, seed=used_seed,
+                          size=lambda verdict: len(verdict[1]))
         if not ok and stop_on_fail:
             break
     return report
@@ -342,8 +395,9 @@ def verify_relations(hs: HyperbolicSpace, strategy="exhaustive",
                      seed=DEFAULT_SEED, samples=256, rep=None,
                      relation_ids=RELATION_IDS) -> Report:
     """Evaluate every relation instance in the defining representation, a
-    chunk of instances at a time."""
-    return sweep_relations(hs, "relations", partial(eval_words, hs, rep=rep),
+    chunk of instances at a time, with one `letter_memo` for the sweep."""
+    memo = letter_memo(hs, rep)
+    return sweep_relations(hs, "relations", lambda codes: memo.products(codes)[0],
                            strategy, seed, samples, relation_ids)
 
 
@@ -359,7 +413,7 @@ class U1NormalForm:
 
 
 def u1_order(hs: HyperbolicSpace):
-    return tuple(i for i in hs.omega if i not in (hs.n, -hs.n))
+    return tuple([i for i in hs.omega if i not in (hs.n, -hs.n)])
 
 
 def _u1_swap_scalar(hs: HyperbolicSpace, j, c, b):
@@ -416,7 +470,7 @@ def u1_decompose(hs: HyperbolicSpace, w: Word) -> U1NormalForm:
             raise ValueError(f"{g!r} is outside the U1 alphabet")
     if zeta not in hs.l0_set:
         raise WorkbenchError(f"collected X_n argument {zeta!r} left the parameter")
-    return U1NormalForm(zeta, tuple((i, coeffs[i]) for i in order))
+    return U1NormalForm(zeta, tuple([(i, coeffs[i]) for i in order]))
 
 
 def normal_form_word(hs: HyperbolicSpace, nf: U1NormalForm) -> Word:
@@ -497,8 +551,9 @@ def embed_matrix(small: HyperbolicSpace, big: HyperbolicSpace, m: Mat) -> Mat:
 def remark2_witness_search(hs: HyperbolicSpace, limit=2000):
     """Search the first `limit` commutators [X_i(u, a), X_i(v, b)] (R7's left
     sides) for one that is not the identity: its (i, xi, zeta), else None."""
+    memo = letter_memo(hs)
     for idx, pos, lhs, _ in relation_chunks(hs, "R7"):
-        mats = eval_words(hs, lhs[:limit]).reshape(len(lhs[:limit]), -1)
+        mats = memo.products(lhs[:limit])[0].reshape(len(lhs[:limit]), -1)
         bad = np.flatnonzero((mats != hs.identity.arr.ravel()).any(axis=1))[:1]
         if bad.size:
             return chunk_params(hs, FAMILIES["R7"], idx[bad], pos[bad])[0]

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from oddunitary import MaxParameter, OddQuadraticSpace, make_hyperbolic, make_ring
+from oddunitary import MaxParameter, OddQuadraticSpace, make_hyperbolic, make_ring, steinberg
 
 
 @pytest.fixture(scope="session")
@@ -71,3 +73,20 @@ def eu_z2_n3(hs_z2_n3):
     from oddunitary import enumerate_eu
 
     return enumerate_eu(hs_z2_n3)
+
+
+@pytest.fixture
+def letter_calls(monkeypatch):
+    """Counts the `letter` calls of every `steinberg.LetterMemo`, by code."""
+    calls = Counter()
+    init = steinberg.LetterMemo.__init__
+
+    def counting_init(self, ring, identity, letter):
+        def counted(c):
+            calls[c] += 1
+            return letter(c)
+
+        init(self, ring, identity, counted)
+
+    monkeypatch.setattr(steinberg.LetterMemo, "__init__", counting_init)
+    return calls

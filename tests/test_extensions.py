@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -196,6 +197,26 @@ def test_dagger_raises_when_the_choosers_disagree(monkeypatch, hs_z2_n4):
         check_dagger(product_extension(hs_z2_n4, 3))
 
 
+def test_dagger_stops_before_a_later_disagreement(monkeypatch, hs_z2_n4):
+    # X_41(0) -> X_12(1) makes case 234 = (2, 3, 4, 1, 1, 0) the first failing
+    # one; an alt chooser that lifts X_41(1) to X_12(1) disagrees first at
+    # case 235, in the same chunk of 256, after the sweep has stopped
+    hs = hs_z2_n4
+    ext = product_extension(hs, 3)
+    wrong = hs.transvection_ij(1, 2, 1)
+    target = gen_matrix(hs, Xij(4, 1, 1))
+    alt = ProductExtension.alt_chooser
+    monkeypatch.setattr(ProductExtension, "alt_chooser", lambda self, g: (
+        (wrong, 0) if g == target else alt(self, g)))
+    with pytest.raises(WorkbenchError, match="depended on the chooser"):
+        check_dagger(ext)
+    monkeypatch.setattr(extensions, "gen_matrix", lambda h, g: (
+        wrong if g == Xij(4, 1, 0) else gen_matrix(h, g)))
+    rep = check_dagger(ext)
+    assert [(r.status, r.witness) for r in rep] == [
+        ("fail", "(i,j,k,h,a,b)=(2,3,4,1,1,0)")]
+
+
 def test_s_ij_examples(ext_z2, hs_z2_n4):
     # in a product extension the section element is the bare transvection
     assert section_entry(ext_z2, Xij(1, 2, 1)) == (gen_matrix(hs_z2_n4, Xij(1, 2, 1)), 0)
@@ -364,6 +385,23 @@ def test_every_mutation_is_detected(ext_z2, section_z2):
         assert not verify_section(ext_z2, bad, stop_on_fail=True).ok, g
 
 
+def test_eps_sigma_names_the_first_wrong_entry(ext_z2, section_z2):
+    hs = ext_z2.hs
+    gens = list(section_z2)
+    wrong = hs.transvection_ij(1, 2, 1)
+    for picks in ([7], [40, 7], [len(gens) - 1]):
+        table = dict(section_z2)
+        for k in picks:
+            table[gens[k]] = (wrong, table[gens[k]][1])
+        # the entry-by-entry reference
+        first = next(g for g, t in table.items() if ext_z2.eps(t) != gen_matrix(hs, g))
+        assert first == gens[min(picks)]
+        got = verify_section(ext_z2, table, stop_on_fail=True)
+        assert [(r.check, r.status, r.witness) for r in got] == [
+            ("section.eps_sigma", "fail", repr(first))]
+        assert verify_section(ext_z2, table).results[0].witness == repr(first)
+
+
 def _per_case_section_records(E, table):
     """The records of `verify_section(..., stop_on_fail=True)` from a
     case-by-case sweep, two `section_eval` calls per case: the reference for
@@ -401,6 +439,28 @@ def test_section_reports_the_first_failing_case(monkeypatch, ext_z3, section_z3,
     assert verify_section(ext, section_z3).ok
     # mutations are first caught in several families, not only at R0
     assert len(first_fails) > 1, first_fails
+
+
+def test_section_sweep_builds_each_letter_once(monkeypatch, letter_calls, ext_z3,
+                                               section_z3):
+    # one memo per verify_section: each signed code is built once, and each
+    # table entry read once
+    calls = Counter()
+    letter_memo = ProductExtension.letter_memo
+
+    def counting(self, element):
+        def counted(c):
+            calls[c] += 1
+            return element(c)
+
+        return letter_memo(self, counted)
+
+    monkeypatch.setattr(ProductExtension, "letter_memo", counting)
+    assert verify_section(ext_z3, section_z3).ok
+    assert sorted(calls) == sorted(gen_codes(ext_z3.hs, section_z3).tolist())
+    assert max(calls.values()) == 1
+    assert {abs(c) for c in letter_calls} == set(calls)
+    assert max(letter_calls.values()) == 1
 
 
 def test_mutation_rejects_trivial_delta(ext_z2, section_z2):
@@ -445,7 +505,7 @@ def test_eval_rows_matches_section_eval(space, order, data):
     rows = data.draw(st.lists(st.lists(letters, min_size=width, max_size=width),
                               max_size=12))
     got = ext.eval_rows(np.array(rows, dtype=np.int64).reshape(len(rows), width),
-                        table.__getitem__)
+                        ext.letter_memo(table.__getitem__))
     assert got.shape == (len(rows), ext.hs.identity.arr.size + 1)
     for row, out in zip(rows, got.tolist()):
         m, c = section_eval(ext, by_code, row)

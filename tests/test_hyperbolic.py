@@ -201,6 +201,19 @@ def test_unitary_member(hs_z2_n3, hs_z3n_n3, hs_rich):
         assert unitary_member(hs, mat) is member
 
 
+def test_unitary_member_rejects_an_isometry_outside_the_parameter(hs_z2_n3):
+    # x -> x + B(e_1, x) e_1 preserves B but not q: it sends e_-1 to
+    # e_-1 + e_1, which has q = 1, so only the form parameter rejects it
+    hs = hs_z2_n3
+    rows = np.eye(hs.dim, dtype=np.int64)
+    rows[hs.col(1)] += hs.gram[hs.col(1)]
+    f = Mat.from_rows(hs.ring, rows)
+    assert f.apply(hs.basis_vec(hs.col(-1))) == (1, 0, 0, 0, 0, 1)
+    assert is_isometry(hs, f)
+    assert not equiv_mod_param(hs, f, hs.identity)
+    assert not unitary_member(hs, f)
+
+
 def test_unitary_member_over_a_matrix_ring(m2z2):
     hs = make_hyperbolic(m2z2, 1)
     hmin = make_hyperbolic(m2z2, 1, parameter=MinParameter())

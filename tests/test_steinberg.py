@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,53 @@ def test_batched_sweep_reports_the_first_failing_case(monkeypatch, hs_z2_n3, chu
     assert [r.witness for r in got if r.status == "pass"] == [
         "48 instances", "96 instances", "960 instances", "192 instances",
         "24 instances"]
+
+
+@pytest.mark.parametrize("chunk", [10, 50])
+def test_sweep_fails_inside_a_chunk_after_whole_chunks(monkeypatch, hs_z2_n3, chunk):
+    # R4's first failing case, 161, is the second case of a chunk here, so
+    # whole-chunk verdicts come before the one chunk judged case by case
+    hs = hs_z2_n3
+    wrong = hs.transvection_ij(1, 2, 1)
+
+    def corrupted(gen):
+        return wrong if isinstance(gen, Xi) and gen.i == -1 else gen_matrix(hs, gen)
+
+    monkeypatch.setattr(steinberg, "CHUNK", chunk)
+    got = verify_relations(hs, rep=corrupted, relation_ids=("R4", "R5"))
+    assert got.to_json_lines() == "\n".join(
+        r.to_json() for r in _per_case_records(hs, corrupted)
+        if r.check in ("relations.R4", "relations.R5"))
+    assert [r.witness for r in got] == ["R4(-1, 2, 1, ((), 0), 1)", "192 instances"]
+
+
+def test_sweep_counts_the_size_of_each_verdict():
+    # verdicts (cases, ok): two whole chunks, then one chunk case by case
+    verdicts = [(range(0, 4), True), (range(4, 8), True), (range(8, 9), True),
+                (range(9, 10), False), (range(10, 11), True)]
+    rep = Report()
+    for stream in (verdicts, verdicts[:3], []):
+        rep.sweep("sized", iter(stream), lambda v: v[1], lambda v: f"case {v[0].start}",
+                  size=lambda v: len(v[0]))
+    assert [(r.status, r.witness) for r in rep] == [
+        ("fail", "case 9"), ("pass", "9 instances"), ("vacuous", "0 instances")]
+
+
+def test_relation_sweep_builds_each_letter_once(hs_rich, letter_calls):
+    # one memo for the whole sweep: each signed code is built once, and
+    # `rep` runs once per generator
+    hs, calls = hs_rich, Counter()
+
+    def counting(gen):
+        calls[gen] += 1
+        return gen_matrix(hs, gen)
+
+    assert verify_relations(hs, rep=counting).ok
+    met = {c for rid in RELATION_IDS for chunk in steinberg.relation_chunks(hs, rid)
+           for side in chunk[2:] for c in side.ravel().tolist() if c}
+    assert set(letter_calls) == met and max(letter_calls.values()) == 1
+    assert set(gen_codes(hs, list(calls)).tolist()) == {abs(c) for c in met}
+    assert max(calls.values()) == 1
 
 
 # derandomized and without the example database, so every run draws the
