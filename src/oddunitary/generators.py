@@ -113,8 +113,8 @@ def decode_gen(hs, code: int):
 
 def decode_word(hs, codes) -> Word:
     """The word of a row of letter codes; 0 letters are dropped."""
-    return tuple((decode_gen(hs, abs(c)), 1 if c > 0 else -1)
-                 for c in codes.tolist() if c)
+    return tuple([(decode_gen(hs, abs(c)), 1 if c > 0 else -1)
+                  for c in codes.tolist() if c])
 
 
 # Words built and dropped per case are made with tuple([...]), not

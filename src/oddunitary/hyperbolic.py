@@ -352,6 +352,7 @@ class GroupClosure:
     def __init__(self, hs: HyperbolicSpace, cap=DEFAULT_CAP, what="closure"):
         self.hs = hs
         self.gens = []  # [(label, Mat)]; subgroup closures have label None
+        self._support = []  # per generator, the columns where it differs from the identity
         self._cap = cap
         self._what = what
         ident = hs.identity
@@ -405,10 +406,15 @@ class GroupClosure:
         """The codes of the matrices (:, g, :) of each block of a stack (N, d,
         G, d) of residues, in (block, g) order, as a uint64 or void array (N G,)."""
         n, d, g, _ = res.shape
-        places, steps, words = self._plan
-        segs = (res.reshape(-1, d) @ places).astype(np.uint64).reshape(n, d, g, -1)
+        segs = res.reshape(-1, d) @ self._plan[0]
+        return self._words(segs.astype(np.uint64).reshape(n, d, g, -1))
+
+    def _words(self, segs):
+        """`_code` from the segment values (N, d, G, segments) of the rows."""
+        n, d, g, _ = segs.shape
+        _, steps, words = self._plan
         codes = np.zeros((n, g, words), dtype=np.uint64)
-        for (w, scale), (i, k) in zip(steps, np.ndindex(d, places.shape[1])):
+        for (w, scale), (i, k) in zip(steps, np.ndindex(d, segs.shape[3])):
             word = codes[:, :, w]
             word *= np.uint64(scale)
             word += segs[:, i, :, k]
@@ -445,19 +451,47 @@ class GroupClosure:
             return
         old, first = self.order, len(self.gens)
         self.gens.extend(gens)
-        self._expand(0, old, first)
+        ident = self.hs.identity.arr
+        self._support.extend(np.flatnonzero((m.arr != ident).any(axis=0)) for _, m in gens)
+        new = self._products(first)
+        self._expand(0, old, new)
+        every = new if first == 0 else self._products(0)
         head = old
         while head < self.order:
-            head = self._expand(head, self.order, 0)
+            head = self._expand(head, self.order, every)
 
-    def _expand(self, lo, hi, first):
-        """Multiply elements lo..hi-1 by generators first.. and keep the new
-        products, in (element, generator) order; returns hi.  The products of
-        max(FLUSH, order) at a time are coded in blocks of BLOCK and then
-        deduplicated at once by `_keep`."""
-        d = self._d
+    def _products(self, first):
+        """What `_expand` needs to multiply by generators first..: their index
+        `first`, their stack (G, d, d), the columns of their supports side by
+        side (d, C), and two place-value matrices that give the segments of
+        a product's rows: `weights` (C, G segments), block diagonal, for the
+        support columns of each generator, and `base` (d, G segments) for
+        the columns outside its support, which the product keeps."""
+        places = self._plan[0]
         mats = [m.arr for _, m in self.gens[first:]]
-        gens, stack, ng = np.hstack(mats), np.stack(mats), len(mats)
+        support = self._support[first:]
+        cols = np.concatenate(support)
+        owner = np.repeat(np.arange(len(mats)), [len(c) for c in support])
+        weights = np.zeros((len(cols), len(mats), places.shape[1]))
+        weights[np.arange(len(cols)), owner] = places[cols]
+        base = np.repeat(places[:, None], len(mats), axis=1)
+        base[cols, owner] = 0
+        columns = np.hstack([a[:, c] for a, c in zip(mats, support)])
+        return (first, np.stack(mats), columns,
+                weights.reshape(len(cols), -1), base.reshape(len(places), -1))
+
+    def _expand(self, lo, hi, products):
+        """Multiply elements lo..hi-1 by the generators of `products` (from
+        `_products`) and keep the new products, in (element, generator)
+        order; returns hi.  E g differs from E only in the columns of g's
+        support, so only those are multiplied; a product's segments are
+        its new columns against `weights` plus E's other columns against
+        `base`, sums of digits times places below m^digits <= 2^52, so
+        exact in float64.  The products of max(FLUSH, order) at a time are
+        coded in blocks of BLOCK and then deduplicated at once by `_keep`."""
+        d = self._d
+        first, stack, columns, weights, base = products
+        ng = len(stack)
         step = max(1, BLOCK // ng)
         start = lo
         while start < hi:
@@ -465,8 +499,9 @@ class GroupClosure:
             codes = []
             for s in range(start, stop, step):
                 t = min(stop, s + step)
-                prod = mulmod_unpacked(self.hs.ring, self._rows[s:t].reshape(-1, d), gens)
-                codes.append(self._code(prod.reshape(t - s, d, ng, d)))
+                rows = self._rows[s:t].reshape(-1, d)
+                segs = mulmod_unpacked(self.hs.ring, rows, columns) @ weights + rows @ base
+                codes.append(self._words(segs.astype(np.uint64).reshape(t - s, d, ng, -1)))
             self._keep(np.concatenate(codes), start, first, stack)
             start = stop
         return hi
@@ -545,14 +580,17 @@ def commutator_closure(hs: HyperbolicSpace, gens=None, cap=DEFAULT_CAP) -> Group
     """Closure of all commutators of the generating transvections."""
     if gens is None:
         gens = eu_generators(hs)
-    mats = [m for _, m in gens]
-    pairs = [(m, m.inv()) for m in mats]
-    seeds = {}
-    for a, ai in pairs:
-        for b, bi in pairs:
-            c = a * b * ai * bi
-            seeds.setdefault(c.key(), c)
-    return subgroup_closure(hs, seeds.values(), cap)
+    if not gens:
+        return GroupClosure(hs, cap)
+    r = hs.ring
+    a = np.stack([m.arr for _, m in gens])
+    ai = np.stack([m.inv().arr for _, m in gens])
+    # a b a^-1 b^-1 for every pair (a, b), in order, then each distinct one
+    # where it first appears
+    seeds = mulmod(r, mulmod(r, mulmod(r, a[:, None], a), ai[:, None]), ai)
+    seeds = seeds.reshape(-1, *a.shape[1:])
+    _, firsts = np.unique(seeds.reshape(len(seeds), -1), axis=0, return_index=True)
+    return subgroup_closure(hs, [Mat(r, seeds[i]) for i in np.sort(firsts)], cap)
 
 
 def dump_closure(cl: GroupClosure, stream):

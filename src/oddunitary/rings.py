@@ -213,7 +213,7 @@ class MatrixRing(Ring):
     def scalar(self, code):
         k, m = self.degree, self.base_modulus
         vals = [code // m**e % m for e in range(k * k - 1, -1, -1)]
-        return tuple(tuple(vals[i * k:(i + 1) * k]) for i in range(k))
+        return tuple([tuple(vals[i * k:(i + 1) * k]) for i in range(k)])
 
     def is_scalar(self, v):
         k = self.degree
@@ -223,18 +223,18 @@ class MatrixRing(Ring):
 
     def add(self, a, b):
         m = self.base_modulus
-        return tuple(tuple((x + y) % m for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+        return tuple([tuple([(x + y) % m for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
 
     def neg(self, a):
         m = self.base_modulus
-        return tuple(tuple((-x) % m for x in row) for row in a)
+        return tuple([tuple([(-x) % m for x in row]) for row in a])
 
     def mul(self, a, b):
         k, m = self.degree, self.base_modulus
-        return tuple(
-            tuple(sum(a[i][l] * b[l][j] for l in range(k)) % m for j in range(k))
+        return tuple([
+            tuple([sum(a[i][l] * b[l][j] for l in range(k)) % m for j in range(k)])
             for i in range(k)
-        )
+        ])
 
     def bar(self, a):
         k, ebar = self.degree, self.base.bar

@@ -27,7 +27,8 @@ from oddunitary import (
     unitary_member,
 )
 from oddunitary.generators import generators
-from oddunitary.hyperbolic import dump_closure, gen_matrix
+from oddunitary.hyperbolic import GroupClosure, dump_closure, gen_matrix
+from oddunitary.matrices import mulmod_unpacked
 
 
 def test_gram_n1_z5(z5):
@@ -236,6 +237,7 @@ def test_enumerate_eu_no_generators_is_trivial(z2):
     assert eu_generators(hs) == []
     cl = enumerate_eu(hs)
     assert cl.order == 1
+    assert commutator_closure(hs).order == 1
 
 
 def test_enumerate_eu_regression_order(eu_z2_n3):
@@ -515,6 +517,87 @@ def test_engine_with_rows_coded_in_segments():
     assert dict(cl.mats) == mats and dict(cl.words) == words
     assert cl._codes.itemsize == 6 * 8 and len(cl._plan[0][0]) == 2
     _assert_words_hold_the_digits(cl, 419, 6)
+
+
+_A, _B = ((0, 1), (1, 1)), ((1, 0), (0, 0))  # M_2(Z/2) arguments
+# per space: sparse generators, with the identity (None) among them; the five
+# transvection factors of a denser generator; generators whose supports
+# include V0 columns, or none
+_ENGINE_CASES = {
+    "z2_n4": ([Xij(1, 2, 1), None, Xij(2, 1, 1), Xij(2, 3, 1)],
+              [Xij(1, 2, 1), Xij(2, -3, 1), Xij(-3, 4, 1), Xij(4, -1, 1), Xij(-2, 1, 1)], []),
+    "rich": ([Xij(1, 2, 1), None, Xij(2, 1, 1), Xij(2, 3, 1)],
+             [Xij(1, 2, 1), Xij(2, -3, 2), Xij(-3, 1, 1), Xi(2, ((0, 1), 0)), Xij(-1, -2, 1)],
+             [Xi(1, ((1, 1), 0)), Xi(-1, ((1, 1), 0))]),
+    "z419_n3": ([None, Xij(1, 2, 1)],
+                [Xij(1, 2, 1), Xij(2, 3, 5), Xij(1, -2, 7), Xij(2, -3, 1), Xij(3, -1, 2)], []),
+    "z257_n1": ([Xi(1, ((), 1)), None],
+                [Xi(1, ((), 1)), Xi(-1, ((), 1)), Xi(1, ((), 2)), Xi(-1, ((), 3)), Xi(1, ((), 5))], []),
+    "m2z2_n2": ([Xij(1, 2, _A), None, Xij(2, 1, _A)],
+                [Xij(1, 2, _A), Xij(1, -2, _B), Xij(2, -1, _A), Xij(-2, 1, _B), Xij(-1, 2, _A)], []),
+}
+
+
+@pytest.fixture(scope="module")
+def engine_spaces(hs_z2_n4, hs_rich, m2z2):
+    return {"z2_n4": hs_z2_n4, "rich": hs_rich,
+            "z419_n3": make_hyperbolic(make_ring("residue", 419), 3),
+            "z257_n1": make_hyperbolic(make_ring("residue", 257), 1),
+            "m2z2_n2": make_hyperbolic(m2z2, 2)}
+
+
+@pytest.mark.parametrize("space", list(_ENGINE_CASES))
+def test_codes_from_the_parents_match_full_products(monkeypatch, engine_spaces, space):
+    # Z/2 at d = 8 fills one uint64, hs_rich takes two words, Z/419 two
+    # segments per row, Z/257 uint16 rows, M_2(Z/2) rows of 2 x 2 blocks
+    hs = engine_spaces[space]
+    sparse, factors, v0_gens = _ENGINE_CASES[space]
+    kept, keep = [], GroupClosure._keep
+
+    def spy(self, codes, start, first, gens):
+        kept.append((self, codes.tobytes(), start, gens))
+        keep(self, codes, start, first, gens)
+
+    monkeypatch.setattr(GroupClosure, "_keep", spy)
+    dense = math.prod((gen_matrix(hs, g) for g in factors[1:]), start=gen_matrix(hs, factors[0]))
+    assert (dense.arr != hs.identity.arr).any(axis=0).sum() >= hs.identity.arr.shape[0] - 2
+    cases = [[hs.identity if g is None else gen_matrix(hs, g) for g in sparse], [dense]]
+    if v0_gens:
+        v0_cols = slice(2 * hs.n * hs.ring.degree, None)
+        assert all((gen_matrix(hs, g).arr != hs.identity.arr)[:, v0_cols].any() for g in v0_gens)
+        cases.append([gen_matrix(hs, g) for g in v0_gens])
+    for mats in cases:
+        cl = enumerate_eu(hs, gens=[(None, m) for m in mats])
+        expect, words = naive_closure(hs, cl.gens)
+        assert list(cl) == list(expect) and dict(cl.words) == words
+    # every stream of codes handed to `_keep` is `_code` of the full products
+    for cl, codes, start, gens in kept:
+        n, d = len(codes) // (cl._codes.itemsize * len(gens)), cl._d
+        full = mulmod_unpacked(hs.ring, cl._rows[start:start + n].reshape(-1, d), np.hstack(gens))
+        assert codes == cl._code(full.reshape(n, d, len(gens), d)).tobytes()
+    assert len({id(cl) for cl, *_ in kept}) == len(cases)
+
+
+def test_commutator_seeds_keep_their_first_order(z3n):
+    hs = make_hyperbolic(z3n, 2)
+    pairs = [(m, m.inv()) for _, m in eu_generators(hs)]
+    seeds = {}
+    for a, ai in pairs:
+        for b, bi in pairs:
+            c = a * b * ai * bi
+            seeds.setdefault(c.key(), c)
+    cl = commutator_closure(hs)
+    expect = subgroup_closure(hs, seeds.values())
+    assert [m for _, m in cl.gens] == [m for _, m in expect.gens]
+    assert list(cl) == list(expect) and dict(cl.words) == dict(expect.words)
+
+
+@pytest.mark.slow
+def test_eu6_z3_negation_closure(z3n):
+    # Omega+_6(3): about 65 s and 850 MB, so deselected unless `pytest -m slow`
+    cl = enumerate_eu(make_hyperbolic(z3n, 3), cap=7_000_000)
+    assert cl.order == 3**6 * (3**2 - 1) * (3**3 - 1) * (3**4 - 1) // 2 == 6_065_280
+    assert cl.layers == [1, 24, 384, 4636, 43659, 309784, 1518622, 3246412, 931936, 9756, 66]
 
 
 def _naive_v0_sets(hs):
