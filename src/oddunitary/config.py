@@ -21,12 +21,7 @@ from .hyperbolic import HyperbolicSpace, make_hyperbolic
 from .report import DEFAULT_CAP, DEFAULT_SEED, ConfigError, NotInvertible
 from .rings import make_ring
 
-_SECTIONS = {
-    "ring": {"kind", "modulus", "degree", "involution"},
-    "space": {"n", "v0_gram", "v0_parameter", "parameter"},
-    "run": {"strategy", "seed", "cap", "samples"},
-}
-
+# the sections and their keys, each with its default
 _DEFAULTS = {
     "ring": {"kind": "residue", "modulus": "2", "degree": "1",
              "involution": "identity"},
@@ -70,7 +65,7 @@ def parse_config(text: str) -> WorkbenchConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTIONS:
+            if section not in _DEFAULTS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -78,7 +73,7 @@ def parse_config(text: str) -> WorkbenchConfig:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any section")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTIONS[section]:
+        if key not in _DEFAULTS[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
         cfg.section(section)[key] = value
     _validate(cfg)
@@ -99,6 +94,7 @@ def _validate(cfg: WorkbenchConfig):
         raise ConfigError(f"involution: unknown name {inv!r} for matrix ring")
     if cfg.ring["kind"] not in ("residue", "matrix"):
         raise ConfigError(f"kind: unknown ring kind {cfg.ring['kind']!r}")
+    _involution(cfg.ring)  # a table that is not integers is a config error
     if _integer(cfg.space, "n") < 1:
         raise ConfigError("n: hyperbolic rank must be at least 1")
     if cfg.run["strategy"] not in ("exhaustive", "sampled"):
@@ -119,21 +115,28 @@ def format_config(cfg: WorkbenchConfig) -> str:
     lines = []
     for name in ("ring", "space", "run"):
         lines.append(f"[{name}]")
-        for key in sorted(_SECTIONS[name]):
+        for key in sorted(_DEFAULTS[name]):
             lines.append(f"{key} = {cfg.section(name)[key]}")
     return "\n".join(lines) + "\n"
 
 
+def _involution(spec):
+    """The involution name of a ring spec and its table, or None: the
+    residues after `table:` on Z/m, or after `transpose:table:` on M_k(Z/m)."""
+    inv = spec["involution"]
+    prefix = "table:" if spec["kind"] == "residue" else "transpose:table:"
+    if not inv.startswith(prefix):
+        return inv, None
+    try:
+        return prefix[:-1], tuple(int(v) for v in inv[len(prefix):].split(","))
+    except ValueError:
+        raise ConfigError(f"involution: expected integers after {prefix!r}, "
+                          f"got {inv!r}") from None
+
+
 def build_ring(cfg: WorkbenchConfig):
     spec = cfg.ring
-    inv = spec["involution"]
-    table = None
-    if spec["kind"] == "residue" and inv.startswith("table:"):
-        table = tuple(int(v) for v in inv.split(":", 1)[1].split(","))
-        inv = "table"
-    if spec["kind"] == "matrix" and inv.startswith("transpose:table:"):
-        table = tuple(int(v) for v in inv.split(":", 2)[2].split(","))
-        inv = "transpose:table"
+    inv, table = _involution(spec)
     try:
         return make_ring(spec["kind"], int(spec["modulus"]),
                          int(spec["degree"]), inv, table)
@@ -191,9 +194,8 @@ def _parse_gram(text: str, ring):
     return gram
 
 
-def build_space(cfg: WorkbenchConfig, ring=None) -> HyperbolicSpace:
-    if ring is None:
-        ring = build_ring(cfg)
+def build_space(cfg: WorkbenchConfig) -> HyperbolicSpace:
+    ring = build_ring(cfg)
     spec = cfg.space
     cap = int(cfg.run["cap"])
     gram_txt = spec["v0_gram"].strip()

@@ -6,8 +6,9 @@ preimages do not depend on the chooser (central trick), which is asserted
 on every call.  Section elements S_ij(a), S_i(u, a) are built from
 commutators of preimages, over the generator pairs that prove the group
 perfect, and verified against every relation family.  The dagger and
-section checks evaluate chunks of letter-code words at once (`eval_rows`),
-each letter built once per check (`letter_memo`).
+section checks run on the relation sweep's chunk loop
+(`steinberg.sweep_family`), which evaluates chunks of letter-code words at
+once (`eval_rows`), each letter built once per check (`letter_memo`).
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from .report import DEFAULT_SEED, Report, WorkbenchError
 from .steinberg import (
     DAGGER,
     LetterMemo,
-    RELATION_IDS,
-    chunk_params,
     eval_word,
-    family_params,
+    sweep_family,
     sweep_relations,
     witness_pairs,
 )
@@ -126,42 +125,30 @@ def comm_preimages(E: ProductExtension, x: Mat, y: Mat):
 def check_dagger(E: ProductExtension, strategy="exhaustive",
                  seed=DEFAULT_SEED, samples=256) -> Report:
     """Preimage commutators vanish on index quadruples with all eight signs
-    distinct: a chunk's rows x y x' y' under both choosers, each with one
-    `letter_memo` for the sweep.  A chunk whose cases all agree and hold is
-    one verdict; any other is judged case by case."""
+    distinct: `sweep_family` of `DAGGER` on the rows of x y x' y' under the
+    chooser, one `letter_memo` per chooser for the sweep, and a column that
+    marks where the alt chooser's rows differ.  The first failing case
+    raises if its choosers disagree (`comm_preimages`)."""
     hs = E.hs
     if hs.n < 4:
         raise WorkbenchError("property-dagger needs n >= 4 (no admissible quadruple)")
-    memo, alt_memo = (
-        E.letter_memo(lambda c, chooser=chooser: chooser(gen_matrix(hs, decode_gen(hs, c))))
-        for chooser in (E.chooser, E.alt_chooser))
-    identity = E.eval_rows(np.zeros((1, 0), dtype=np.int64), memo)
+    matrix = functools.cache(lambda c: gen_matrix(hs, decode_gen(hs, c)))
+    memo, alt_memo = (E.letter_memo(lambda c, chooser=chooser: chooser(matrix(c)))
+                      for chooser in (E.chooser, E.alt_chooser))
 
-    def verdicts():
-        for idx, pos in family_params(hs, DAGGER, "dagger", strategy, seed, samples):
-            comm, _ = DAGGER.sides(hs, *idx.T, *map(hs.ring.codes_arr, pos.T))
-            rows = E.eval_rows(comm, memo)
-            agree = (rows == E.eval_rows(comm, alt_memo)).all(axis=1)
-            holds = (rows == identity).all(axis=1)
-            if agree.all() and holds.all():
-                yield idx, pos, range(len(idx)), True
-                continue
-            for t, (same, ok) in enumerate(zip(agree.tolist(), holds.tolist())):
-                if not same:
-                    raise WorkbenchError(CHOOSER_DEPENDENT)
-                yield idx, pos, range(t, t + 1), ok
+    def evaluate(codes):
+        rows = E.eval_rows(codes, memo)
+        disagree = (rows != E.eval_rows(codes, alt_memo)).any(axis=1)
+        return np.concatenate([rows, disagree[:, None]], axis=1)
 
-    def witness(verdict):
-        idx, pos, rows, _ = verdict
-        t = rows.start
-        params = chunk_params(hs, DAGGER, idx[t:t + 1], pos[t:t + 1])[0]
+    def witness(params):
+        i, j, k, h, a, b = params
+        comm_preimages(E, gen_matrix(hs, Xij(i, j, a)), gen_matrix(hs, Xij(k, h, b)))
         return "(i,j,k,h,a,b)=({},{},{},{},{!r},{!r})".format(*params)
 
     rep = Report()
-    rep.sweep("extension.dagger", verdicts(), lambda verdict: verdict[3], witness,
-              unit="quadruple instances",
-              seed=seed if strategy == "sampled" else None,
-              size=lambda verdict: len(verdict[2]))
+    sweep_family(rep, "extension.dagger", hs, DAGGER, "dagger", evaluate, witness,
+                 strategy, seed, samples, "quadruple instances")
     return rep
 
 
@@ -199,8 +186,7 @@ def section_eval(E: ProductExtension, table: list, codes):
 
 
 def verify_section(E: ProductExtension, table: dict, strategy="exhaustive",
-                   seed=DEFAULT_SEED, samples=256,
-                   relation_ids=RELATION_IDS, stop_on_fail=False) -> Report:
+                   seed=DEFAULT_SEED, samples=256, stop_on_fail=False) -> Report:
     """Every relation family with S substituted for X, plus eps(sigma) = id."""
     hs = E.hs
     rep = Report()
@@ -216,7 +202,7 @@ def verify_section(E: ProductExtension, table: dict, strategy="exhaustive",
     by_code = dict(zip(gen_codes(hs, gens).tolist(), table.values()))
     memo = E.letter_memo(by_code.__getitem__)
     rep.extend(sweep_relations(hs, "section", lambda codes: E.eval_rows(codes, memo),
-                               strategy, seed, samples, relation_ids, stop_on_fail))
+                               strategy, seed, samples, stop_on_fail=stop_on_fail))
     return rep
 
 

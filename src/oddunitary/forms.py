@@ -269,8 +269,7 @@ def verify_form_parameter(space, cap=DEFAULT_CAP, seed=DEFAULT_SEED) -> Report:
     return rep
 
 
-def orthogonal_sum(s1: OddQuadraticSpace, s2: OddQuadraticSpace,
-                   cap=DEFAULT_CAP) -> OddQuadraticSpace:
+def orthogonal_sum(s1: OddQuadraticSpace, s2: OddQuadraticSpace) -> OddQuadraticSpace:
     """Block-diagonal form; parameter = pairwise sums of the two parameters."""
     r = s1.ring
     if ring_key(r) != ring_key(s2.ring):
@@ -278,9 +277,9 @@ def orthogonal_sum(s1: OddQuadraticSpace, s2: OddQuadraticSpace,
     n1, n2 = s1.rank, s2.rank
     gram = ([list(row) + [r.zero] * n2 for row in s1.gram]
             + [[r.zero] * n1 + list(row) for row in s2.gram])
-    p1 = s1.param_elements(cap)
-    p2 = s2.param_elements(cap)
-    if len(p1) * len(p2) > cap:
+    p1 = s1.param_elements()
+    p2 = s2.param_elements()
+    if len(p1) * len(p2) > DEFAULT_CAP:
         raise CapExceeded("parameter of the sum exceeds cap")
     elems = frozenset((u + v, r.add(a, b)) for (u, a) in p1 for (v, b) in p2)
     return OddQuadraticSpace(r, gram, ExplicitParameter(elems))

@@ -14,6 +14,7 @@ from .report import DEFAULT_SEED, Report
 
 IDENTITY_IDS = ("C1", "C2", "C3", "C4", "C5", "C6")
 ROUNDS = 100  # seeded random substitutions per identity
+MAX_LEN = 8  # letters of a random substituted word, at most
 
 
 def gen(symbol) -> tuple:
@@ -101,12 +102,11 @@ def verify_identity(cid: str, assignment=None, m: int = 4) -> bool:
     return substitute(lhs, assignment) == substitute(rhs, assignment)
 
 
-def random_assignment(cid: str, rng: random.Random, m: int = 4,
-                      max_len: int = 8) -> dict:
+def random_assignment(cid: str, rng: random.Random, m: int = 4) -> dict:
     symbols = ["a", "b", "c", "d"]
     out = {}
     for v in identity_variables(cid, m):
-        length = rng.randint(0, max_len)
+        length = rng.randint(0, MAX_LEN)
         w = tuple([(rng.choice(symbols), rng.choice((1, -1))) for _ in range(length)])
         out[v] = reduce_word(w)
     return out

@@ -221,7 +221,7 @@ def is_isometry(hs: HyperbolicSpace, f: Mat) -> bool:
 VECTORS = 1024
 
 
-def equiv_mod_param(hs: HyperbolicSpace, f: Mat, g: Mat, cap=DEFAULT_CAP) -> bool:
+def equiv_mod_param(hs: HyperbolicSpace, f: Mat, g: Mat) -> bool:
     """(fv - gv, B(gv - fv, gv)) in the parameter for every module vector v.
 
     The vectors go VECTORS at a time, in the order of `sp.vectors()`, as the
@@ -230,7 +230,7 @@ def equiv_mod_param(hs: HyperbolicSpace, f: Mat, g: Mat, cap=DEFAULT_CAP) -> boo
     """
     sp, r = hs.space, hs.ring
     total = sp.vector_count()
-    if total > cap:
+    if total > DEFAULT_CAP:
         raise CapExceeded("module too large to enumerate")
     m, k, d = r.base_modulus, r.degree, hs.dim
     lam_gram = Mat.from_rows(r, r.arr_mul(r.arr(r.lam_inv), hs._blocks()[1]))
@@ -247,13 +247,13 @@ def equiv_mod_param(hs: HyperbolicSpace, f: Mat, g: Mat, cap=DEFAULT_CAP) -> boo
     return True
 
 
-def unitary_member(hs: HyperbolicSpace, f: Mat, cap=DEFAULT_CAP) -> bool:
+def unitary_member(hs: HyperbolicSpace, f: Mat) -> bool:
     """Bijective isometry equivalent to the identity modulo the parameter."""
     try:
         f.inv()
     except NotInvertible:
         return False
-    return is_isometry(hs, f) and equiv_mod_param(hs, f, hs.identity, cap)
+    return is_isometry(hs, f) and equiv_mod_param(hs, f, hs.identity)
 
 
 def gen_matrix(hs: HyperbolicSpace, gen) -> Mat:

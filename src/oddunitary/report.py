@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 DEFAULT_SEED = 3293
 DEFAULT_CAP = 10**6
@@ -47,8 +47,8 @@ class CheckResult:
 class Report:
     """Ordered list of check results; passes iff every status is "pass"."""
 
-    def __init__(self, results: Iterable[CheckResult] = ()):
-        self.results = list(results)
+    def __init__(self):
+        self.results = []
 
     def add(self, check, status, witness=None, seed=None):
         self.results.append(CheckResult(check, status, witness, seed))

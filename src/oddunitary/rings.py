@@ -13,7 +13,7 @@ from math import gcd
 
 import numpy as np
 
-from .matrices import exact_dims, inv_mod, invert_rows_mod, mulmod
+from .matrices import exact_dims, inv_mod, invert_rows_mod, mulmod, mulmod_unpacked
 from .report import DEFAULT_SEED, CapExceeded, NotInvertible, Report, cases_or_sample
 
 # the largest carrier, and the most pairs or triples, that a check lists in full
@@ -88,9 +88,11 @@ class Ring:
 
     def arr_bar_dot(self, u, v):
         """sum_i bar(u_i) v_i over the axis -3 of two stacks (..., r, k, k), with
-        bar(x) = ebar(x)^T; the int64 sums are exact while r k (m-1)^2 < 2^63."""
-        dot = np.einsum("...ibj,...ibl->...jl", self.entry_bar_arr(u), v)
-        return dot % self.base_modulus
+        bar(x) = ebar(x)^T: one modular product of (..., k, r k) by (..., r k, k)."""
+        def flat(a):
+            return a.reshape(a.shape[:-3] + (a.shape[-3] * self.degree, self.degree))
+        dot = mulmod_unpacked(self, flat(self.entry_bar_arr(u)).swapaxes(-1, -2), flat(v))
+        return dot.astype(np.int64, copy=False)
 
 
 def place_values(base, digits):

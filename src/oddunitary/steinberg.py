@@ -79,7 +79,8 @@ class LetterMemo:
         position is one batched product mod m over all the rows."""
         n, width = codes.shape
         slots = np.zeros((n, max(width, 1)), dtype=np.intp)
-        slots[:, :width] = self.slots_of(codes)
+        if width:
+            slots[:, :width] = self.slots_of(codes)
         stack = self.values[0]
         acc = stack[slots[:, 0]]
         for t in range(1, slots.shape[1]):
@@ -99,12 +100,6 @@ def letter_memo(hs: HyperbolicSpace, rep=None) -> LetterMemo:
         return ((m if c > 0 else m.inv()).arr,)
 
     return LetterMemo(hs.ring, (hs.identity.arr,), letter)
-
-
-def eval_words(hs: HyperbolicSpace, codes, rep=None) -> np.ndarray:
-    """`eval_word` of each row of an (N, L) array of letter codes, as one
-    stack of `Mat.arr`s (see `LetterMemo.products`)."""
-    return letter_memo(hs, rep).products(codes)[0]
 
 
 # -- relation families --------------------------------------------------------
@@ -320,15 +315,20 @@ def chunk_params(hs: HyperbolicSpace, fam: Family, idx, pos):
     return [tuple(row) + tuple(vals) for row, *vals in zip(idx.tolist(), *args)]
 
 
-def relation_chunks(hs, rid, strategy="exhaustive", seed=DEFAULT_SEED, samples=256):
-    """Yield (idx, pos, lhs, rhs) per chunk of one relation family: its
-    parameters (see `family_params`) and both sides as letter codes."""
-    fam = _family(rid)
+def family_chunks(hs: HyperbolicSpace, fam: Family, tag: str, strategy="exhaustive",
+                  seed=DEFAULT_SEED, samples=256):
+    """Yield (idx, pos, lhs, rhs) per chunk of one family: its parameters
+    (see `family_params`) and both sides as letter codes."""
     l0 = _values_arr(hs, "l0", hs.l0) if "l0" in fam.domains else None
-    for idx, pos in family_params(hs, fam, rid, strategy, seed, samples):
+    for idx, pos in family_params(hs, fam, tag, strategy, seed, samples):
         args = [hs.ring.codes_arr(p) if d == "ring" else (l0[0][p], l0[1][p])
                 for d, p in zip(fam.domains, pos.T)]
         yield (idx, pos, *fam.sides(hs, *idx.T, *args))
+
+
+def relation_chunks(hs, rid, strategy="exhaustive", seed=DEFAULT_SEED, samples=256):
+    """`family_chunks` of one relation family."""
+    return family_chunks(hs, _family(rid), rid, strategy, seed, samples)
 
 
 def relation_instance(hs: HyperbolicSpace, rid: str, params) -> tuple[Word, Word]:
@@ -356,36 +356,37 @@ def relation_cases(hs, rid, strategy="exhaustive", seed=DEFAULT_SEED, samples=25
             yield params, decode_word(hs, lhs[t]), decode_word(hs, rhs[t])
 
 
+def sweep_family(report: Report, check: str, hs: HyperbolicSpace, fam: Family, tag: str,
+                 evaluate, witness, strategy, seed, samples, unit="instances") -> bool:
+    """Add the record `check` of one family, a chunk of `family_chunks` at a
+    time: `evaluate` maps an (N, L) array of letter codes to N comparable
+    rows, and an instance holds when its two sides give equal rows.  The
+    instances of a chunk up to its first failing one are one verdict, so
+    the count is that of a case-by-case sweep; `witness(params)` names the
+    first failing instance.  False on a failure."""
+    def verdicts():
+        for idx, pos, lhs, rhs in family_chunks(hs, fam, tag, strategy, seed, samples):
+            same = (evaluate(lhs) == evaluate(rhs)).reshape(len(lhs), -1).all(axis=1)
+            fails = np.flatnonzero(~same)[:1]
+            yield int(fails[0]) if fails.size else len(lhs), None
+            if fails.size:
+                yield 1, chunk_params(hs, fam, idx[fails], pos[fails])[0]
+
+    return report.sweep(check, verdicts(), lambda verdict: verdict[1] is None,
+                        lambda verdict: witness(verdict[1]), unit,
+                        seed if strategy == "sampled" else None,
+                        size=lambda verdict: verdict[0])
+
+
 def sweep_relations(hs: HyperbolicSpace, prefix: str, evaluate, strategy, seed,
                     samples, relation_ids=RELATION_IDS,
                     stop_on_fail=False) -> Report:
-    """One record `prefix.rid` per family, a chunk of `relation_chunks` at a
-    time: `evaluate` maps an (N, L) array of letter codes to N comparable
-    rows, and a case holds when its two sides give equal rows.  A chunk
-    whose cases all hold is one verdict; a chunk with a failing case is
-    judged case by case."""
+    """One record `prefix.rid` per family, from `sweep_family`."""
     report = Report()
-    used_seed = seed if strategy == "sampled" else None
-
-    def verdicts(chunks):
-        for chunk in chunks:
-            lhs, rhs = chunk[2:]
-            same = (evaluate(lhs) == evaluate(rhs)).reshape(len(lhs), -1).all(axis=1)
-            if same.all():
-                yield chunk, range(len(lhs)), True
-                continue
-            for t, ok in enumerate(same.tolist()):
-                yield chunk, range(t, t + 1), ok
-
     for rid in relation_ids:
-        def witness(verdict, fam=_family(rid)):
-            (idx, pos, *_), rows, _ = verdict
-            t = rows.start
-            return f"{rid}{chunk_params(hs, fam, idx[t:t + 1], pos[t:t + 1])[0]!r}"
-        ok = report.sweep(f"{prefix}.{rid}",
-                          verdicts(relation_chunks(hs, rid, strategy, seed, samples)),
-                          lambda verdict: verdict[2], witness, seed=used_seed,
-                          size=lambda verdict: len(verdict[1]))
+        ok = sweep_family(report, f"{prefix}.{rid}", hs, _family(rid), rid, evaluate,
+                          lambda params, rid=rid: f"{rid}{params!r}",
+                          strategy, seed, samples)
         if not ok and stop_on_fail:
             break
     return report
@@ -548,16 +549,13 @@ def embed_matrix(small: HyperbolicSpace, big: HyperbolicSpace, m: Mat) -> Mat:
     return Mat.from_rows(small.ring, blocks)
 
 
-def remark2_witness_search(hs: HyperbolicSpace, limit=2000):
-    """Search the first `limit` commutators [X_i(u, a), X_i(v, b)] (R7's left
-    sides) for one that is not the identity: its (i, xi, zeta), else None."""
+def remark2_witness_search(hs: HyperbolicSpace):
+    """The first commutator [X_i(u, a), X_i(v, b)] (R7's left sides) that is
+    not the identity: its (i, xi, zeta), else None."""
     memo = letter_memo(hs)
     for idx, pos, lhs, _ in relation_chunks(hs, "R7"):
-        mats = memo.products(lhs[:limit])[0].reshape(len(lhs[:limit]), -1)
+        mats = memo.products(lhs)[0].reshape(len(lhs), -1)
         bad = np.flatnonzero((mats != hs.identity.arr.ravel()).any(axis=1))[:1]
         if bad.size:
             return chunk_params(hs, FAMILIES["R7"], idx[bad], pos[bad])[0]
-        limit -= len(lhs)
-        if limit <= 0:
-            return None
     return None

@@ -65,6 +65,12 @@ def test_semantic_errors_name_the_key():
         parse_config("[ring]\nmodulus = 1\n")
     with pytest.raises(ConfigError, match="involution"):
         parse_config("[ring]\ninvolution = flip\n")
+    # an involution table that is not a list of integers
+    with pytest.raises(ConfigError, match="^involution:"):
+        parse_config("[ring]\nmodulus = 3\ninvolution = table:a,b,c\n")
+    with pytest.raises(ConfigError, match="^involution:"):
+        parse_config("[ring]\nkind = matrix\ndegree = 2\n"
+                     "involution = transpose:table:0,x\n")
     with pytest.raises(ConfigError, match="strategy"):
         parse_config("[run]\nstrategy = guess\n")
 

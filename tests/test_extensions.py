@@ -463,6 +463,40 @@ def test_section_sweep_builds_each_letter_once(monkeypatch, letter_calls, ext_z3
     assert max(letter_calls.values()) == 1
 
 
+def test_dagger_builds_each_letter_once(monkeypatch, letter_calls, hs_z2_n4):
+    # one memo per chooser: each signed code is built once in each memo, and
+    # each chooser and each generator matrix is asked once per generator met
+    hs, ext = hs_z2_n4, product_extension(hs_z2_n4, 3, chooser_seed=3293)
+    memos, chooser_calls, matrix_calls = Counter(), Counter(), Counter()
+    init = steinberg.LetterMemo.__init__
+
+    def counting_init(self, *args):
+        memos["built"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(steinberg.LetterMemo, "__init__", counting_init)
+    for name in ("chooser", "alt_chooser"):
+        def counted(self, g, chooser=getattr(ProductExtension, name), name=name):
+            chooser_calls[name] += 1
+            return chooser(self, g)
+
+        monkeypatch.setattr(ProductExtension, name, counted)
+
+    def counted_matrix(h, g):
+        matrix_calls[g] += 1
+        return gen_matrix(h, g)
+
+    monkeypatch.setattr(extensions, "gen_matrix", counted_matrix)
+    assert check_dagger(ext).ok
+    met = {c for chunk in steinberg.family_chunks(hs, DAGGER, "dagger")
+           for c in chunk[2].ravel().tolist()}
+    gens = {decode_gen(hs, abs(c)) for c in met}
+    assert memos["built"] == 2
+    assert set(letter_calls) == met and set(letter_calls.values()) == {2}
+    assert chooser_calls == {"chooser": len(gens), "alt_chooser": len(gens)}
+    assert set(matrix_calls) == gens and max(matrix_calls.values()) == 1
+
+
 def test_mutation_rejects_trivial_delta(ext_z2, section_z2):
     gen = next(iter(section_z2))
     with pytest.raises(ValueError):

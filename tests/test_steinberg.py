@@ -42,8 +42,8 @@ from oddunitary.steinberg import (
     U1NormalForm,
     embed_matrix,
     eval_word,
-    eval_words,
     gen_matrix,
+    letter_memo,
     normal_form_word,
     perfect_witness,
     relation_cases,
@@ -377,7 +377,7 @@ def test_eval_words_matches_eval_word(space, data):
     for row, w in zip(codes, words):
         row[:len(w)] = gen_codes(hs, [g for g, _ in w]) * [e for _, e in w]
         assert decode_word(hs, row) == w
-    got = eval_words(hs, codes)
+    got = letter_memo(hs).products(codes)[0]
     assert got.shape == (len(words),) + hs.identity.arr.shape
     assert got.dtype == hs.identity.arr.dtype
     for w, arr in zip(words, got):
