@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import extensions, freewords, hyperbolic, steinberg
@@ -191,11 +192,22 @@ def main(argv=None) -> int:
     except (ConfigError, WorkbenchError, CapExceeded, ValueError, OSError) as exc:
         line = Report()
         line.add("cli", "error", witness=str(exc))
-        print(line.to_json_lines())
-        return 2
-    if text:
-        print(text)
-    return 0 if report.ok else 1
+        return _emit(line.to_json_lines(), 2)
+    return _emit(text, 0 if report.ok else 1)
+
+
+def _emit(text, code):
+    """Print `text` unless empty and return `code`, also when the reader has
+    closed stdout (`oddunitary ... | head -1`)."""
+    try:
+        if text:
+            print(text, flush=True)
+    except BrokenPipeError:
+        # stdout to devnull, so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

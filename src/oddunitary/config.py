@@ -18,7 +18,7 @@ from .forms import (
     zero_space,
 )
 from .hyperbolic import HyperbolicSpace, make_hyperbolic
-from .report import DEFAULT_CAP, DEFAULT_SEED, ConfigError, NotInvertible
+from .report import DEFAULT_CAP, DEFAULT_SEED, ConfigError
 from .rings import make_ring
 
 # the sections and their keys, each with its default
@@ -81,20 +81,7 @@ def parse_config(text: str) -> WorkbenchConfig:
 
 
 def _validate(cfg: WorkbenchConfig):
-    modulus, degree = _integer(cfg.ring, "modulus"), _integer(cfg.ring, "degree")
-    if modulus < 2:
-        raise ConfigError("modulus: ring must have at least 2 elements")
-    if degree < 1:
-        raise ConfigError("degree: must be at least 1")
-    inv = cfg.ring["involution"]
-    base = inv.split(":", 1)[0]
-    if cfg.ring["kind"] == "residue" and base not in ("identity", "negation", "table"):
-        raise ConfigError(f"involution: unknown name {inv!r}")
-    if cfg.ring["kind"] == "matrix" and base != "transpose":
-        raise ConfigError(f"involution: unknown name {inv!r} for matrix ring")
-    if cfg.ring["kind"] not in ("residue", "matrix"):
-        raise ConfigError(f"kind: unknown ring kind {cfg.ring['kind']!r}")
-    _involution(cfg.ring)  # a table that is not integers is a config error
+    build_ring(cfg)
     if _integer(cfg.space, "n") < 1:
         raise ConfigError("n: hyperbolic rank must be at least 1")
     if cfg.run["strategy"] not in ("exhaustive", "sampled"):
@@ -120,28 +107,21 @@ def format_config(cfg: WorkbenchConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _involution(spec):
-    """The involution name of a ring spec and its table, or None: the
-    residues after `table:` on Z/m, or after `transpose:table:` on M_k(Z/m)."""
-    inv = spec["involution"]
-    prefix = "table:" if spec["kind"] == "residue" else "transpose:table:"
-    if not inv.startswith(prefix):
-        return inv, None
-    try:
-        return prefix[:-1], tuple(int(v) for v in inv[len(prefix):].split(","))
-    except ValueError:
-        raise ConfigError(f"involution: expected integers after {prefix!r}, "
-                          f"got {inv!r}") from None
-
-
 def build_ring(cfg: WorkbenchConfig):
+    """`make_ring` of the [ring] section, the residues after `table:` in the
+    involution as its table; a ring error is a ConfigError naming its key."""
     spec = cfg.ring
-    inv, table = _involution(spec)
+    name, sep, entries = spec["involution"].partition("table:")
     try:
-        return make_ring(spec["kind"], int(spec["modulus"]),
-                         int(spec["degree"]), inv, table)
-    except (ValueError, NotInvertible) as exc:
-        raise ConfigError(f"ring: {exc}") from exc
+        table = tuple(int(v) for v in entries.split(",")) if sep else None
+    except ValueError:
+        raise ConfigError(f"involution: expected integers after 'table:', "
+                          f"got {spec['involution']!r}") from None
+    try:
+        return make_ring(spec["kind"], _integer(spec, "modulus"), _integer(spec, "degree"),
+                         name + "table" if sep else name, table)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_heis(text: str, ring, length: int):

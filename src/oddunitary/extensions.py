@@ -81,7 +81,7 @@ class ProductExtension:
                 x = self.inv(x)
             return x[0].arr, x[1]
 
-        return LetterMemo(self.hs.ring, (self.hs.identity.arr, 0), letter)
+        return LetterMemo(self.hs, (self.hs.identity.arr, 0), letter)
 
     def eval_rows(self, codes, memo):
         """The words of an (N, L) array of letter codes as N comparable rows,

@@ -272,7 +272,7 @@ def verify_form_parameter(space, cap=DEFAULT_CAP, seed=DEFAULT_SEED) -> Report:
 def orthogonal_sum(s1: OddQuadraticSpace, s2: OddQuadraticSpace) -> OddQuadraticSpace:
     """Block-diagonal form; parameter = pairwise sums of the two parameters."""
     r = s1.ring
-    if ring_key(r) != ring_key(s2.ring):
+    if r.key != s2.ring.key:
         raise WorkbenchError("orthogonal sum needs both spaces over the same ring")
     n1, n2 = s1.rank, s2.rank
     gram = ([list(row) + [r.zero] * n2 for row in s1.gram]
@@ -284,8 +284,3 @@ def orthogonal_sum(s1: OddQuadraticSpace, s2: OddQuadraticSpace) -> OddQuadratic
     elems = frozenset((u + v, r.add(a, b)) for (u, a) in p1 for (v, b) in p2)
     return OddQuadraticSpace(r, gram, ExplicitParameter(elems))
 
-
-def ring_key(ring):
-    return (ring.kind, getattr(ring, "modulus", None),
-            getattr(ring, "base_modulus", None), ring.degree, ring.involution,
-            getattr(ring, "table", None))

@@ -90,6 +90,13 @@ def xi_codes(hs, i, xi):
     return _codes(hs, i, 2 * hs.n, np.concatenate([u, a[:, None]], axis=1))
 
 
+def outside_l0(hs, codes):
+    """Whether each letter code of an array is X_i(xi)^(+-1) with xi outside
+    the V0-supported parameter `hs.l0`: inside an interval of
+    `hs.outside_bounds`, so above an odd number of its bounds."""
+    return np.searchsorted(hs.outside_bounds, np.abs(codes), side="right") % 2 == 1
+
+
 def gen_codes(hs, gens):
     """The code of each generator, as an int64 array."""
     # X_ij(a) has the argument digits (0, ..., 0, a)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
+from functools import cached_property
 
 import numpy as np
 
-from .forms import FormParameter, OddQuadraticSpace, ring_key, zero_space
-from .generators import Xi, Xij, format_word, generators
+from .forms import FormParameter, OddQuadraticSpace, zero_space
+from .generators import Xi, Xij, format_word, gen_codes, generators
 from .matrices import Mat, mulmod, mulmod_unpacked
 from .report import DEFAULT_CAP, CapExceeded, NotInvertible, WorkbenchError
 from .rings import place_values
@@ -95,7 +96,7 @@ class HyperbolicSpace:
     def __init__(self, ring, n, v0: OddQuadraticSpace, parameter=None):
         if n < 1:
             raise ValueError("hyperbolic rank must be at least 1")
-        if ring_key(ring) != ring_key(v0.ring):
+        if ring.key != v0.ring.key:
             raise WorkbenchError("V0 must live over the same ring")
         self.ring = ring
         self.n = n
@@ -135,6 +136,17 @@ class HyperbolicSpace:
         self.l0_set = frozenset(self.l0)
         self.identity = Mat.identity(ring, self.dim)
         self.gen_mats = {}  # generator -> its transvection, filled by gen_matrix
+
+    @cached_property
+    def outside_bounds(self):
+        """The codes of the letters X_i(xi) with xi outside `l0`, as the sorted
+        bounds lo, hi of intervals [lo, hi): for each index i, the gaps
+        between the argument codes of `l0` (see `generators.gen_codes`)."""
+        span, d = self.ring.card ** (self.v0.rank + 1), 2 * self.n
+        args = np.sort((gen_codes(self, [Xi(1, xi) for xi in self.l0]) - 1) % span)
+        lo, hi = np.append(-1, args) + 1, np.append(args, span)
+        gaps = np.stack([lo, hi], axis=1)[lo < hi].ravel()
+        return (1 + (np.arange(d)[:, None] * (d + 1) + d) * span + gaps).ravel()
 
     # -- indices -----------------------------------------------------------
 

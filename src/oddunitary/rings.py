@@ -2,7 +2,9 @@
 
 A pseudo-involution is an additive map a -> bar(a) with bar(1) invertible,
 bar(bar(a)) = a and bar(a*b) = bar(b) * bar(1)^-1 * bar(a).  lam denotes
-bar(1) throughout.
+bar(1) throughout.  Every additive bijection of Z/m is multiplication by a
+unit c, so each ring stores its involution as that c: bar(a) = c a on Z/m
+and bar(A) = c A^T on M_k(Z/m).
 """
 
 from __future__ import annotations
@@ -21,9 +23,20 @@ ENUM_THRESHOLD = 10**6
 
 
 class Ring:
-    """Common interface; element values are hashable immutables, fully reduced."""
+    """Common interface; element values are hashable immutables, fully reduced.
+    `key`, (kind, m, k, c), tells rings apart."""
 
     modulus = None  # set for residue rings, whose elements are plain ints
+
+    def __init__(self, kind, m, k, entry_involution, table):
+        if m < 2:
+            raise ValueError("modulus: ring must have at least 2 elements")
+        self.base_modulus, self.degree = m, k
+        self.c = involution_unit(m, entry_involution, table)
+        self.key = (kind, m, k, self.c)
+        # `Mat` entries: the smallest unsigned dtype that holds every residue
+        self.dtype = np.min_scalar_type(m - 1)
+        self.exact_dim, self.float_dim = exact_dims(m)
 
     def elements(self):
         raise NotImplementedError
@@ -82,17 +95,21 @@ class Ring:
     def arr_mul(self, *xs):
         return reduce(lambda a, b: mulmod(self, a, b).astype(np.int64), xs)
 
+    def _scale(self, a):
+        """c a, and `a` itself when c = 1."""
+        return a if self.c == 1 else a * self.c % self.base_modulus
+
     def arr_bar(self, a):
-        """The entry involution, then the transpose (a no-op at k = 1)."""
-        return np.swapaxes(self.entry_bar_arr(a), -1, -2)
+        """c a^T (the transpose is a no-op at k = 1)."""
+        return np.swapaxes(self._scale(a), -1, -2)
 
     def arr_bar_dot(self, u, v):
-        """sum_i bar(u_i) v_i over the axis -3 of two stacks (..., r, k, k), with
-        bar(x) = ebar(x)^T: one modular product of (..., k, r k) by (..., r k, k)."""
+        """sum_i bar(u_i) v_i = c sum_i u_i^T v_i over the axis -3 of two stacks
+        (..., r, k, k): one modular product of (..., k, r k) by (..., r k, k)."""
         def flat(a):
             return a.reshape(a.shape[:-3] + (a.shape[-3] * self.degree, self.degree))
-        dot = mulmod_unpacked(self, flat(self.entry_bar_arr(u)).swapaxes(-1, -2), flat(v))
-        return dot.astype(np.int64, copy=False)
+        dot = mulmod_unpacked(self, flat(u).swapaxes(-1, -2), flat(v))
+        return self._scale(dot.astype(np.int64, copy=False))
 
 
 def place_values(base, digits):
@@ -100,49 +117,38 @@ def place_values(base, digits):
     return np.array([base**e for e in range(digits - 1, -1, -1)], dtype=np.int64)
 
 
-def _make_bar(kind, table, m):
-    """bar on one residue, and entrywise on an int64 array of residues."""
-    if kind == "identity":
-        return (lambda a: a), (lambda a: a)
-    if kind == "negation":
-        def neg(a):
-            return (-a) % m
-        return neg, neg
-    if kind == "table":
-        arr = np.array(table, dtype=np.int64)
-        return (lambda a: table[a]), (lambda a: arr[a])
-    raise ValueError(f"unsupported involution {kind!r} for residue ring")
+def involution_unit(m, name, table=None):
+    """The unit c of the Z/m involution a -> c a named `name`: 1 for
+    `identity`, -1 for `negation`, and table[1] for `table`, whose m entries
+    must be a -> a table[1] mod m with table[1] a unit."""
+    if name in ("identity", "negation"):
+        return 1 if name == "identity" else m - 1
+    if name != "table":
+        raise ValueError(f"involution: unknown name {name!r}")
+    if table is None or len(table) != m:
+        raise ValueError(f"involution: a table on Z/{m} has {m} entries")
+    c = table[1]
+    bad = next((a for a, t in enumerate(table) if t != a * c % m), None)
+    if bad is not None:
+        raise ValueError(f"involution: table[{bad}] = {table[bad]}, but an additive "
+                         f"table has table[a] = a * table[1] mod {m}")
+    if gcd(c, m) != 1:
+        raise ValueError(f"involution: table[1] = {c} is not a unit mod {m}, "
+                         "so the table is not a bijection")
+    return int(c)
 
 
 class ResidueRing(Ring):
     """Z/m with elements stored as ints in [0, m)."""
 
     def __init__(self, m, involution="identity", table=None):
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        self.modulus = self.base_modulus = m
-        self.degree = 1
-        self.kind = "residue"
-        self.involution = involution
+        super().__init__("residue", m, 1, involution, table)
+        self.modulus, self.involution = m, involution
         self.zero = 0
         self.one = 1
-        if involution == "table":
-            if table is None or sorted(table) != list(range(m)):
-                raise ValueError("involution table must be a bijection on [0, m)")
-            table = tuple(int(v) % m for v in table)
-            bad = next(((a, b) for a in range(m) for b in range(m)
-                        if table[(a + b) % m] != (table[a] + table[b]) % m), None)
-            if bad is not None:
-                raise ValueError(f"involution table is not additive at {bad}")
-        self.table = table
-        self.bar, self.entry_bar_arr = _make_bar(involution, table, m)
-        self._lam = self.bar(1)
-        if gcd(self._lam, m) != 1:
-            raise NotInvertible("bar(1) is not invertible")
-        self._lam_inv = inv_mod(self._lam, m)
-        # `Mat` entries: the smallest unsigned dtype that holds every residue
-        self.dtype = np.min_scalar_type(m - 1)
-        self.exact_dim, self.float_dim = exact_dims(m)
+        c = self._lam = self.c
+        self._lam_inv = inv_mod(c, m)
+        self.bar = lambda a: c * a % m
 
     @property
     def card(self):
@@ -185,25 +191,14 @@ class MatrixRing(Ring):
     """k x k matrices over Z/m; bar = transpose composed with an entrywise involution."""
 
     def __init__(self, m, k, entry_involution="identity", table=None):
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
         if k < 1:
-            raise ValueError("degree must be at least 1")
-        self.base = ResidueRing(m, entry_involution, table)
-        self.base_modulus = m
-        self.degree = k
-        self.kind = "matrix"
+            raise ValueError("degree: must be at least 1")
+        super().__init__("matrix", m, k, entry_involution, table)
         self.involution = f"transpose:{entry_involution}"
-        self.table = self.base.table
-        self.entry_bar_arr = self.base.entry_bar_arr
-        self.dtype, (self.exact_dim, self.float_dim) = self.base.dtype, exact_dims(m)
         self.zero = tuple(tuple(0 for _ in range(k)) for _ in range(k))
         self.one = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
         self._lam = self.bar(self.one)
-        try:
-            self._lam_inv = self.inv(self._lam)
-        except NotInvertible:
-            raise NotInvertible("bar(1) is not invertible")
+        self._lam_inv = self.inv(self._lam)
 
     @property
     def card(self):
@@ -218,10 +213,10 @@ class MatrixRing(Ring):
         return tuple([tuple(vals[i * k:(i + 1) * k]) for i in range(k)])
 
     def is_scalar(self, v):
-        k = self.degree
+        k, m = self.degree, self.base_modulus
         return (type(v) is tuple and len(v) == k and all(
-            type(row) is tuple and len(row) == k and all(map(self.base.is_scalar, row))
-            for row in v))
+            type(row) is tuple and len(row) == k
+            and all(type(x) is int and 0 <= x < m for x in row) for row in v))
 
     def add(self, a, b):
         m = self.base_modulus
@@ -239,8 +234,8 @@ class MatrixRing(Ring):
         ])
 
     def bar(self, a):
-        k, ebar = self.degree, self.base.bar
-        return tuple(tuple(ebar(a[j][i]) for j in range(k)) for i in range(k))
+        k, c, m = self.degree, self.c, self.base_modulus
+        return tuple(tuple(c * a[j][i] % m for j in range(k)) for i in range(k))
 
     def inv(self, a):
         return invert_rows_mod(a, self.base_modulus)
@@ -260,17 +255,18 @@ class MatrixRing(Ring):
 
 
 def make_ring(kind="residue", modulus=2, degree=1, involution="identity", table=None):
-    """Build a ring descriptor; validates the involution spec and caches lam."""
+    """Build a ring from its spec.  Ring kinds, involution names and tables
+    are checked here alone; each error message starts with its config key."""
     if kind == "residue":
         if degree != 1:
-            raise ValueError("residue rings have degree 1")
+            raise ValueError("degree: residue rings have degree 1")
         return ResidueRing(modulus, involution, table)
     if kind == "matrix":
-        if not involution.startswith("transpose"):
-            raise ValueError(f"unsupported involution {involution!r} for matrix ring")
-        entry = involution.split(":", 1)[1] if ":" in involution else "identity"
-        return MatrixRing(modulus, degree, entry, table)
-    raise ValueError(f"unsupported ring kind {kind!r}")
+        name, sep, entry = involution.partition(":")
+        if name != "transpose":
+            raise ValueError(f"involution: unknown name {involution!r} for matrix ring")
+        return MatrixRing(modulus, degree, entry if sep else "identity", table)
+    raise ValueError(f"kind: unknown ring kind {kind!r}")
 
 
 def _elements(ring):

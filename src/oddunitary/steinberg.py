@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .generators import (Word, Xi, Xij, commutator_word, decode_gen, decode_word,
-                         generators, wmul, word, xi_codes, xij_codes)
+                         generators, outside_l0, wmul, word, xi_codes, xij_codes)
 from .hyperbolic import HyperbolicSpace, gen_matrix
 from .matrices import Mat, mulmod
 from .report import DEFAULT_SEED, Report, WorkbenchError
@@ -39,6 +39,10 @@ def eval_word(hs: HyperbolicSpace, w: Word, rep=None, cache=None) -> Mat:
     return acc
 
 
+class OutsideL0(WorkbenchError):
+    """A letter X_i(xi) with xi outside `hs.l0`, which is no generator."""
+
+
 class LetterMemo:
     """The values of the letter codes that one sweep meets, each built once.
 
@@ -46,13 +50,14 @@ class LetterMemo:
     the code of each slot, and `sorted` and `slots` are the codes in
     increasing order and their slots.  Slot 0 holds `identity`, the value of
     the code 0 and of an empty row.  `letter(c)` builds the values of a
-    code c != 0 the first time a chunk holds it, one entry per stack.  The
-    first stack holds matrices (`Mat.arr`), which `products` multiplies
-    along the rows.
+    code c != 0 the first time a chunk holds it, one entry per stack, and
+    `OutsideL0` is raised instead for a letter outside `hs.l0`.  The first
+    stack holds matrices (`Mat.arr`), which `products` multiplies along the
+    rows.
     """
 
-    def __init__(self, ring, identity, letter):
-        self.ring = ring
+    def __init__(self, hs, identity, letter):
+        self.hs = hs
         self.letter = letter
         self.values = tuple(np.asarray(v)[None] for v in identity)
         self.codes = self.sorted = np.zeros(1, dtype=np.int64)
@@ -64,6 +69,8 @@ class LetterMemo:
         pos = np.searchsorted(self.sorted, letters)
         new = letters[self.sorted.take(pos, mode="clip") != letters]
         if new.size:
+            if outside_l0(self.hs, new).any():
+                raise OutsideL0("a letter X_i(xi) with xi outside the parameter")
             built = zip(*map(self.letter, new.tolist()))
             self.values = tuple(np.concatenate([old, np.stack(part)])
                                 for old, part in zip(self.values, built))
@@ -84,7 +91,7 @@ class LetterMemo:
         stack = self.values[0]
         acc = stack[slots[:, 0]]
         for t in range(1, slots.shape[1]):
-            acc = mulmod(self.ring, acc, stack[slots[:, t]])
+            acc = mulmod(self.hs.ring, acc, stack[slots[:, t]])
         return acc, slots
 
 
@@ -99,7 +106,7 @@ def letter_memo(hs: HyperbolicSpace, rep=None) -> LetterMemo:
         m = matrix(abs(c))
         return ((m if c > 0 else m.inv()).arr,)
 
-    return LetterMemo(hs.ring, (hs.identity.arr,), letter)
+    return LetterMemo(hs, (hs.identity.arr,), letter)
 
 
 # -- relation families --------------------------------------------------------
@@ -360,13 +367,23 @@ def sweep_family(report: Report, check: str, hs: HyperbolicSpace, fam: Family, t
                  evaluate, witness, strategy, seed, samples, unit="instances") -> bool:
     """Add the record `check` of one family, a chunk of `family_chunks` at a
     time: `evaluate` maps an (N, L) array of letter codes to N comparable
-    rows, and an instance holds when its two sides give equal rows.  The
+    rows, and an instance holds when its two sides give equal rows.  An
+    instance with a letter X_i(xi), xi outside `hs.l0`, fails unevaluated:
+    the `LetterMemo` behind `evaluate` raises `OutsideL0` on such a letter,
+    and the chunk is evaluated again without those instances.  The
     instances of a chunk up to its first failing one are one verdict, so
     the count is that of a case-by-case sweep; `witness(params)` names the
     first failing instance.  False on a failure."""
+    def holds(lhs, rhs):
+        return (evaluate(lhs) == evaluate(rhs)).reshape(len(lhs), -1).all(axis=1)
+
     def verdicts():
         for idx, pos, lhs, rhs in family_chunks(hs, fam, tag, strategy, seed, samples):
-            same = (evaluate(lhs) == evaluate(rhs)).reshape(len(lhs), -1).all(axis=1)
+            try:
+                same = holds(lhs, rhs)
+            except OutsideL0:
+                bad = outside_l0(hs, np.concatenate([lhs, rhs], axis=1)).any(axis=1)
+                same = holds(*(np.where(bad[:, None], 0, side) for side in (lhs, rhs))) & ~bad
             fails = np.flatnonzero(~same)[:1]
             yield int(fails[0]) if fails.size else len(lhs), None
             if fails.size:

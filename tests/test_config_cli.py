@@ -71,6 +71,19 @@ def test_semantic_errors_name_the_key():
     with pytest.raises(ConfigError, match="^involution:"):
         parse_config("[ring]\nkind = matrix\ndegree = 2\n"
                      "involution = transpose:table:0,x\n")
+    # tables that are not additive, not a bijection, or not m entries long,
+    # and an entry involution without a name
+    for ring in ("modulus = 4\ninvolution = table:1,2,3,0",
+                 "modulus = 5\ninvolution = table:0,0,1,2,3",
+                 "modulus = 4\ninvolution = table:0,2,0,2",
+                 "modulus = 5\ninvolution = table:0,4,3,2",
+                 "kind = matrix\ndegree = 2\ninvolution = transpose:flip"):
+        with pytest.raises(ConfigError, match="^involution:"):
+            parse_config(f"[ring]\n{ring}\n")
+    with pytest.raises(ConfigError, match="^kind:"):
+        parse_config("[ring]\nkind = polynomial\n")
+    with pytest.raises(ConfigError, match="^degree:"):
+        parse_config("[ring]\nkind = matrix\ndegree = 0\ninvolution = transpose\n")
     with pytest.raises(ConfigError, match="strategy"):
         parse_config("[run]\nstrategy = guess\n")
 
@@ -150,6 +163,16 @@ def test_table_involution_config():
     text = "[ring]\nmodulus = 5\ninvolution = table:0,4,3,2,1\n"
     ring = build_ring(parse_config(text))
     assert ring.bar(2) == 3  # the table is negation mod 5
+
+
+def test_negation_table_on_a_large_modulus():
+    # one pass over the table: Z/2003 negation written out as 2003 entries
+    m = 2003
+    table = ",".join(str(-a % m) for a in range(m))
+    ring = build_ring(parse_config(f"[ring]\nmodulus = {m}\ninvolution = table:{table}\n"))
+    negation = build_ring(parse_config(f"[ring]\nmodulus = {m}\ninvolution = negation\n"))
+    assert [ring.bar(a) for a in range(m)] == [negation.bar(a) for a in range(m)]
+    assert ring.key == negation.key
 
 
 def run_cli(capsys, *argv):
@@ -405,6 +428,53 @@ def test_cli_every_subcommand_at_small_rank(capsys, tmp_path, n, argv, code, las
         assert lines[-1]["witness"] == last[2]
     if argv[0] == "verify-relations":
         assert {l["check"]: l["status"] for l in lines}["relations.R5"] == "vacuous"
+
+
+SYMMETRIC_V0 = "[ring]\nmodulus = 3\n[space]\nn = {}\nv0_gram = 0,1;1,0\nv0_parameter = max\n"
+
+
+def test_letter_outside_the_generators_fails_its_family(capsys, tmp_path):
+    # this Gram matrix is symmetric, not anti-Hermitian, over Z/3 with the
+    # identity involution, so R2 and R6 build right sides X_i(xi) with xi
+    # outside the parameter; those instances fail, and every family is kept
+    cfg = tmp_path / "symmetric.cfg"
+    cfg.write_text(SYMMETRIC_V0.format(2))
+    code, lines = run_cli(capsys, "--config", str(cfg), "verify-relations")
+    assert code == 1
+    assert [l["check"] for l in lines] == [f"relations.R{t}" for t in range(10)]
+    fails = {l["check"]: l["witness"] for l in lines if l["status"] == "fail"}
+    assert fails == {"relations.R2": "R2(1, ((0, 1), 0), ((1, 0), 0))",
+                     "relations.R6": "R6(1, 2, ((0, 1), 0), ((1, 0), 0))"}
+    # the section sweep, whose letters come from the section table
+    cfg.write_text(SYMMETRIC_V0.format(4))
+    code, lines = run_cli(capsys, "--config", str(cfg), "--strategy", "sampled",
+                          "split-demo", "3")
+    assert code == 1
+    fails = [l["check"] for l in lines if l["status"] == "fail"]
+    assert fails == ["section.R2", "section.R6"]
+    assert lines[-1]["check"] == "extension.central_trick"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify-ring"], 0),
+    (["--config", "doubling.cfg", "verify-ring"], 1),
+    (["--cap", "-5", "enumerate-eu"], 2),
+])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, argv, code):
+    # the reading end is closed before the run starts, so every write to
+    # stdout fails; the run still exits with its report's code
+    (tmp_path / "doubling.cfg").write_text(
+        "[ring]\nmodulus = 5\ninvolution = table:0,2,4,1,3\n")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddunitary", *argv], cwd=tmp_path, stdout=write,
+            stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
 
 
 def test_output_does_not_depend_on_hash_seed():

@@ -1,16 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from oddunitary import (
     NotInvertible,
+    OddQuadraticSpace,
+    WorkbenchError,
+    make_hyperbolic,
     make_ring,
+    orthogonal_sum,
     verify_pseudo_involution,
     verify_ring_axioms,
 )
 
-# Note: every additive bijection of Z/m is multiplication by a unit, so
-# bar(1) is automatically invertible for all residue involution tables; the
-# NotInvertible branch of make_ring is defensive only.
+# Note: every additive bijection of Z/m is multiplication by a unit c, so
+# each ring stores its involution as c, and bar(1) = c is always invertible.
 
 
 def test_residue_identity_lambda():
@@ -58,6 +63,49 @@ def test_make_ring_rejects_bad_specs():
     with pytest.raises(ValueError):
         # a -> a+1 is a bijection but not additive
         make_ring("residue", 4, involution="table", table=(1, 2, 3, 0))
+    for kind, involution in (("residue", "transpose:negation"), ("matrix", "transpose:flip"),
+                             ("matrix", "transpose:"), ("matrix", "identity")):
+        with pytest.raises(ValueError, match="^involution:"):
+            make_ring(kind, 3, 2 if kind == "matrix" else 1, involution)
+
+
+def _additive_bijection(m, table):
+    """The table rule stated directly: a bijection of [0, m) that is additive."""
+    return sorted(table) == list(range(m)) and all(
+        table[(a + b) % m] == (table[a] + table[b]) % m for a in range(m) for b in range(m))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_table_rule_accepts_exactly_the_additive_bijections(m):
+    # every table of m entries in [-1, m]: accepted exactly when it is an
+    # additive bijection of Z/m, and then bar is the table
+    accepted = 0
+    for table in itertools.product(range(-1, m + 1), repeat=m):
+        if _additive_bijection(m, table):
+            r = make_ring("residue", m, involution="table", table=table)
+            assert [r.bar(a) for a in range(m)] == list(table)
+            assert r.arr_bar(r.arr(list(range(m)), (m,))).ravel().tolist() == list(table)
+            accepted += 1
+        else:
+            with pytest.raises(ValueError, match="^involution: "):
+                make_ring("residue", m, involution="table", table=table)
+    for n in (m - 1, m + 1):
+        with pytest.raises(ValueError, match="^involution: "):
+            make_ring("residue", m, involution="table", table=tuple(range(n)))
+    # one accepted table per unit of Z/m
+    assert accepted == sum(np.gcd(c, m) == 1 for c in range(m))
+
+
+def test_a_ring_is_named_by_its_unit():
+    z3n = make_ring("residue", 3, involution="negation")
+    assert z3n.key == ("residue", 3, 1, 2)
+    assert make_ring("residue", 3, involution="table", table=(0, 2, 1)).key == z3n.key
+    assert make_ring("matrix", 3, 2, "transpose:negation").key == ("matrix", 3, 2, 2)
+    z3 = make_ring("residue", 3)
+    with pytest.raises(WorkbenchError, match="same ring"):
+        make_hyperbolic(z3, 2, OddQuadraticSpace(z3n, ((0,),)))
+    with pytest.raises(WorkbenchError, match="same ring"):
+        orthogonal_sum(OddQuadraticSpace(z3, ((0,),)), OddQuadraticSpace(z3n, ((0,),)))
 
 
 def test_doubling_map_fails_involutivity():

@@ -31,6 +31,7 @@ from oddunitary.generators import (
     format_word,
     gen_codes,
     generators,
+    outside_l0,
     parse_word,
     winv,
     wmul,
@@ -581,3 +582,21 @@ def test_parse_word_rejects_garbage(hs_z2_n3):
         parse_word("Y12(1)", hs_z2_n3)
     with pytest.raises(ValueError):
         parse_word("X123(1)", hs_z2_n3)
+
+
+@pytest.mark.parametrize("involution, gram, parameter", [
+    ("identity", ((0, 1), (1, 0)), MaxParameter()),
+    ("negation", (), None),
+])
+def test_outside_l0_matches_the_decoded_letters(involution, gram, parameter):
+    # every letter code of Z/3 at n = 2: with a symmetric V0, whose maximal
+    # parameter is a proper part of V0 x Z/3, and with V0 = 0 under the
+    # negation, where l0 = {0}
+    z3 = make_ring("residue", 3, involution=involution)
+    hs = make_hyperbolic(z3, 2, OddQuadraticSpace(z3, gram, parameter))
+    top = 4 * 5 * 3 ** (hs.v0.rank + 1)  # the largest generator code
+    codes = np.arange(-top, top + 1)
+    expected = [c != 0 and isinstance(g := decode_gen(hs, abs(c)), Xi)
+                and g.xi not in hs.l0_set for c in codes.tolist()]
+    assert outside_l0(hs, codes).tolist() == expected
+    assert 0 < sum(expected) < len(codes) / 2

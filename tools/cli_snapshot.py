@@ -16,8 +16,9 @@ and rank with a rank-1 V0 of Gram `[0,1;1,0]` under the maximal parameter,
 the triple checks draw 4096 seeded samples (seed 3293), and `split-demo 3`
 under both strategies on Z/3 at n = 4 with the symplectic rank-2 V0 of
 `configs/z3_sympl_v0.cfg` (its section has nontrivial one-index entries
-S_k(u, a), which every one-index entry over Z/2 is not), all from configs
-written into OUTDIR.
+S_k(u, a), which every one-index entry over Z/2 is not), and every
+subcommand on Z/8 at n = 3 with the involution a -> 3a given as a
+`table:` (lam = 3), all from configs written into OUTDIR.
 Run it on two checkouts and compare with
 `diff -r OUTDIR1 OUTDIR2`: a refactor that keeps the behaviour leaves no
 difference, exit codes included.
@@ -77,6 +78,15 @@ n = 4
 v0_gram = 0,1;2,0
 v0_parameter = max
 """
+Z8_LAM3_N3_CFG = "z8_lam3_n3.cfg"
+Z8_LAM3_N3_TEXT = """\
+[ring]
+kind = residue
+modulus = 8
+involution = table:0,3,6,1,4,7,2,5
+[space]
+n = 3
+"""
 Z101_CFG = "z101.cfg"
 Z101_TEXT = """\
 [ring]
@@ -127,6 +137,9 @@ def runs():
            ["--config", M2Z2_V0_N3_CFG, "--strategy", "sampled",
             "verify-relations"])
     yield "z101.verify-ring", ["--config", Z101_CFG, "verify-ring"]
+    for name in SUBCOMMANDS:
+        opts, tail = subcommand_args(name, 3)
+        yield f"z8_lam3_n3.{name}", ["--config", Z8_LAM3_N3_CFG, *opts, name, *tail]
     for strategy in STRATEGIES:
         yield (f"z3_v0_n4.{strategy}.split-demo",
                ["--config", Z3_V0_N4_CFG, "--strategy", strategy, "split-demo", "3"])
@@ -143,6 +156,7 @@ def main(argv=None) -> int:
     (outdir / M2Z2_V0_N3_CFG).write_text(M2Z2_V0_N3_TEXT)
     (outdir / Z101_CFG).write_text(Z101_TEXT)
     (outdir / Z3_V0_N4_CFG).write_text(Z3_V0_N4_TEXT)
+    (outdir / Z8_LAM3_N3_CFG).write_text(Z8_LAM3_N3_TEXT)
     for fname, cli_args in runs():
         proc = subprocess.run(
             [sys.executable, "-m", "oddunitary", *cli_args],
