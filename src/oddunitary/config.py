@@ -98,15 +98,6 @@ def _integer(spec, key):
         raise ConfigError(f"{key}: expected an integer") from None
 
 
-def format_config(cfg: WorkbenchConfig) -> str:
-    lines = []
-    for name in ("ring", "space", "run"):
-        lines.append(f"[{name}]")
-        for key in sorted(_DEFAULTS[name]):
-            lines.append(f"{key} = {cfg.section(name)[key]}")
-    return "\n".join(lines) + "\n"
-
-
 def build_ring(cfg: WorkbenchConfig):
     """`make_ring` of the [ring] section, the residues after `table:` in the
     involution as its table; a ring error is a ConfigError naming its key."""

@@ -186,11 +186,6 @@ class OddQuadraticSpace:
         r = self.ring
         return (self.vec_scale(u, b), r.prod(r.bar(b), r.lam_inv, a, b))
 
-    def heis_elements(self):
-        for u in self.vectors():
-            for a in self.ring.elements():
-                yield (u, a)
-
     # -- parameter ---------------------------------------------------------
 
     def param_contains(self, xi):

@@ -8,7 +8,6 @@ left-to-right (first generator applied first).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from functools import cached_property
 
 import numpy as np
@@ -75,7 +74,7 @@ class ProductParameter(FormParameter):
         v0_elems = sorted((u0, t) for u0, ts in self.v0_scalar_sets.items() for t in ts)
         total = len(plane) ** n * len(v0_elems)
         if total > cap:
-            raise CapExceeded(f"hyperbolic parameter has {total} elements")
+            raise CapExceeded(f"hyperbolic parameter needs {total} candidates")
         out = set()
         for parts in itertools.product(plane, repeat=n):
             u = tuple(p[0][0] for p in parts) + tuple(p[0][1] for p in reversed(parts))
@@ -154,10 +153,6 @@ class HyperbolicSpace:
         if not (isinstance(i, int) and i != 0 and abs(i) <= self.n):
             raise ValueError(f"index {i} outside Omega")
         return i - 1 if i > 0 else 2 * self.n + i
-
-    def basis_vec(self, c: int):
-        r = self.ring
-        return tuple(r.one if k == c else r.zero for k in range(self.dim))
 
     def eps(self, i: int):
         """lam^-1 on positive indices, -1 on negative ones."""
@@ -316,37 +311,6 @@ def _code_plan(m, d):
     return places, steps, word + 1
 
 
-class _LazyMap(Mapping):
-    """Read-only view of a closure: row bytes -> a value built from the
-    element's index when read.  `values()` and `items()` are one pass in
-    discovery order, built without a lookup."""
-
-    def __init__(self, closure, build):
-        self._closure = closure
-        self._build = build
-
-    def __getitem__(self, key):
-        i = self._closure._find(key)
-        if i < 0:
-            raise KeyError(key)
-        return self._build(i)
-
-    def __contains__(self, key):
-        return key in self._closure
-
-    def __iter__(self):
-        return iter(self._closure)
-
-    def __len__(self):
-        return self._closure.order
-
-    def values(self):
-        return map(self._build, range(len(self)))
-
-    def items(self):
-        return zip(self, self.values())
-
-
 class GroupClosure:
     """Closure of generator matrices under right multiplication, breadth first.
 
@@ -354,11 +318,11 @@ class GroupClosure:
     flattened, so a row's bytes are `Mat.key()`), numbered in discovery order.
     Each element has one code, its entries as base-m digits: a uint64 while
     m^(d^2) <= 2^64, else the bytes of the uint64 words that hold the digits.
-    The codes, sorted, with the index of each element, are the closure's only
-    index, so `mat.key() in closure` is one binary search.  Each element
-    stores its parent, the index in `gens` of the generator that reached it,
-    and its depth, the length of that word; `mats` and `words` build a `Mat`
-    or a word only when one is read.
+    The codes, sorted, with the position of each element, are the closure's
+    only index, so `index(mat.key())` and `mat.key() in closure` are one
+    binary search.  Each element stores its parent, the index in `gens` of
+    the generator that reached it, and its depth, the length of that word;
+    `mat(i)` and `word(i)` build the `Mat` or the word at position i.
     """
 
     def __init__(self, hs: HyperbolicSpace, cap=DEFAULT_CAP, what="closure"):
@@ -380,16 +344,6 @@ class GroupClosure:
         self._slots = np.zeros(1, dtype=np.intp)  # the element of each code
 
     @property
-    def mats(self):
-        """Key -> `Mat`, in discovery order."""
-        return _LazyMap(self, self._mat)
-
-    @property
-    def words(self):
-        """Key -> tuple of generator indices, in discovery order."""
-        return _LazyMap(self, self._word)
-
-    @property
     def order(self):
         return self._order
 
@@ -403,10 +357,11 @@ class GroupClosure:
             yield from rows.view(self._key).ravel().tolist()
 
     def __contains__(self, key):
-        return self._find(key) >= 0
+        return self.index(key) >= 0
 
     def keys(self):
-        return self.mats.keys()
+        """Row bytes in discovery order."""
+        return iter(self)
 
     @property
     def layers(self):
@@ -434,8 +389,8 @@ class GroupClosure:
             return codes.ravel()
         return codes.view(np.dtype((np.void, 8 * words))).ravel()
 
-    def _find(self, key):
-        """The index of the element whose row bytes are `key`, or -1."""
+    def index(self, key):
+        """The position of the element whose row bytes are `key`, or -1."""
         if not isinstance(key, bytes) or len(key) != self._key.itemsize:
             return -1
         row = np.frombuffer(key, dtype=self._rows.dtype)
@@ -445,11 +400,14 @@ class GroupClosure:
         at = min(int(np.searchsorted(self._codes, code)[0]), len(self._codes) - 1)
         return int(self._slots[at]) if self._codes[at] == code[0] else -1
 
-    def _mat(self, i):
-        return Mat.from_arr(self.hs.ring, self._rows[i].reshape(self._d, self._d))
+    def mat(self, i):
+        """The element at position i, as a `Mat`."""
+        row = self._rows[:self._order][i]  # the rows past the order are not elements
+        return Mat.from_arr(self.hs.ring, row.reshape(self._d, self._d))
 
-    def _word(self, i):
-        w = []
+    def word(self, i):
+        """The word of the element at position i, as indices into `gens`."""
+        i, w = range(self._order)[i], []
         while i > 0:
             w.append(int(self._gen[i]))
             i = self._parent[i]
@@ -609,7 +567,7 @@ def dump_closure(cl: GroupClosure, stream):
     """One element per line: shortest word, a tab, then row-major entries; the
     generators must be labelled by Steinberg generators, as in `enumerate_eu`."""
     r = cl.hs.ring
-    for mat, word in zip(cl.mats.values(), cl.words.values()):
-        tokens = format_word(tuple((cl.gens[k][0], 1) for k in word), cl.hs)
-        entries = " ".join(r.format_scalar(v) for row in mat.rows for v in row)
+    for i in range(cl.order):
+        tokens = format_word(tuple((cl.gens[k][0], 1) for k in cl.word(i)), cl.hs)
+        entries = " ".join(r.format_scalar(v) for row in cl.mat(i).rows for v in row)
         stream.write(f"{tokens}\t{entries}\n")

@@ -116,7 +116,7 @@ class Mat:
     `arr` is the only stored form of a matrix: its entries over Z/m in
     `ring.dtype`, the smallest unsigned dtype that holds every residue, with
     a matrix over M_k(Z/m) flattened to its (nk) x (nk) block matrix.
-    Products (`mulmod`), `apply`, inverses, `key()` (its bytes), equality
+    Products (`mulmod`), inverses, `key()` (its bytes), equality
     and hashing all go through it.  `rows`, the ring values for entrywise
     access and formatting, are built the first time they are read, and
     `inv()` is memoised: a `Mat` never changes.
@@ -173,22 +173,6 @@ class Mat:
             flat = invert_rows_mod(self.arr.tolist(), self.ring.base_modulus)
             self._inv = Mat.from_arr(self.ring, np.array(flat))
         return self._inv
-
-    def apply(self, vec):
-        """Matrix times column coordinate vector (tuple of ring values).
-
-        Over M_k(Z/m) the vector's k x k entries are stacked into a
-        (dim k) x k array, so the block product is one array product.
-        """
-        r = self.ring
-        k = r.degree
-        y = mulmod(r, self.arr, np.array(vec, dtype=np.int64).reshape(-1, k))
-        if r.modulus is not None:
-            return tuple(y[:, 0].tolist())
-        return tuple(tuple(map(tuple, e)) for e in y.reshape(-1, k, k).tolist())
-
-    def is_identity(self) -> bool:
-        return self == Mat.identity(self.ring, self.dim)
 
     def key(self) -> bytes:
         """The bytes of `arr`: the row bytes that the closure engine keys its

@@ -333,11 +333,6 @@ def family_chunks(hs: HyperbolicSpace, fam: Family, tag: str, strategy="exhausti
         yield (idx, pos, *fam.sides(hs, *idx.T, *args))
 
 
-def relation_chunks(hs, rid, strategy="exhaustive", seed=DEFAULT_SEED, samples=256):
-    """`family_chunks` of one relation family."""
-    return family_chunks(hs, _family(rid), rid, strategy, seed, samples)
-
-
 def relation_instance(hs: HyperbolicSpace, rid: str, params) -> tuple[Word, Word]:
     """Both sides of one relation, commutators expanded as a b a' b'."""
     fam = _family(rid)
@@ -352,15 +347,6 @@ def relation_instance(hs: HyperbolicSpace, rid: str, params) -> tuple[Word, Word
     idx = [np.array([i], dtype=np.int64) for i in params[:fam.arity]]
     args = [_values_arr(hs, d, [v]) for d, v in zip(fam.domains, params[fam.arity:])]
     return tuple(decode_word(hs, side[0]) for side in fam.sides(hs, *idx, *args))
-
-
-def relation_cases(hs, rid, strategy="exhaustive", seed=DEFAULT_SEED, samples=256):
-    """Yield (params, lhs, rhs) for one relation family, the words decoded
-    from the chunks' code arrays."""
-    fam = _family(rid)
-    for idx, pos, lhs, rhs in relation_chunks(hs, rid, strategy, seed, samples):
-        for t, params in enumerate(chunk_params(hs, fam, idx, pos)):
-            yield params, decode_word(hs, lhs[t]), decode_word(hs, rhs[t])
 
 
 def sweep_family(report: Report, check: str, hs: HyperbolicSpace, fam: Family, tag: str,
@@ -553,26 +539,3 @@ def perfect_witness(hs: HyperbolicSpace, gen) -> Word:
     """A product of commutators of generators evaluating like [gen]: the
     commutator words of its `witness_pairs`."""
     return wmul(*(commutator_word(word(x), word(y)) for x, y in witness_pairs(hs, gen)))
-
-
-def embed_matrix(small: HyperbolicSpace, big: HyperbolicSpace, m: Mat) -> Mat:
-    """Block-extend a rank-n matrix to rank n+1 (identity on the new plane)."""
-    if big.n != small.n + 1 or big.v0.rank != small.v0.rank:
-        raise ValueError("embedding expects ranks n and n+1 with the same V0")
-    # e_1..e_n keep their columns; e_-n..e_-1 and V0 shift past the new pair
-    cols = [c if c < small.n else c + 2 for c in range(small.dim)]
-    blocks = big._blocks()[0]
-    blocks[np.ix_(cols, cols)] = m.blocks()
-    return Mat.from_rows(small.ring, blocks)
-
-
-def remark2_witness_search(hs: HyperbolicSpace):
-    """The first commutator [X_i(u, a), X_i(v, b)] (R7's left sides) that is
-    not the identity: its (i, xi, zeta), else None."""
-    memo = letter_memo(hs)
-    for idx, pos, lhs, _ in relation_chunks(hs, "R7"):
-        mats = memo.products(lhs)[0].reshape(len(lhs), -1)
-        bad = np.flatnonzero((mats != hs.identity.arr.ravel()).any(axis=1))[:1]
-        if bad.size:
-            return chunk_params(hs, FAMILIES["R7"], idx[bad], pos[bad])[0]
-    return None

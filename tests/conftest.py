@@ -1,8 +1,26 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from oddunitary import MaxParameter, OddQuadraticSpace, make_hyperbolic, make_ring, steinberg
+from oddunitary.matrices import mulmod
+
+
+def apply(mat, vec):
+    """`mat` times a column coordinate vector (a tuple of ring values), by
+    `mulmod`: over M_k(Z/m) the k x k entries stack into a (dim k) x k array."""
+    r, k = mat.ring, mat.ring.degree
+    y = mulmod(r, mat.arr, np.array(vec, dtype=np.int64).reshape(-1, k))
+    if r.modulus is not None:
+        return tuple(y[:, 0].tolist())
+    return tuple(tuple(map(tuple, e)) for e in y.reshape(-1, k, k).tolist())
+
+
+def basis_vec(hs, c):
+    """The basis vector of column c of a hyperbolic space."""
+    r = hs.ring
+    return tuple(r.one if k == c else r.zero for k in range(hs.dim))
 
 
 @pytest.fixture(scope="session")

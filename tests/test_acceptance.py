@@ -113,7 +113,7 @@ def test_criterion_2_heisenberg_form_parameter_suite():
                 sp = hs.space
                 assert _assoc_exhaustive(sp)
 
-                elems = list(sp.heis_elements())
+                elems = list(itertools.product(sp.vectors(), sp.ring.elements()))
                 for xi in elems:
                     neg = sp.heis_neg(xi)
                     assert sp.heis_add(xi, neg) == sp.heis_identity

@@ -12,7 +12,6 @@ from oddunitary.config import (
     DEFAULT_CONFIG,
     build_ring,
     build_space,
-    format_config,
     parse_config,
 )
 from oddunitary.report import ConfigError
@@ -42,11 +41,6 @@ def test_parse_defaults():
     assert cfg.run["strategy"] == "exhaustive"
     assert cfg.run["seed"] == "3293"
     assert cfg.run["cap"] == "1000000"
-
-
-def test_roundtrip():
-    cfg = parse_config(RICH_CONFIG)
-    assert parse_config(format_config(cfg)) == cfg
 
 
 def test_parse_errors_carry_line_numbers():

@@ -46,10 +46,10 @@ from oddunitary.steinberg import (
     RELATION_IDS,
     chunk_params,
     eval_word,
+    family_chunks,
     family_params,
     gen_matrix,
     perfect_witness,
-    relation_chunks,
 )
 
 
@@ -414,7 +414,7 @@ def _per_case_section_records(E, table):
     rep = Report()
     rep.add("section.eps_sigma", "pass")
     for rid in RELATION_IDS:
-        cases = (case for idx, pos, lhs, rhs in relation_chunks(hs, rid)
+        cases = (case for idx, pos, lhs, rhs in family_chunks(hs, FAMILIES[rid], rid)
                  for case in zip(chunk_params(hs, FAMILIES[rid], idx, pos),
                                  lhs.tolist(), rhs.tolist()))
         if not rep.sweep(f"section.{rid}", cases,

@@ -28,6 +28,8 @@ from oddunitary import (
 )
 from oddunitary.generators import generators
 from oddunitary.hyperbolic import GroupClosure, dump_closure, gen_matrix
+
+from conftest import apply, basis_vec
 from oddunitary.matrices import mulmod_unpacked
 
 
@@ -63,18 +65,18 @@ def test_eps_examples(z5, z5n):
 
 def test_transvection_ij_images(hs_z2_n3):
     t = hs_z2_n3.transvection_ij(1, 2, 1)
-    e2 = hs_z2_n3.basis_vec(hs_z2_n3.col(2))
-    em1 = hs_z2_n3.basis_vec(hs_z2_n3.col(-1))
-    assert t.apply(e2) == tuple(
-        a ^ b for a, b in zip(e2, hs_z2_n3.basis_vec(hs_z2_n3.col(1)))
+    e2 = basis_vec(hs_z2_n3, hs_z2_n3.col(2))
+    em1 = basis_vec(hs_z2_n3, hs_z2_n3.col(-1))
+    assert apply(t, e2) == tuple(
+        a ^ b for a, b in zip(e2, basis_vec(hs_z2_n3, hs_z2_n3.col(1)))
     )
-    assert t.apply(em1) == tuple(
-        a ^ b for a, b in zip(em1, hs_z2_n3.basis_vec(hs_z2_n3.col(-2)))
+    assert apply(t, em1) == tuple(
+        a ^ b for a, b in zip(em1, basis_vec(hs_z2_n3, hs_z2_n3.col(-2)))
     )
     # all other basis vectors fixed
     for i in (1, 3, -3, -2):
-        v = hs_z2_n3.basis_vec(hs_z2_n3.col(i))
-        assert t.apply(v) == v
+        v = basis_vec(hs_z2_n3, hs_z2_n3.col(i))
+        assert apply(t, v) == v
 
 
 def test_transvection_identity_and_inverse(hs_z3_n3, z3):
@@ -104,10 +106,10 @@ def test_transvection_i_z3_identity_ring(z3):
     hs = make_hyperbolic(z3, 3)
     assert len(hs.l0) == 3
     t = hs.transvection_i(1, ((), 1))
-    em1 = hs.basis_vec(hs.col(-1))
+    em1 = basis_vec(hs, hs.col(-1))
     expected = list(em1)
     expected[hs.col(1)] = 1
-    assert t.apply(em1) == tuple(expected)
+    assert apply(t, em1) == tuple(expected)
 
 
 def test_transvection_i_z2_only_identity(hs_z2_n3):
@@ -124,7 +126,7 @@ def _formula_image(hs, gen, w):
     form, eps = sp.form, hs.eps
 
     def e(i, s):  # e_i s
-        return sp.vec_scale(hs.basis_vec(hs.col(i)), s)
+        return sp.vec_scale(basis_vec(hs, hs.col(i)), s)
 
     if isinstance(gen, Xij):
         i, j, a = gen.i, gen.j, gen.a
@@ -149,12 +151,12 @@ def test_transvections_match_their_formulas(space):
         z5n = make_ring("residue", 5, involution="negation")
         hs = make_hyperbolic(z5n, 2, OddQuadraticSpace(z5n, ((1,),), MaxParameter()))
         assert any(any(u0) for u0, _ in hs.l0)  # some X_i carries a nonzero vector
-    basis = [hs.basis_vec(c) for c in range(hs.dim)]
+    basis = [basis_vec(hs, c) for c in range(hs.dim)]
     count = 0
     for gen in generators(hs):
         t = gen_matrix(hs, gen)
         for w in basis:
-            assert t.apply(w) == _formula_image(hs, gen, w), (gen, w)
+            assert apply(t, w) == _formula_image(hs, gen, w), (gen, w)
         count += 1
     assert count == {"m2z3_negation": 660, "z5_negation_v0": 60}[space]
 
@@ -209,7 +211,7 @@ def test_unitary_member_rejects_an_isometry_outside_the_parameter(hs_z2_n3):
     rows = np.eye(hs.dim, dtype=np.int64)
     rows[hs.col(1)] += hs.gram[hs.col(1)]
     f = Mat.from_rows(hs.ring, rows)
-    assert f.apply(hs.basis_vec(hs.col(-1))) == (1, 0, 0, 0, 0, 1)
+    assert apply(f, basis_vec(hs, hs.col(-1))) == (1, 0, 0, 0, 0, 1)
     assert is_isometry(hs, f)
     assert not equiv_mod_param(hs, f, hs.identity)
     assert not unitary_member(hs, f)
@@ -232,6 +234,18 @@ def test_spaces_share_the_rings_minimal_scalars(hs_rich):
     assert hs.space.lmin_scalars == frozenset({0, 1, 2})
 
 
+def test_parameter_caps_count_their_candidates(hs_z3_n3):
+    # Z/3 at n = 3: the hyperbolic parameter has 3^7 = 2187 elements, but
+    # listing it sums 27^3 * 3 = 59049 candidates, one per triple of plane
+    # elements and V0 scalar
+    sp = hs_z3_n3.space
+    assert len(sp.param_elements()) == 2187
+    with pytest.raises(CapExceeded, match="^hyperbolic parameter needs 59049 candidates$"):
+        sp.param_elements(cap=2187)
+    with pytest.raises(CapExceeded, match="^maximal parameter needs 2187 candidates$"):
+        MaxParameter().elements(sp, cap=2186)
+
+
 def test_enumerate_eu_no_generators_is_trivial(z2):
     hs = make_hyperbolic(z2, 1)
     assert eu_generators(hs) == []
@@ -245,10 +259,21 @@ def test_enumerate_eu_regression_order(eu_z2_n3):
     # regression baseline computed by this BFS oracle
     assert cl.order == 20160
     # closure is a group: closed under inverse and product (spot product)
-    mats = list(cl.mats.values())
+    mats = [cl.mat(i) for i in range(cl.order)]
     for m in mats[:200]:
-        assert m.inv().key() in cl.mats
-    assert (mats[3] * mats[5]).key() in cl.mats
+        assert m.inv().key() in cl
+    assert (mats[3] * mats[5]).key() in cl
+
+
+def test_closure_positions_stop_at_the_order(z3):
+    cl = enumerate_eu(make_hyperbolic(z3, 1))
+    assert cl.order == 24 and len(cl._rows) > 24  # grown past the order
+    assert cl.mat(-1) == cl.mat(23) and cl.word(-1) == cl.word(23)
+    for at in (24, len(cl._rows), -25):
+        with pytest.raises(IndexError):
+            cl.mat(at)
+        with pytest.raises(IndexError):
+            cl.word(at)
 
 
 def test_enumerate_eu_cap(hs_z2_n3):
@@ -259,12 +284,11 @@ def test_enumerate_eu_cap(hs_z2_n3):
 def test_words_evaluate_to_their_elements(hs_z2_n3, eu_z2_n3):
     cl = eu_z2_n3
     count = 0
-    for key, mat in cl.mats.items():
-        word = cl.words[key]
+    for i, key in enumerate(cl):
         acc = hs_z2_n3.identity
-        for gi in word:
+        for gi in cl.word(i):
             acc = acc * cl.gens[gi][1]
-        assert acc == mat
+        assert acc == cl.mat(i) and cl.index(key) == i
         count += 1
         if count >= 300:
             break
@@ -317,7 +341,7 @@ def test_equiv_batch_matches_reference(z3, z5n, m2z2, hs_rich):
 
         def reference(f, g):
             for v in sp.vectors():
-                fv, gv = f.apply(v), g.apply(v)
+                fv, gv = apply(f, v), apply(g, v)
                 d = tuple(sp.ring.sub(x, y) for x, y in zip(fv, gv))
                 disp = (d, sp.form(tuple(sp.ring.neg(x) for x in d), gv))
                 if not sp.param_contains(disp):
@@ -338,8 +362,8 @@ def test_closure_elements_are_unitary_members(hs_z2_n3, eu_z2_n3):
     import random
 
     rng = random.Random(2)
-    mats = list(eu_z2_n3.mats.values())
-    assert hs_z2_n3.identity.key() in eu_z2_n3.mats
+    mats = [eu_z2_n3.mat(i) for i in range(eu_z2_n3.order)]
+    assert hs_z2_n3.identity.key() in eu_z2_n3
     for m in rng.sample(mats, 20):
         assert unitary_member(hs_z2_n3, m)
 
@@ -375,6 +399,16 @@ def test_dump_roundtrip_nontrivial(z3):
         assert eval_word(hs, parse_word(tokens, hs)) == mat
 
 
+def _mats(cl):
+    """Row bytes -> `Mat` of every element of a closure, in discovery order."""
+    return {k: cl.mat(i) for i, k in enumerate(cl)}
+
+
+def _words(cl):
+    """Row bytes -> word of every element of a closure, in discovery order."""
+    return {k: cl.word(i) for i, k in enumerate(cl)}
+
+
 def naive_closure(hs, gens):
     """Oracle: breadth first, one `Mat` product per (element, generator)."""
     ident = hs.identity
@@ -400,10 +434,10 @@ def test_engine_matches_naive_bfs(request, ring_name, n, order):
     hs = make_hyperbolic(request.getfixturevalue(ring_name), n)
     cl = enumerate_eu(hs)
     mats, words = naive_closure(hs, cl.gens)
-    assert cl.order == len(mats) == len(cl.mats) == order
+    assert cl.order == len(mats) == len(cl) == order
     assert list(cl) == list(cl.keys()) == list(mats)  # same discovery order
-    assert dict(cl.words) == words
-    assert dict(cl.mats) == mats
+    assert _words(cl) == words
+    assert _mats(cl) == mats
     assert sum(cl.layers) == order
     assert cl.layers == [sum(len(w) == d for w in words.values())
                          for d in range(len(cl.layers))]
@@ -462,11 +496,11 @@ def test_engine_with_two_byte_entries():
     gens = [(None, gen_matrix(hs, Xi(1, ((), 1)))), (None, gen_matrix(hs, Xi(1, ((), 5))))]
     cl = subgroup_closure(hs, [m for _, m in gens])
     mats, words = naive_closure(hs, gens[:1])
-    assert cl.mats[next(iter(cl))].arr.dtype == np.uint16
+    assert cl.mat(0).arr.dtype == np.uint16
     assert cl.order == 257
     assert len(cl.gens) == 1  # the second generator is already inside
-    assert dict(cl.mats) == mats
-    assert dict(cl.words) == words
+    assert _mats(cl) == mats
+    assert _words(cl) == words
 
 
 def _assert_words_hold_the_digits(cl, m, d):
@@ -492,8 +526,8 @@ def test_engine_on_both_code_widths(request, space, words):
     # the stabilizer of <e1, e2> in SL_3(q): SL_2(q) and q^2 translations
     assert cl.order == len(mats) == (24 if words == 1 else 216)
     assert list(cl) == list(mats)  # same discovery order
-    assert dict(cl.words) == words_
-    assert dict(cl.mats) == mats
+    assert _words(cl) == words_
+    assert _mats(cl) == mats
     assert cl._codes.itemsize == 8 * words
     if words == 1:
         assert cl._codes.dtype == np.uint64 and int(cl._codes.max()) >= 2**63
@@ -514,7 +548,7 @@ def test_engine_with_rows_coded_in_segments():
     cl = enumerate_eu(hs, gens=gens)
     mats, words = naive_closure(hs, gens)
     assert cl.order == 419 and list(cl) == list(mats)
-    assert dict(cl.mats) == mats and dict(cl.words) == words
+    assert _mats(cl) == mats and _words(cl) == words
     assert cl._codes.itemsize == 6 * 8 and len(cl._plan[0][0]) == 2
     _assert_words_hold_the_digits(cl, 419, 6)
 
@@ -569,7 +603,7 @@ def test_codes_from_the_parents_match_full_products(monkeypatch, engine_spaces, 
     for mats in cases:
         cl = enumerate_eu(hs, gens=[(None, m) for m in mats])
         expect, words = naive_closure(hs, cl.gens)
-        assert list(cl) == list(expect) and dict(cl.words) == words
+        assert list(cl) == list(expect) and _words(cl) == words
     # every stream of codes handed to `_keep` is `_code` of the full products
     for cl, codes, start, gens in kept:
         n, d = len(codes) // (cl._codes.itemsize * len(gens)), cl._d
@@ -589,7 +623,7 @@ def test_commutator_seeds_keep_their_first_order(z3n):
     cl = commutator_closure(hs)
     expect = subgroup_closure(hs, seeds.values())
     assert [m for _, m in cl.gens] == [m for _, m in expect.gens]
-    assert list(cl) == list(expect) and dict(cl.words) == dict(expect.words)
+    assert list(cl) == list(expect) and _words(cl) == _words(expect)
 
 
 @pytest.mark.slow
@@ -639,7 +673,7 @@ def _displacement_columns(hs, f, vectors):
     sp, r = hs.space, hs.ring
     disp, scal = [], []
     for v in vectors:
-        d = tuple(r.sub(x, y) for x, y in zip(f.apply(v), v))
+        d = tuple(r.sub(x, y) for x, y in zip(apply(f, v), v))
         disp.append(d)
         scal.append(sp.form(tuple(r.neg(x) for x in d), v))
     return r.arr(disp, (len(vectors), hs.dim)), r.arr(scal, (len(vectors),))

@@ -1,0 +1,78 @@
+"""The package holds only what a command, the benchmark or another package
+function runs: every function, class and method defined in `oddunitary` is
+named somewhere outside its own definition, in the package or in
+`perfbench`.  Docstrings and comments do not count, since the sources are
+read as tokens."""
+
+import ast
+import io
+import tokenize
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "oddunitary").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+# names that nothing runs yet, each with the ROADMAP item that will run it
+RESERVED = {
+    "layers": "item 6: `enumerate-eu` prints the closure's layer sizes",
+    "kernel_is_central": "items 1-2: the Spin and W(E8) extensions call it",
+}
+
+
+def _definitions(path):
+    """(name, first line, last line) of every def and class in a file."""
+    tree = ast.parse(path.read_text())
+    return [(node.name, node.lineno, node.end_lineno) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _name_lines(path):
+    """name -> the lines where the file names it, a def or class statement's
+    own name excluded."""
+    lines, prev = defaultdict(list), None
+    for tok in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+        if tok.type == tokenize.NAME and prev not in ("def", "class"):
+            lines[tok.string].append(tok.start[0])
+        prev = tok.string
+    return lines
+
+
+def _target_names():
+    """Every part of the dotted attributes in `perfbench.spans.TARGETS`."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    return {part for _, attr, _, _ in ast.literal_eval(value) for part in attr.split(".")}
+
+
+def _unused():
+    """The non-dunder names defined in the package that nothing outside
+    their own definition names."""
+    named = {path: _name_lines(path) for path in PACKAGE + BENCH}
+    targets = _target_names()
+    unused = set()
+    for path in PACKAGE:
+        for name, lo, hi in _definitions(path):
+            if name.startswith("__") and name.endswith("__") or name in targets:
+                continue
+            if not any(other != path or not lo <= line <= hi
+                       for other, lines in named.items() for line in lines.get(name, ())):
+                unused.add(name)
+    return unused
+
+
+def test_every_package_name_is_run():
+    unused = _unused()
+    assert not unused - set(RESERVED), (
+        f"defined in the package but named nowhere else: {sorted(unused - set(RESERVED))}")
+    assert not set(RESERVED) - unused, (
+        f"reserved but now used: {sorted(set(RESERVED) - unused)}")
+
+
+def test_the_reading_skips_strings_and_comments(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text('def f():\n    """g"""\n    return f  # g\n\n\ndef g():\n    pass\n')
+    assert _definitions(src) == [("f", 1, 3), ("g", 6, 7)]
+    assert dict(_name_lines(src)) == {"def": [1, 6], "return": [3], "f": [3], "pass": [7]}

@@ -116,6 +116,16 @@ def test_doubling_map_fails_involutivity():
     assert [c.check for c in rep.failures()] == ["ring.bar_involutive"]
 
 
+def test_a_wrong_stored_lam_inverse_fails_its_record():
+    # every ring checks its unit c when it is built, so only a corrupted
+    # stored inverse can fail the record
+    for r, wrong in ((make_ring("residue", 5, involution="negation"), 1),
+                     (make_ring("matrix", 2, 2, "transpose"), ((0, 1), (1, 0)))):
+        r._lam_inv = wrong
+        assert [(c.check, c.status, c.witness) for c in verify_pseudo_involution(r)] == [
+            ("ring.lam_invertible", "fail", f"lam = {r.lam!r}, lam_inv = {wrong!r}")]
+
+
 @pytest.mark.parametrize(
     "kind,modulus,degree,involution",
     [

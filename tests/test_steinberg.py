@@ -37,18 +37,19 @@ from oddunitary.generators import (
     wmul,
     word,
 )
+from oddunitary.report import DEFAULT_SEED
 from oddunitary.steinberg import (
     CHUNK,
+    FAMILIES,
     RELATION_IDS,
     U1NormalForm,
-    embed_matrix,
+    chunk_params,
     eval_word,
+    family_chunks,
     gen_matrix,
     letter_memo,
     normal_form_word,
     perfect_witness,
-    relation_cases,
-    remark2_witness_search,
     u1_alphabet,
 )
 
@@ -62,6 +63,38 @@ BATCH_SPACES = {
     "z4": make_hyperbolic(make_ring("residue", 4), 2),
     "m2z2": make_hyperbolic(make_ring("matrix", 2, 2, "transpose"), 2),
 }
+
+
+def relation_cases(hs, rid, strategy="exhaustive", seed=DEFAULT_SEED, samples=256):
+    """Yield (params, lhs, rhs) for one relation family, the words decoded
+    from the chunks' code arrays: the case-by-case reference stream for the
+    batched sweeps."""
+    fam = FAMILIES[rid]
+    for idx, pos, lhs, rhs in family_chunks(hs, fam, rid, strategy, seed, samples):
+        for t, params in enumerate(chunk_params(hs, fam, idx, pos)):
+            yield params, decode_word(hs, lhs[t]), decode_word(hs, rhs[t])
+
+
+def embed_matrix(small, big, m):
+    """Block-extend a rank-n matrix to rank n+1 (identity on the new plane)."""
+    assert big.n == small.n + 1 and big.v0.rank == small.v0.rank
+    # e_1..e_n keep their columns; e_-n..e_-1 and V0 shift past the new pair
+    cols = [c if c < small.n else c + 2 for c in range(small.dim)]
+    blocks = big._blocks()[0]
+    blocks[np.ix_(cols, cols)] = m.blocks()
+    return Mat.from_rows(small.ring, blocks)
+
+
+def remark2_witness_search(hs):
+    """The first commutator [X_i(u, a), X_i(v, b)] (R7's left sides) that is
+    not the identity: its (i, xi, zeta), else None."""
+    memo = letter_memo(hs)
+    for idx, pos, lhs, _ in family_chunks(hs, FAMILIES["R7"], "R7"):
+        mats = memo.products(lhs)[0].reshape(len(lhs), -1)
+        bad = np.flatnonzero((mats != hs.identity.arr.ravel()).any(axis=1))[:1]
+        if bad.size:
+            return chunk_params(hs, FAMILIES["R7"], idx[bad], pos[bad])[0]
+    return None
 
 
 def test_eval_empty_word_is_identity(hs_z2_n3):
@@ -356,7 +389,7 @@ def test_relation_sweep_builds_each_letter_once(hs_rich, letter_calls):
         return gen_matrix(hs, gen)
 
     assert verify_relations(hs, rep=counting).ok
-    met = {c for rid in RELATION_IDS for chunk in steinberg.relation_chunks(hs, rid)
+    met = {c for rid in RELATION_IDS for chunk in family_chunks(hs, FAMILIES[rid], rid)
            for side in chunk[2:] for c in side.ravel().tolist() if c}
     assert set(letter_calls) == met and max(letter_calls.values()) == 1
     assert set(gen_codes(hs, list(calls)).tolist()) == {abs(c) for c in met}
@@ -416,7 +449,7 @@ def test_exhaustive_matrix_ring_counts():
 
 def test_remark1_consequences(hs_z3_n3):
     hs = hs_z3_n3
-    assert eval_word(hs, word(Xij(2, -1, 0))).is_identity()
+    assert eval_word(hs, word(Xij(2, -1, 0))) == hs.identity
     for xi in hs.l0:
         neg = hs.v0.heis_neg(xi)
         assert eval_word(hs, word(Xi(2, neg))) == eval_word(
@@ -433,7 +466,7 @@ def test_remark2_witness(hs_rich, hs_z2_n3):
         hs_rich,
         wmul(word(Xi(i, xi), Xi(i, zeta)), winv(word(Xi(i, xi))), winv(word(Xi(i, zeta)))),
     )
-    assert not lhs.is_identity()
+    assert lhs != hs_rich.identity
     # over Z/2 with trivial parameter everything commutes
     assert remark2_witness_search(hs_z2_n3) is None
 

@@ -17,8 +17,13 @@ the triple checks draw 4096 seeded samples (seed 3293), and `split-demo 3`
 under both strategies on Z/3 at n = 4 with the symplectic rank-2 V0 of
 `configs/z3_sympl_v0.cfg` (its section has nontrivial one-index entries
 S_k(u, a), which every one-index entry over Z/2 is not), and every
-subcommand on Z/8 at n = 3 with the involution a -> 3a given as a
-`table:` (lam = 3), all from configs written into OUTDIR.
+subcommand on three more spaces: Z/8 at n = 3 with the involution a -> 3a
+given as a `table:` (lam = 3); Z/3 at n = 2 under the minimal parameter;
+and Z/3 at n = 3 with that symplectic V0 under the parameter spanned by
+`(1 0|0)`, the whole space under the one spanned by
+`(0 0 0 0 0 0 1 0|0)`.  In the last two the one-index arguments come from
+a parameter other than the hyperbolic one.  The runs past the presets
+and the default config use configs written into OUTDIR.
 Run it on two checkouts and compare with
 `diff -r OUTDIR1 OUTDIR2`: a refactor that keeps the behaviour leaves no
 difference, exit codes included.
@@ -87,6 +92,26 @@ involution = table:0,3,6,1,4,7,2,5
 [space]
 n = 3
 """
+Z3_MIN_N2_CFG = "z3_min_n2.cfg"
+Z3_MIN_N2_TEXT = """\
+[ring]
+kind = residue
+modulus = 3
+[space]
+n = 2
+parameter = min
+"""
+Z3_SPAN_N3_CFG = "z3_span_n3.cfg"
+Z3_SPAN_N3_TEXT = """\
+[ring]
+kind = residue
+modulus = 3
+[space]
+n = 3
+v0_gram = 0,1;2,0
+v0_parameter = seeds:(1 0|0)
+parameter = span:(0 0 0 0 0 0 1 0|0)
+"""
 Z101_CFG = "z101.cfg"
 Z101_TEXT = """\
 [ring]
@@ -137,9 +162,10 @@ def runs():
            ["--config", M2Z2_V0_N3_CFG, "--strategy", "sampled",
             "verify-relations"])
     yield "z101.verify-ring", ["--config", Z101_CFG, "verify-ring"]
-    for name in SUBCOMMANDS:
-        opts, tail = subcommand_args(name, 3)
-        yield f"z8_lam3_n3.{name}", ["--config", Z8_LAM3_N3_CFG, *opts, name, *tail]
+    for cfg, n in ((Z8_LAM3_N3_CFG, 3), (Z3_MIN_N2_CFG, 2), (Z3_SPAN_N3_CFG, 3)):
+        for name in SUBCOMMANDS:
+            opts, tail = subcommand_args(name, n)
+            yield f"{Path(cfg).stem}.{name}", ["--config", cfg, *opts, name, *tail]
     for strategy in STRATEGIES:
         yield (f"z3_v0_n4.{strategy}.split-demo",
                ["--config", Z3_V0_N4_CFG, "--strategy", strategy, "split-demo", "3"])
@@ -157,6 +183,8 @@ def main(argv=None) -> int:
     (outdir / Z101_CFG).write_text(Z101_TEXT)
     (outdir / Z3_V0_N4_CFG).write_text(Z3_V0_N4_TEXT)
     (outdir / Z8_LAM3_N3_CFG).write_text(Z8_LAM3_N3_TEXT)
+    (outdir / Z3_MIN_N2_CFG).write_text(Z3_MIN_N2_TEXT)
+    (outdir / Z3_SPAN_N3_CFG).write_text(Z3_SPAN_N3_TEXT)
     for fname, cli_args in runs():
         proc = subprocess.run(
             [sys.executable, "-m", "oddunitary", *cli_args],
