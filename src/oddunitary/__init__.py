@@ -11,7 +11,6 @@ from .forms import (
     MaxParameter,
     MinParameter,
     OddQuadraticSpace,
-    orthogonal_sum,
     span_form_parameter,
     verify_antihermitian,
     verify_form_parameter,
@@ -39,7 +38,6 @@ from .steinberg import (
     perfect_witness,
     relation_instance,
     u1_decompose,
-    u1_uniqueness_check,
     verify_relations,
 )
 from .extensions import (

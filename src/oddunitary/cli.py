@@ -48,9 +48,9 @@ def cmd_verify_ring(cfg, args) -> Report:
 def cmd_verify_space(cfg, args) -> Report:
     hs = build_space(cfg)
     _, seed, cap, _ = _run_settings(cfg)
-    rep = verify_antihermitian(hs.space, seed)
+    rep = verify_antihermitian(hs, seed)
     try:
-        rep.extend(verify_form_parameter(hs.space, cap, seed))
+        rep.extend(verify_form_parameter(hs, cap, seed))
     except CapExceeded as exc:
         rep.add("param.verify", "error", witness=str(exc))
     return rep

@@ -31,6 +31,11 @@ _DEFAULTS = {
             "cap": str(DEFAULT_CAP), "samples": "256"},
 }
 
+# the form parameter names of each key; a name ending in ':' is followed by
+# the seeds whose span is the parameter
+_PARAMETERS = {"v0_parameter": ("min", "max", "seeds:"),
+               "parameter": ("hyperbolic", "min", "max", "span:")}
+
 DEFAULT_CONFIG = """\
 [ring]
 kind = residue
@@ -84,6 +89,11 @@ def _validate(cfg: WorkbenchConfig):
     build_ring(cfg)
     if _integer(cfg.space, "n") < 1:
         raise ConfigError("n: hyperbolic rank must be at least 1")
+    for key, names in _PARAMETERS.items():
+        text = cfg.space[key]
+        if not any(text.startswith(name) if name.endswith(":") else text == name
+                   for name in names):
+            raise ConfigError(f"{key}: unknown value {text!r}")
     if cfg.run["strategy"] not in ("exhaustive", "sampled"):
         raise ConfigError(f"strategy: unknown value {cfg.run['strategy']!r}")
     for key in ("seed", "cap", "samples"):
@@ -165,46 +175,29 @@ def _parse_gram(text: str, ring):
     return gram
 
 
+def _parameter(text: str, space, cap):
+    """The form parameter that a checked name gives over `space`: min, max,
+    or the span of the seeds after the colon."""
+    if text == "min":
+        return MinParameter()
+    if text == "max":
+        return MaxParameter()
+    seeds = [_parse_heis(item, space.ring, space.rank)
+             for item in _split_heis_list(text.partition(":")[2])]
+    return span_form_parameter(space, seeds, cap)
+
+
 def build_space(cfg: WorkbenchConfig) -> HyperbolicSpace:
     ring = build_ring(cfg)
     spec = cfg.space
     cap = int(cfg.run["cap"])
+    v0 = zero_space(ring)
     gram_txt = spec["v0_gram"].strip()
     if gram_txt:
         gram = _parse_gram(gram_txt, ring)
-        v0_param = spec["v0_parameter"]
-        if v0_param == "min":
-            param = MinParameter()
-        elif v0_param == "max":
-            param = MaxParameter()
-        elif v0_param.startswith("seeds:"):
-            scratch = OddQuadraticSpace(ring, gram)
-            seeds = [
-                _parse_heis(item, ring, scratch.rank)
-                for item in _split_heis_list(v0_param.split(":", 1)[1])
-            ]
-            param = span_form_parameter(scratch, seeds, cap)
-        else:
-            raise ConfigError(f"v0_parameter: unknown value {v0_param!r}")
-        v0 = OddQuadraticSpace(ring, gram, param)
-    else:
-        v0 = zero_space(ring)
-
-    n = int(spec["n"])
-    param_txt = spec["parameter"]
-    if param_txt == "hyperbolic":
-        return make_hyperbolic(ring, n, v0)
-    if param_txt == "min":
-        return make_hyperbolic(ring, n, v0, MinParameter())
-    if param_txt == "max":
-        return make_hyperbolic(ring, n, v0, MaxParameter())
-    if param_txt.startswith("span:"):
-        dim = 2 * n + v0.rank
-        hs = make_hyperbolic(ring, n, v0)
-        seeds = [
-            _parse_heis(item, ring, dim)
-            for item in _split_heis_list(param_txt.split(":", 1)[1])
-        ]
-        spanned = span_form_parameter(hs.space, seeds, cap)
-        return make_hyperbolic(ring, n, v0, spanned)
-    raise ConfigError(f"parameter: unknown value {param_txt!r}")
+        v0 = OddQuadraticSpace(
+            ring, gram, _parameter(spec["v0_parameter"], OddQuadraticSpace(ring, gram), cap))
+    hs = make_hyperbolic(ring, int(spec["n"]), v0)
+    if spec["parameter"] == "hyperbolic":
+        return hs
+    return make_hyperbolic(ring, hs.n, v0, _parameter(spec["parameter"], hs, cap))

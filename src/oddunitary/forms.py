@@ -19,15 +19,17 @@ PARAM_PAIRS = 4 * 10**6  # the most parameter pairs that `verify_form_parameter`
 
 
 class FormParameter:
-    kind = "abstract"
-
     def contains(self, space, xi) -> bool:
         raise NotImplementedError
 
     def contains_batch(self, space, disp, scal):
         """`contains` on each (disp[c], scal[c]) of the stacks (N, rank, k, k)
-        and (N, k, k) laid out as in `Ring.arr`, as a boolean array."""
-        raise NotImplementedError
+        and (N, k, k) laid out as in `Ring.arr`, as a boolean array: each row
+        back to ring values (`arr_codes`, then `scalar`), one `contains` each."""
+        r = space.ring
+        return np.array([self.contains(space, (tuple([r.scalar(c) for c in u]), r.scalar(t)))
+                         for u, t in zip(r.arr_codes(disp).tolist(), r.arr_codes(scal).tolist())],
+                        dtype=bool)
 
     def elements(self, space, cap=DEFAULT_CAP) -> frozenset:
         raise NotImplementedError
@@ -36,34 +38,21 @@ class FormParameter:
 class MinParameter(FormParameter):
     """{(0, a + bar(a))}: the smallest admissible parameter."""
 
-    kind = "min"
-
     def contains(self, space, xi):
         u, a = xi
-        return u == space.zero_vec and a in space.lmin_scalars
-
-    def contains_batch(self, space, disp, scal):
-        r = space.ring
-        lmin = r.arr_codes(r.arr(list(space.lmin_scalars), (-1,)))
-        return ~disp.any(axis=(-3, -2, -1)) & np.isin(r.arr_codes(scal), lmin)
+        return u == space.zero_vec and a in space.ring.lmin_scalars
 
     def elements(self, space, cap=DEFAULT_CAP):
-        return frozenset((space.zero_vec, s) for s in space.lmin_scalars)
+        return frozenset((space.zero_vec, s) for s in space.ring.lmin_scalars)
 
 
 class MaxParameter(FormParameter):
     """{(u, a) : a - bar(a) = B(u, u)}: the largest admissible parameter."""
 
-    kind = "max"
-
     def contains(self, space, xi):
         u, a = xi
         r = space.ring
         return r.sub(a, r.bar(a)) == space.form(u, u)
-
-    def contains_batch(self, space, disp, scal):
-        lhs = (scal - space.ring.arr_bar(scal)) % space.ring.base_modulus
-        return (lhs == space.form_arr(disp, disp)).all(axis=(-2, -1))
 
     def elements(self, space, cap=DEFAULT_CAP):
         total = space.ring.card ** (space.rank + 1)
@@ -78,33 +67,14 @@ class MaxParameter(FormParameter):
 
 
 class ExplicitParameter(FormParameter):
-    kind = "explicit"
-
     def __init__(self, elems):
         self.set = frozenset(elems)
-        self._keys = None  # built by the first contains_batch
 
     def contains(self, space, xi):
         return xi in self.set
 
-    def contains_batch(self, space, disp, scal):
-        """`np.isin` of the scalar codes of (vector, scalar), each row one
-        void key, against those of the set, built on the first call."""
-        r = space.ring
-        if self._keys is None:
-            elems = [u + (a,) for u, a in self.set]
-            self._keys = _row_keys(r.arr_codes(r.arr(elems, (len(elems), space.rank + 1))))
-        pairs = np.concatenate([disp, scal[:, None]], 1)
-        return np.isin(_row_keys(r.arr_codes(pairs)), self._keys)
-
     def elements(self, space, cap=DEFAULT_CAP):
         return self.set
-
-
-def _row_keys(codes):
-    """The rows of an int64 array (N, w) as N void keys."""
-    codes = np.ascontiguousarray(codes)
-    return codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel()
 
 
 class OddQuadraticSpace:
@@ -118,7 +88,6 @@ class OddQuadraticSpace:
             raise ValueError("gram matrix must be square")
         self.zero_vec = tuple(ring.zero for _ in range(self.rank))
         self.heis_identity = (self.zero_vec, ring.zero)
-        self.lmin_scalars = ring.lmin_scalars
         self.parameter = parameter if parameter is not None else MinParameter()
 
     # -- form ------------------------------------------------------------
@@ -247,7 +216,7 @@ def verify_form_parameter(space, cap=DEFAULT_CAP, seed=DEFAULT_SEED) -> Report:
     rep = Report()
     elems = space.param_elements(cap)
     zero = space.zero_vec
-    rep.sweep("param.contains_min", space.lmin_scalars, lambda s: (zero, s) in elems,
+    rep.sweep("param.contains_min", space.ring.lmin_scalars, lambda s: (zero, s) in elems,
               lambda s: f"(0, {s!r})", "scalars")
     rep.sweep("param.inside_max", elems, lambda x: MaxParameter().contains(space, x),
               unit="elements")
@@ -262,20 +231,3 @@ def verify_form_parameter(space, cap=DEFAULT_CAP, seed=DEFAULT_SEED) -> Report:
     rep.sweep("param.action_stable", itertools.product(elems, space.ring.elements()),
               lambda p: space.heis_act(*p) in elems, unit="pairs")
     return rep
-
-
-def orthogonal_sum(s1: OddQuadraticSpace, s2: OddQuadraticSpace) -> OddQuadraticSpace:
-    """Block-diagonal form; parameter = pairwise sums of the two parameters."""
-    r = s1.ring
-    if r.key != s2.ring.key:
-        raise WorkbenchError("orthogonal sum needs both spaces over the same ring")
-    n1, n2 = s1.rank, s2.rank
-    gram = ([list(row) + [r.zero] * n2 for row in s1.gram]
-            + [[r.zero] * n1 + list(row) for row in s2.gram])
-    p1 = s1.param_elements()
-    p2 = s2.param_elements()
-    if len(p1) * len(p2) > DEFAULT_CAP:
-        raise CapExceeded("parameter of the sum exceeds cap")
-    elems = frozenset((u + v, r.add(a, b)) for (u, a) in p1 for (v, b) in p2)
-    return OddQuadraticSpace(r, gram, ExplicitParameter(elems))
-

@@ -28,19 +28,14 @@ class ProductParameter(FormParameter):
     asked for.
     """
 
-    kind = "hyperbolic"
-
-    def __init__(self, n, v0_scalar_sets, smin):
-        self.n = n
-        # v0 vector -> frozenset of admissible scalars, already summed with smin
+    def __init__(self, v0_scalar_sets):
+        # v0 vector -> frozenset of admissible scalars, already summed with lmin
         self.v0_scalar_sets = v0_scalar_sets
-        self.smin = smin
         self._v0_table = None  # built by the first contains_batch
 
     def contains(self, space, xi):
         u, t = xi
-        r = space.ring
-        n = self.n
+        r, n = space.ring, space.n
         base = r.zero
         for i in range(n):
             a, b = u[i], u[2 * n - 1 - i]
@@ -54,7 +49,7 @@ class ProductParameter(FormParameter):
         """`contains` on every (disp[c], scal[c]) at once: the planes by one
         sum, the V0 part by one lookup in a boolean table indexed by the code
         of (V0 vector, scalar), built on the first call."""
-        r, n, r0 = space.ring, self.n, space.rank - 2 * self.n
+        r, n, r0 = space.ring, space.n, space.rank - 2 * space.n
         radix = place_values(r.card, r0 + 1)  # scalar codes -> the pair's code
         if self._v0_table is None:
             elems = [u0 + (t,) for u0, ts in self.v0_scalar_sets.items() for t in ts]
@@ -67,10 +62,9 @@ class ProductParameter(FormParameter):
         return self._v0_table[r.arr_codes(pairs) @ radix]
 
     def elements(self, space, cap=DEFAULT_CAP):
-        r = space.ring
-        n = self.n
+        r, n = space.ring, space.n
         plane = sorted({((a, b), r.add(r.prod(r.bar(a), r.lam_inv, b), s))
-                        for a in r.elements() for b in r.elements() for s in self.smin})
+                        for a in r.elements() for b in r.elements() for s in r.lmin_scalars})
         v0_elems = sorted((u0, t) for u0, ts in self.v0_scalar_sets.items() for t in ts)
         total = len(plane) ** n * len(v0_elems)
         if total > cap:
@@ -83,8 +77,9 @@ class ProductParameter(FormParameter):
         return frozenset(out)
 
 
-class HyperbolicSpace:
-    """H^n + V0 with its form parameter and transvection matrices.
+class HyperbolicSpace(OddQuadraticSpace):
+    """H^n + V0, itself an odd quadratic space of rank 2n + rank(V0), with its
+    form parameter and transvection matrices.
 
     The canonical parameter is the hyperbolic one; `parameter` may override
     it with another admissible choice (min, max, an explicit set).  The
@@ -97,43 +92,39 @@ class HyperbolicSpace:
             raise ValueError("hyperbolic rank must be at least 1")
         if ring.key != v0.ring.key:
             raise WorkbenchError("V0 must live over the same ring")
-        self.ring = ring
         self.n = n
         self.v0 = v0
-        self.dim = 2 * n + v0.rank
         self.omega = tuple(range(1, n + 1)) + tuple(range(-n, 0))
 
-        r = ring
-        gram = [[r.zero] * self.dim for _ in range(self.dim)]
+        r, dim = ring, 2 * n + v0.rank
+        gram = [[r.zero] * dim for _ in range(dim)]
         for i in range(1, n + 1):
             gram[self.col(i)][self.col(-i)] = r.one
             gram[self.col(-i)][self.col(i)] = r.neg(r.lam)
         for a, row in enumerate(v0.gram):
             gram[2 * n + a][2 * n:] = row
 
-        smin = ring.lmin_scalars
-        v0_sets = {}
-        for (u0, a0) in v0.param_elements():
-            ts = v0_sets.setdefault(u0, set())
-            # smin is an additive subgroup, so a0 + smin is already in ts
-            # when a0 is
-            if a0 not in ts:
-                ts.update(r.add(a0, s) for s in smin)
-        v0_sets = {u0: frozenset(ts) for u0, ts in v0_sets.items()}
         if parameter is None:
-            parameter = ProductParameter(n, v0_sets, smin)
-        self.space = OddQuadraticSpace(ring, gram, parameter)
+            v0_sets = {}
+            for (u0, a0) in v0.param_elements():
+                ts = v0_sets.setdefault(u0, set())
+                # lmin is an additive subgroup, so a0 + lmin is already in ts
+                # when a0 is
+                if a0 not in ts:
+                    ts.update(r.add(a0, s) for s in r.lmin_scalars)
+            parameter = ProductParameter({u0: frozenset(ts) for u0, ts in v0_sets.items()})
+        super().__init__(ring, gram, parameter)
         # V0-supported part of the parameter, as V0-level Heisenberg elements;
         # the one-index generator data is therefore independent of n, which is
         # what makes the rank-stabilization map the identity on words.
         if isinstance(parameter, ProductParameter):
-            l0 = ((u0, t) for u0, ts in v0_sets.items() for t in ts)
+            l0 = ((u0, t) for u0, ts in parameter.v0_scalar_sets.items() for t in ts)
         else:
             l0 = ((u0, a) for u0 in v0.vectors() for a in r.elements()
-                  if parameter.contains(self.space, (self.embed_v0(u0), a)))
+                  if parameter.contains(self, (self.embed_v0(u0), a)))
         self.l0 = tuple(sorted(l0))
         self.l0_set = frozenset(self.l0)
-        self.identity = Mat.identity(ring, self.dim)
+        self.identity = Mat.identity(ring, self.rank)
         self.gen_mats = {}  # generator -> its transvection, filled by gen_matrix
 
     @cached_property
@@ -164,17 +155,13 @@ class HyperbolicSpace:
         """V0 coordinates -> full-length vector with zero hyperbolic part."""
         return tuple(self.ring.zero for _ in range(2 * self.n)) + tuple(u0)
 
-    @property
-    def gram(self):
-        return self.space.gram
-
     # -- transvections -------------------------------------------------------
 
     def _blocks(self):
         """The identity and the Gram matrix as (dim, dim, k, k) arrays."""
         r = self.ring
-        eye = np.eye(self.dim, dtype=np.int64)[:, :, None, None] * r.arr(r.one)
-        return eye, r.arr(self.gram, (self.dim, self.dim))
+        eye = np.eye(self.rank, dtype=np.int64)[:, :, None, None] * r.arr(r.one)
+        return eye, r.arr(self.gram, (self.rank, self.rank))
 
     def transvection_ij(self, i: int, j: int, a) -> Mat:
         """T_ij(a): w -> w + e_-j eps_-j bar(a) lam^-1 B(e_i, w) - e_i a eps_j B(e_-j, w)."""
@@ -197,7 +184,7 @@ class HyperbolicSpace:
         if xi not in self.l0_set:
             raise WorkbenchError(f"{xi!r} is not in the V0-supported form parameter")
         r = self.ring
-        u, b = r.arr(self.embed_v0(xi[0]), (self.dim,)), xi[1]
+        u, b = r.arr(self.embed_v0(xi[0]), (self.rank,)), xi[1]
         ci, ei, emi = self.col(i), self.eps(i), self.eps(-i)
         t, gram = self._blocks()
         # B(u, e_c) = sum_a bar(u_a) lam^-1 G[a][c], by c
@@ -216,11 +203,11 @@ def make_hyperbolic(ring, n, v0: OddQuadraticSpace | None = None,
 
 def is_isometry(hs: HyperbolicSpace, f: Mat) -> bool:
     """B(f b_i, f b_j) = B(b_i, b_j) on all basis pairs (enough by sesquilinearity)."""
-    if f.dim != hs.dim:
+    if f.dim != hs.rank:
         raise ValueError("dimension mismatch")
     gram = hs._blocks()[1]
     cols = f.blocks().swapaxes(0, 1)  # f b_c, by c
-    return bool((hs.space.form_arr(cols[:, None], cols[None]) == gram).all())
+    return bool((hs.form_arr(cols[:, None], cols[None]) == gram).all())
 
 
 # module vectors per block of equiv_mod_param; a block's temporaries add to
@@ -231,15 +218,15 @@ VECTORS = 1024
 def equiv_mod_param(hs: HyperbolicSpace, f: Mat, g: Mat) -> bool:
     """(fv - gv, B(gv - fv, gv)) in the parameter for every module vector v.
 
-    The vectors go VECTORS at a time, in the order of `sp.vectors()`, as the
+    The vectors go VECTORS at a time, in the order of `hs.vectors()`, as the
     (dim k) x k block columns of one array, so f - g and lam^-1 G g act on a
     block in one product each and the arrays stay small on any module.
     """
-    sp, r = hs.space, hs.ring
-    total = sp.vector_count()
+    r = hs.ring
+    total = hs.vector_count()
     if total > DEFAULT_CAP:
         raise CapExceeded("module too large to enumerate")
-    m, k, d = r.base_modulus, r.degree, hs.dim
+    m, k, d = r.base_modulus, r.degree, hs.rank
     lam_gram = Mat.from_rows(r, r.arr_mul(r.arr(r.lam_inv), hs._blocks()[1]))
     maps = (f.arr.astype(np.int64) - g.arr, (lam_gram * g).arr)
     for start in range(0, total, VECTORS):
@@ -249,7 +236,7 @@ def equiv_mod_param(hs: HyperbolicSpace, f: Mat, g: Mat) -> bool:
         disp, w = (mulmod(r, a, cols).astype(np.int64).reshape(d * k, -1, k)
                    .swapaxes(0, 1).reshape(-1, d, k, k) for a in maps)
         scal = r.arr_neg(r.arr_bar_dot(disp, w))  # B(gv - fv, gv)
-        if not sp.parameter.contains_batch(sp, disp, scal).all():
+        if not hs.parameter.contains_batch(hs, disp, scal).all():
             return False
     return True
 

@@ -487,13 +487,6 @@ def normal_form_word(hs: HyperbolicSpace, nf: U1NormalForm) -> Word:
     return word(*parts)
 
 
-def u1_uniqueness_check(hs: HyperbolicSpace, w1: Word, w2: Word) -> bool:
-    """True iff evaluation equality and normal-form equality agree."""
-    same_eval = eval_word(hs, w1) == eval_word(hs, w2)
-    same_nf = u1_decompose(hs, w1) == u1_decompose(hs, w2)
-    return same_eval == same_nf
-
-
 # -- perfectness and stabilization -------------------------------------------
 
 

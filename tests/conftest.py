@@ -20,7 +20,14 @@ def apply(mat, vec):
 def basis_vec(hs, c):
     """The basis vector of column c of a hyperbolic space."""
     r = hs.ring
-    return tuple(r.one if k == c else r.zero for k in range(hs.dim))
+    return tuple(r.one if k == c else r.zero for k in range(hs.rank))
+
+
+def u1_uniqueness_check(hs, w1, w2):
+    """True iff evaluation equality and normal-form equality agree."""
+    same_eval = steinberg.eval_word(hs, w1) == steinberg.eval_word(hs, w2)
+    same_nf = steinberg.u1_decompose(hs, w1) == steinberg.u1_decompose(hs, w2)
+    return same_eval == same_nf
 
 
 @pytest.fixture(scope="session")

@@ -35,8 +35,9 @@ from oddunitary.steinberg import (
     normal_form_word,
     u1_alphabet,
     u1_decompose,
-    u1_uniqueness_check,
 )
+
+from conftest import u1_uniqueness_check
 
 SEED = 3293
 EU6_Z2_ORDER = 20160  # regression baseline computed by the BFS oracle
@@ -109,8 +110,7 @@ def test_criterion_2_heisenberg_form_parameter_suite():
     with criterion(2, "Heisenberg and form parameters, rank <= 4", budget=10.0):
         for ring in rings:
             for n in (1, 2):
-                hs = make_hyperbolic(ring, n)
-                sp = hs.space
+                sp = make_hyperbolic(ring, n)
                 assert _assoc_exhaustive(sp)
 
                 elems = list(itertools.product(sp.vectors(), sp.ring.elements()))

@@ -87,7 +87,7 @@ def test_build_ring_and_space():
     ring = build_ring(cfg)
     assert ring.modulus == 3
     hs = build_space(cfg)
-    assert hs.dim == 8
+    assert hs.rank == 8
     assert len(hs.l0) == 27
 
 
@@ -216,6 +216,23 @@ def test_cli_bad_config_exits_2(capsys, tmp_path):
     code, lines = run_cli(capsys, "--config", str(cfg), "verify-ring")
     assert code == 2
     assert lines[0]["status"] == "error"
+
+
+@pytest.mark.parametrize("key, argv", [
+    # without a v0_gram the V0 parameter is never built, so only the check
+    # when the file is read sees the name
+    ("v0_parameter", ["verify-relations"]),
+    # neither subcommand builds the space
+    ("parameter", ["verify-ring"]),
+    ("parameter", ["free-identities"]),
+])
+def test_cli_unknown_parameter_names_exit_2(capsys, tmp_path, key, argv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[ring]\nmodulus = 3\n[space]\nn = 2\n{key} = bogus\n")
+    code, lines = run_cli(capsys, "--config", str(cfg), *argv)
+    assert code == 2
+    assert lines == [{"check": "cli", "status": "error",
+                      "witness": f"{key}: unknown value 'bogus'"}]
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,7 +13,6 @@ from oddunitary import (
     WorkbenchError,
     make_hyperbolic,
     make_ring,
-    orthogonal_sum,
     span_form_parameter,
     verify_antihermitian,
     verify_form_parameter,
@@ -109,7 +108,7 @@ def test_lmin_lmax_examples(z5, z2):
     assert MinParameter().contains(sp5, ((0, 0), 4))  # 4 = 2 + bar(2)
     z4 = make_ring("residue", 4, involution="identity")
     sp4 = hyperbolic_plane(z4)
-    assert sp4.lmin_scalars == frozenset({0, 2})
+    assert sp4.ring.lmin_scalars == frozenset({0, 2})
     assert not MinParameter().contains(sp4, ((0, 0), 1))
     sp2 = hyperbolic_plane(z2)
     assert MaxParameter().contains(sp2, ((1, 0), 0))
@@ -166,30 +165,9 @@ def test_verify_form_parameter_detects_broken_set(z3):
     assert any(c.witness for c in rep.failures())
 
 
-def test_orthogonal_sum(z2):
-    h = make_hyperbolic(z2, 1).space
-    zero = zero_space(z2)
-    same = orthogonal_sum(h, zero)
-    assert same.gram == h.gram
-    assert same.param_elements() == h.param_elements()
-
-    hh = orthogonal_sum(h, h)
-    assert hh.rank == 4
-    assert hh.gram[0][1] == 1 and hh.gram[2][3] == 1
-    assert hh.gram[0][2] == 0 and hh.gram[1][3] == 0
-    p = hh.param_elements()
-    for (u, a) in h.param_elements():
-        assert (u + (0, 0), a) in p
-
-
-def test_orthogonal_sum_ring_mismatch(z2, z3):
-    with pytest.raises(WorkbenchError):
-        orthogonal_sum(zero_space(z2), zero_space(z3))
-
-
 def test_hyperbolic_plane_parameter_z2(z2):
     # {(e1 a + e-1 b, ab)} since c + bar(c) = 0 in characteristic 2
-    sp = make_hyperbolic(z2, 1).space
+    sp = make_hyperbolic(z2, 1)
     expected = frozenset(
         ((a, b), (a * b) % 2) for a in range(2) for b in range(2)
     )

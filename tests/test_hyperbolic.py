@@ -122,24 +122,24 @@ def test_transvection_i_z2_only_identity(hs_z2_n3):
 def _formula_image(hs, gen, w):
     """The image of w under gen's transvection, by the docstring formula of
     transvection_ij or transvection_i through the scalar form."""
-    sp, r = hs.space, hs.ring
-    form, eps = sp.form, hs.eps
+    r = hs.ring
+    form, eps = hs.form, hs.eps
 
     def e(i, s):  # e_i s
-        return sp.vec_scale(basis_vec(hs, hs.col(i)), s)
+        return hs.vec_scale(basis_vec(hs, hs.col(i)), s)
 
     if isinstance(gen, Xij):
         i, j, a = gen.i, gen.j, gen.a
         terms = [e(-j, r.prod(eps(-j), r.bar(a), r.lam_inv, form(e(i, r.one), w))),
-                 sp.vec_neg(e(i, r.prod(a, eps(j), form(e(-j, r.one), w))))]
+                 hs.vec_neg(e(i, r.prod(a, eps(j), form(e(-j, r.one), w))))]
     else:
         i, (u0, b) = gen.i, gen.xi
         u, bi = hs.embed_v0(u0), form(e(i, r.one), w)
-        terms = [sp.vec_neg(e(i, r.mul(eps(i), form(u, w)))),
-                 sp.vec_neg(e(i, r.prod(eps(i), b, eps(-i), bi))),
-                 sp.vec_scale(u, r.mul(eps(-i), bi))]
+        terms = [hs.vec_neg(e(i, r.mul(eps(i), form(u, w)))),
+                 hs.vec_neg(e(i, r.prod(eps(i), b, eps(-i), bi))),
+                 hs.vec_scale(u, r.mul(eps(-i), bi))]
     for term in terms:
-        w = sp.vec_add(w, term)
+        w = hs.vec_add(w, term)
     return w
 
 
@@ -151,7 +151,7 @@ def test_transvections_match_their_formulas(space):
         z5n = make_ring("residue", 5, involution="negation")
         hs = make_hyperbolic(z5n, 2, OddQuadraticSpace(z5n, ((1,),), MaxParameter()))
         assert any(any(u0) for u0, _ in hs.l0)  # some X_i carries a nonzero vector
-    basis = [basis_vec(hs, c) for c in range(hs.dim)]
+    basis = [basis_vec(hs, c) for c in range(hs.rank)]
     count = 0
     for gen in generators(hs):
         t = gen_matrix(hs, gen)
@@ -197,7 +197,7 @@ def test_unitary_member(hs_z2_n3, hs_z3n_n3, hs_rich):
     # e_-1 -> e_-1 + e_1 is an isometry that only the parameter rejects
     z4 = make_ring("residue", 4, involution="identity")
     hs = make_hyperbolic(z4, 1)
-    assert hs.space.lmin_scalars == frozenset({0, 2})
+    assert z4.lmin_scalars == frozenset({0, 2})
     for rows, member in (([[1, 1], [0, 1]], False), ([[1, 2], [0, 1]], True)):
         mat = Mat.from_rows(z4, rows)
         assert is_isometry(hs, mat)
@@ -208,7 +208,7 @@ def test_unitary_member_rejects_an_isometry_outside_the_parameter(hs_z2_n3):
     # x -> x + B(e_1, x) e_1 preserves B but not q: it sends e_-1 to
     # e_-1 + e_1, which has q = 1, so only the form parameter rejects it
     hs = hs_z2_n3
-    rows = np.eye(hs.dim, dtype=np.int64)
+    rows = np.eye(hs.rank, dtype=np.int64)
     rows[hs.col(1)] += hs.gram[hs.col(1)]
     f = Mat.from_rows(hs.ring, rows)
     assert apply(f, basis_vec(hs, hs.col(-1))) == (1, 0, 0, 0, 0, 1)
@@ -220,7 +220,7 @@ def test_unitary_member_rejects_an_isometry_outside_the_parameter(hs_z2_n3):
 def test_unitary_member_over_a_matrix_ring(m2z2):
     hs = make_hyperbolic(m2z2, 1)
     hmin = make_hyperbolic(m2z2, 1, parameter=MinParameter())
-    assert hs.space.vector_count() == 256 and m2z2.modulus is None
+    assert hs.vector_count() == 256 and m2z2.modulus is None
     mats = [mat for _, mat in eu_generators(hs)]
     assert len(mats) == 2
     assert [unitary_member(hs, mat) for mat in mats] == [True, True]
@@ -228,22 +228,22 @@ def test_unitary_member_over_a_matrix_ring(m2z2):
 
 
 def test_spaces_share_the_rings_minimal_scalars(hs_rich):
-    # {a + bar(a)} depends only on the ring, so it is listed once per ring
+    # {a + bar(a)} depends only on the ring, so only the ring lists it
     hs = hs_rich
-    assert hs.space.lmin_scalars is hs.v0.lmin_scalars is hs.ring.lmin_scalars
-    assert hs.space.lmin_scalars == frozenset({0, 1, 2})
+    assert not hasattr(hs, "lmin_scalars") and not hasattr(hs.v0, "lmin_scalars")
+    assert hs.ring.lmin_scalars == frozenset({0, 1, 2})
 
 
 def test_parameter_caps_count_their_candidates(hs_z3_n3):
     # Z/3 at n = 3: the hyperbolic parameter has 3^7 = 2187 elements, but
     # listing it sums 27^3 * 3 = 59049 candidates, one per triple of plane
     # elements and V0 scalar
-    sp = hs_z3_n3.space
-    assert len(sp.param_elements()) == 2187
+    hs = hs_z3_n3
+    assert len(hs.param_elements()) == 2187
     with pytest.raises(CapExceeded, match="^hyperbolic parameter needs 59049 candidates$"):
-        sp.param_elements(cap=2187)
+        hs.param_elements(cap=2187)
     with pytest.raises(CapExceeded, match="^maximal parameter needs 2187 candidates$"):
-        MaxParameter().elements(sp, cap=2186)
+        MaxParameter().elements(hs, cap=2186)
 
 
 def test_enumerate_eu_no_generators_is_trivial(z2):
@@ -313,10 +313,10 @@ def test_constructed_spaces_have_antihermitian_gram(
 
     for hs in (hs_z2_n3, hs_z3_n3, hs_z3n_n3, hs_rich):
         r = hs.ring
-        for i in range(hs.dim):
-            for j in range(hs.dim):
+        for i in range(hs.rank):
+            for j in range(hs.rank):
                 assert hs.gram[i][j] == r.neg(r.bar(hs.gram[j][i]))
-    assert verify_antihermitian(hs_rich.space).ok
+    assert verify_antihermitian(hs_rich).ok
 
 
 def test_equiv_batch_matches_reference(z3, z5n, m2z2, hs_rich):
@@ -332,19 +332,24 @@ def test_equiv_batch_matches_reference(z3, z5n, m2z2, hs_rich):
         # lam = -1, so the lam^-1 in the form counts
         "z5n_v0": make_hyperbolic(z5n, 1, OddQuadraticSpace(z5n, ((1,),), MaxParameter())),
     }
+    for name in ("z3", "m2z2"):  # explicit parameters: the span of (e_1, 0)
+        hs = spaces[name]
+        e1 = (hs.ring.one,) + (hs.ring.zero,) * (hs.rank - 1)
+        spaces[f"{name}_span"] = make_hyperbolic(
+            hs.ring, 1, parameter=span_form_parameter(hs, [(e1, hs.ring.zero)]))
     for name, hs in spaces.items():
-        sp, r = hs.space, hs.ring
-        size = hs.dim * r.degree
+        r = hs.ring
+        size = hs.rank * r.degree
         t, *gens = [mat for _, mat in eu_generators(hs)][:4]
         minus = Mat.from_arr(r, -np.eye(size, dtype=np.int64))  # an isometry
         other = Mat.from_arr(r, np.random.default_rng(3).integers(0, r.base_modulus, (size, size)))
 
         def reference(f, g):
-            for v in sp.vectors():
+            for v in hs.vectors():
                 fv, gv = apply(f, v), apply(g, v)
-                d = tuple(sp.ring.sub(x, y) for x, y in zip(fv, gv))
-                disp = (d, sp.form(tuple(sp.ring.neg(x) for x in d), gv))
-                if not sp.param_contains(disp):
+                d = tuple(hs.ring.sub(x, y) for x, y in zip(fv, gv))
+                disp = (d, hs.form(tuple(hs.ring.neg(x) for x in d), gv))
+                if not hs.param_contains(disp):
                     return False
             return True
 
@@ -353,7 +358,7 @@ def test_equiv_batch_matches_reference(z3, z5n, m2z2, hs_rich):
             for g in (hs.identity, t):
                 verdicts.add(equiv_mod_param(hs, f, g))
                 assert equiv_mod_param(hs, f, g) == reference(f, g), (name, f, g)
-        # on Z/3 with V0 = 0 or maximal, smin is all of Z/3 and the hyperbolic
+        # on Z/3 with V0 = 0 or maximal, lmin is all of Z/3 and the hyperbolic
         # parameter is the whole Heisenberg group
         assert verdicts == ({True} if name in ("z3", "z3_v0") else {True, False}), name
 
@@ -636,10 +641,10 @@ def test_eu6_z3_negation_closure(z3n):
 
 def _naive_v0_sets(hs):
     """Every V0 parameter scalar plus every lmin scalar, per V0 vector."""
-    r, smin = hs.ring, hs.space.parameter.smin
+    r = hs.ring
     sets = {}
     for u0, a0 in hs.v0.param_elements():
-        sets.setdefault(u0, set()).update(r.add(a0, s) for s in smin)
+        sets.setdefault(u0, set()).update(r.add(a0, s) for s in r.lmin_scalars)
     return sets
 
 
@@ -656,7 +661,7 @@ def test_v0_scalar_sets_match_naive_sums(hs_rich):
         for r in (z4, m2z2) for p in (MinParameter(), MaxParameter())
     ]
     for hs in spaces:
-        sets = hs.space.parameter.v0_scalar_sets
+        sets = hs.parameter.v0_scalar_sets
         assert sets == _naive_v0_sets(hs)
         assert hs.l0 == tuple(sorted((u0, t) for u0, ts in sets.items() for t in ts))
 
@@ -670,13 +675,13 @@ def test_v0_scalar_sets_on_a_large_modulus():
 def _displacement_columns(hs, f, vectors):
     """(disp, scal) of f against the identity on each vector, as in
     equiv_mod_param, as the stacks (N, dim, k, k) and (N, k, k) of `Ring.arr`."""
-    sp, r = hs.space, hs.ring
+    r = hs.ring
     disp, scal = [], []
     for v in vectors:
         d = tuple(r.sub(x, y) for x, y in zip(apply(f, v), v))
         disp.append(d)
-        scal.append(sp.form(tuple(r.neg(x) for x in d), v))
-    return r.arr(disp, (len(vectors), hs.dim)), r.arr(scal, (len(vectors),))
+        scal.append(hs.form(tuple(r.neg(x) for x in d), v))
+    return r.arr(disp, (len(vectors), hs.rank)), r.arr(scal, (len(vectors),))
 
 
 @pytest.mark.parametrize("space", ["rich", "z3n", "z4", "v0_min"])
@@ -690,64 +695,64 @@ def test_contains_batch_matches_contains(request, space):
         "v0_min": lambda: make_hyperbolic(
             z3, 2, OddQuadraticSpace(z3, ((0, 1), (2, 0)), MinParameter())),
     }[space]()
-    sp, m = hs.space, hs.ring.modulus
+    m = hs.ring.modulus
     rng = np.random.default_rng(17)
-    vectors = [tuple(v) for v in rng.integers(0, m, (60, hs.dim)).tolist()]
+    vectors = [tuple(v) for v in rng.integers(0, m, (60, hs.rank)).tolist()]
     columns = [_displacement_columns(hs, mat, vectors)
                for _, mat in eu_generators(hs)[::7]]
     # random columns: mostly outside every parameter
-    columns.append((rng.integers(0, m, (hs.dim, 300)).T.reshape(300, hs.dim, 1, 1),
+    columns.append((rng.integers(0, m, (hs.rank, 300)).T.reshape(300, hs.rank, 1, 1),
                     rng.integers(0, m, (300, 1, 1))))
     disp = np.concatenate([d for d, _ in columns])
     scal = np.concatenate([s for _, s in columns])
     # explicit parameters: a spanned one, {(e_1 b, s) : s in lmin}, and the
     # maximal one less one element, as in the broken set of test_forms.py
-    e1 = (1,) + (0,) * (hs.dim - 1)
-    full = MaxParameter().elements(sp)
-    explicit = (span_form_parameter(sp, [(e1, 0)]), ExplicitParameter(full - {sorted(full)[1]}))
-    for param in (sp.parameter, MinParameter(), MaxParameter(), *explicit):
-        expected = [param.contains(sp, (tuple(d), t))
+    e1 = (1,) + (0,) * (hs.rank - 1)
+    full = MaxParameter().elements(hs)
+    explicit = (span_form_parameter(hs, [(e1, 0)]), ExplicitParameter(full - {sorted(full)[1]}))
+    for param in (hs.parameter, MinParameter(), MaxParameter(), *explicit):
+        expected = [param.contains(hs, (tuple(d), t))
                     for d, t in zip(disp[..., 0, 0].tolist(), scal[:, 0, 0].tolist())]
-        got = param.contains_batch(sp, disp, scal)
-        assert got.dtype == bool and got.tolist() == expected, param.kind
-        assert any(expected), param.kind
+        got = param.contains_batch(hs, disp, scal)
+        assert got.dtype == bool and got.tolist() == expected, type(param).__name__
+        assert any(expected), type(param).__name__
     # on the rich preset the hyperbolic parameter is the whole Heisenberg
-    # group (smin is all of Z/3 and the V0 part is maximal); elsewhere the
+    # group (lmin is all of Z/3 and the V0 part is maximal); elsewhere the
     # random columns include non-members
-    members = sp.parameter.contains_batch(sp, disp, scal)
+    members = hs.parameter.contains_batch(hs, disp, scal)
     assert members.all() == (space == "rich")
     # a transvection is not equivalent to the identity under the minimal
     # parameter: some of its displacements are non-members
     t = hs.transvection_ij(1, 2, 1)
     d, s = _displacement_columns(hs, t, vectors)
-    assert not MinParameter().contains_batch(sp, d, s).all()
-    assert sp.parameter.contains_batch(sp, d, s).all()
+    assert not MinParameter().contains_batch(hs, d, s).all()
+    assert hs.parameter.contains_batch(hs, d, s).all()
     if space == "v0_min":
         # a displacement along V0 has no scalar set, whatever the scalar
-        along_v0 = np.zeros((m, hs.dim, 1, 1), dtype=np.int64)
+        along_v0 = np.zeros((m, hs.rank, 1, 1), dtype=np.int64)
         along_v0[:, -1] = 1
-        assert not sp.parameter.contains_batch(sp, along_v0, hs.ring.arr(range(m), (m,))).any()
-        assert not any(sp.parameter.contains(sp, (tuple(along_v0[0, :, 0, 0]), a))
+        assert not hs.parameter.contains_batch(hs, along_v0, hs.ring.arr(range(m), (m,))).any()
+        assert not any(hs.parameter.contains(hs, (tuple(along_v0[0, :, 0, 0]), a))
                        for a in range(m))
 
 
 def test_contains_batch_over_a_matrix_ring(m2z2):
     v0 = OddQuadraticSpace(m2z2, ((((0, 1), (1, 0)),),), MaxParameter())
     hs = make_hyperbolic(m2z2, 1, v0)
-    sp, r = hs.space, hs.ring
+    r = hs.ring
     rng = np.random.default_rng(17)
-    vectors = [tuple(map(r.scalar, v)) for v in rng.integers(0, r.card, (60, hs.dim)).tolist()]
+    vectors = [tuple(map(r.scalar, v)) for v in rng.integers(0, r.card, (60, hs.rank)).tolist()]
     columns = [_displacement_columns(hs, mat, vectors) for _, mat in eu_generators(hs)[::5]]
-    columns.append((r.codes_arr(rng.integers(0, r.card, (300, hs.dim))),
+    columns.append((r.codes_arr(rng.integers(0, r.card, (300, hs.rank))),
                     r.codes_arr(rng.integers(0, r.card, 300))))
     disp = np.concatenate([d for d, _ in columns])
     scal = np.concatenate([s for _, s in columns])
-    spanned = span_form_parameter(sp, [((r.one,) + (r.zero,) * (hs.dim - 1), r.zero)])
-    for param in (sp.parameter, MinParameter(), MaxParameter(), spanned):
-        expected = [param.contains(sp, (tuple(map(r.scalar, d)), r.scalar(t)))
+    spanned = span_form_parameter(hs, [((r.one,) + (r.zero,) * (hs.rank - 1), r.zero)])
+    for param in (hs.parameter, MinParameter(), MaxParameter(), spanned):
+        expected = [param.contains(hs, (tuple(map(r.scalar, d)), r.scalar(t)))
                     for d, t in zip(r.arr_codes(disp).tolist(), r.arr_codes(scal).tolist())]
-        assert param.contains_batch(sp, disp, scal).tolist() == expected, param.kind
-        assert any(expected) and not all(expected), param.kind
+        assert param.contains_batch(hs, disp, scal).tolist() == expected, type(param).__name__
+        assert any(expected) and not all(expected), type(param).__name__
 
 
 @pytest.mark.parametrize("block", [100, 2048])

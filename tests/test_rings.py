@@ -9,7 +9,6 @@ from oddunitary import (
     WorkbenchError,
     make_hyperbolic,
     make_ring,
-    orthogonal_sum,
     verify_pseudo_involution,
     verify_ring_axioms,
 )
@@ -104,8 +103,6 @@ def test_a_ring_is_named_by_its_unit():
     z3 = make_ring("residue", 3)
     with pytest.raises(WorkbenchError, match="same ring"):
         make_hyperbolic(z3, 2, OddQuadraticSpace(z3n, ((0,),)))
-    with pytest.raises(WorkbenchError, match="same ring"):
-        orthogonal_sum(OddQuadraticSpace(z3, ((0,),)), OddQuadraticSpace(z3n, ((0,),)))
 
 
 def test_doubling_map_fails_involutivity():

@@ -19,7 +19,6 @@ from oddunitary import (
     relation_instance,
     steinberg,
     u1_decompose,
-    u1_uniqueness_check,
     verify_relations,
 )
 from oddunitary.config import build_space, parse_config
@@ -53,6 +52,8 @@ from oddunitary.steinberg import (
     u1_alphabet,
 )
 
+from conftest import u1_uniqueness_check
+
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 Z3 = make_ring("residue", 3)
@@ -79,7 +80,7 @@ def embed_matrix(small, big, m):
     """Block-extend a rank-n matrix to rank n+1 (identity on the new plane)."""
     assert big.n == small.n + 1 and big.v0.rank == small.v0.rank
     # e_1..e_n keep their columns; e_-n..e_-1 and V0 shift past the new pair
-    cols = [c if c < small.n else c + 2 for c in range(small.dim)]
+    cols = [c if c < small.n else c + 2 for c in range(small.rank)]
     blocks = big._blocks()[0]
     blocks[np.ix_(cols, cols)] = m.blocks()
     return Mat.from_rows(small.ring, blocks)
