@@ -160,9 +160,6 @@ class OddQuadraticSpace:
     def param_contains(self, xi):
         return self.parameter.contains(self, xi)
 
-    def param_elements(self, cap=DEFAULT_CAP):
-        return self.parameter.elements(self, cap)
-
 
 def zero_space(ring) -> OddQuadraticSpace:
     return OddQuadraticSpace(ring, (), MinParameter())
@@ -214,7 +211,7 @@ def span_form_parameter(space, seeds, cap=DEFAULT_CAP) -> ExplicitParameter:
 def verify_form_parameter(space, cap=DEFAULT_CAP, seed=DEFAULT_SEED) -> Report:
     """lmin <= L <= lmax, closure under the group operations, action stability."""
     rep = Report()
-    elems = space.param_elements(cap)
+    elems = space.parameter.elements(space, cap)
     zero = space.zero_vec
     rep.sweep("param.contains_min", space.ring.lmin_scalars, lambda s: (zero, s) in elems,
               lambda s: f"(0, {s!r})", "scalars")

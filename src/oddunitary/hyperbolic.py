@@ -20,60 +20,58 @@ from .rings import place_values
 
 
 class ProductParameter(FormParameter):
-    """Canonical hyperbolic parameter, kept factored per plane and V0 part.
-
-    Each plane contributes {(e_i a + e_-i b, bar(a) lam^-1 b + c + bar(c))};
-    the V0 part contributes its own parameter.  Membership decomposes a
-    candidate along this product, so the set is never materialized unless
-    asked for.
+    """Canonical hyperbolic parameter, fixed by its V0-supported part L0:
+    L = {(u, q(u) + t) : (u0, t) in L0}, u0 the V0 part of u and q(u) =
+    sum_i bar(u_i) lam^-1 u_-i over the planes.  L0, `v0_part`, is every
+    (u0, a0) of V0's parameter plus every scalar of lmin, sorted.
     """
 
-    def __init__(self, v0_scalar_sets):
-        # v0 vector -> frozenset of admissible scalars, already summed with lmin
-        self.v0_scalar_sets = v0_scalar_sets
-        self._v0_table = None  # built by the first contains_batch
+    def __init__(self, v0: OddQuadraticSpace):
+        r, part = v0.ring, set()
+        for u0, a0 in v0.parameter.elements(v0):
+            # lmin is an additive subgroup, so a0 + lmin is already in the
+            # part when a0 is
+            if (u0, a0) not in part:
+                part.update((u0, r.add(a0, s)) for s in r.lmin_scalars)
+        self.v0_part = tuple(sorted(part))
+        self.v0_set = frozenset(part)
+        self._codes = None  # built by the first contains_batch
+
+    @staticmethod
+    def q(space, u):
+        r, n = space.ring, space.n
+        return r.sum(*(r.prod(r.bar(u[i]), r.lam_inv, u[2 * n - 1 - i]) for i in range(n)))
 
     def contains(self, space, xi):
         u, t = xi
-        r, n = space.ring, space.n
-        base = r.zero
-        for i in range(n):
-            a, b = u[i], u[2 * n - 1 - i]
-            base = r.add(base, r.prod(r.bar(a), r.lam_inv, b))
-        scalars = self.v0_scalar_sets.get(tuple(u[2 * n:]))
-        if scalars is None:
-            return False
-        return r.sub(t, base) in scalars
+        return (tuple(u[2 * space.n:]), space.ring.sub(t, self.q(space, u))) in self.v0_set
 
     def contains_batch(self, space, disp, scal):
-        """`contains` on every (disp[c], scal[c]) at once: the planes by one
-        sum, the V0 part by one lookup in a boolean table indexed by the code
-        of (V0 vector, scalar), built on the first call."""
+        """`contains` on every (disp[c], scal[c]) at once: q by one sum over
+        the planes, then a binary search of each code of (V0 vector, t - q)
+        among the sorted codes of `v0_part`, built on the first call."""
         r, n, r0 = space.ring, space.n, space.rank - 2 * space.n
         radix = place_values(r.card, r0 + 1)  # scalar codes -> the pair's code
-        if self._v0_table is None:
-            elems = [u0 + (t,) for u0, ts in self.v0_scalar_sets.items() for t in ts]
-            self._v0_table = np.zeros(r.card ** (r0 + 1), dtype=bool)
-            self._v0_table[r.arr_codes(r.arr(elems, (len(elems), r0 + 1))) @ radix] = True
-        # sum_i bar(a_i) lam^-1 b_i over the planes (e_i a_i + e_-i b_i),
-        # which is bar(sum_i bar(b_i) a_i) as bar(xy) = bar(y) lam^-1 bar(x)
+        if self._codes is None:
+            part = r.arr([u0 + (t,) for u0, t in self.v0_part], (len(self.v0_part), r0 + 1))
+            self._codes = np.sort(r.arr_codes(part) @ radix)
+        # q(u) = bar(sum_i bar(u_-i) u_i), as bar(xy) = bar(y) lam^-1 bar(x)
         base = r.arr_bar(r.arr_bar_dot(disp[:, n:2 * n][:, ::-1], disp[:, :n]))
         pairs = np.concatenate([disp[:, 2 * n:], (scal - base)[:, None] % r.base_modulus], 1)
-        return self._v0_table[r.arr_codes(pairs) @ radix]
+        codes = r.arr_codes(pairs) @ radix
+        return self._codes.take(np.searchsorted(self._codes, codes), mode="clip") == codes
 
     def elements(self, space, cap=DEFAULT_CAP):
-        r, n = space.ring, space.n
-        plane = sorted({((a, b), r.add(r.prod(r.bar(a), r.lam_inv, b), s))
-                        for a in r.elements() for b in r.elements() for s in r.lmin_scalars})
-        v0_elems = sorted((u0, t) for u0, ts in self.v0_scalar_sets.items() for t in ts)
-        total = len(plane) ** n * len(v0_elems)
+        """Every hyperbolic vector h, with each (u0, t) of `v0_part`, gives
+        the element (h + u0, q(h) + t), so the set has card^2n |L0| elements."""
+        r = space.ring
+        total = r.card ** (2 * space.n) * len(self.v0_part)
         if total > cap:
-            raise CapExceeded(f"hyperbolic parameter needs {total} candidates")
+            raise CapExceeded(f"hyperbolic parameter has {total} elements")
         out = set()
-        for parts in itertools.product(plane, repeat=n):
-            u = tuple(p[0][0] for p in parts) + tuple(p[0][1] for p in reversed(parts))
-            s = r.sum(*(p[1] for p in parts))
-            out.update((u + u0, r.add(s, t)) for u0, t in v0_elems)
+        for h in itertools.product(list(r.elements()), repeat=2 * space.n):
+            qh = self.q(space, h)
+            out.update((h + u0, r.add(qh, t)) for u0, t in self.v0_part)
         return frozenset(out)
 
 
@@ -105,24 +103,16 @@ class HyperbolicSpace(OddQuadraticSpace):
             gram[2 * n + a][2 * n:] = row
 
         if parameter is None:
-            v0_sets = {}
-            for (u0, a0) in v0.param_elements():
-                ts = v0_sets.setdefault(u0, set())
-                # lmin is an additive subgroup, so a0 + lmin is already in ts
-                # when a0 is
-                if a0 not in ts:
-                    ts.update(r.add(a0, s) for s in r.lmin_scalars)
-            parameter = ProductParameter({u0: frozenset(ts) for u0, ts in v0_sets.items()})
+            parameter = ProductParameter(v0)
         super().__init__(ring, gram, parameter)
         # V0-supported part of the parameter, as V0-level Heisenberg elements;
         # the one-index generator data is therefore independent of n, which is
         # what makes the rank-stabilization map the identity on words.
         if isinstance(parameter, ProductParameter):
-            l0 = ((u0, t) for u0, ts in parameter.v0_scalar_sets.items() for t in ts)
+            self.l0 = parameter.v0_part
         else:
-            l0 = ((u0, a) for u0 in v0.vectors() for a in r.elements()
-                  if parameter.contains(self, (self.embed_v0(u0), a)))
-        self.l0 = tuple(sorted(l0))
+            self.l0 = tuple(sorted((u0, a) for u0 in v0.vectors() for a in r.elements()
+                                   if parameter.contains(self, (self.embed_v0(u0), a))))
         self.l0_set = frozenset(self.l0)
         self.identity = Mat.identity(ring, self.rank)
         self.gen_mats = {}  # generator -> its transvection, filled by gen_matrix

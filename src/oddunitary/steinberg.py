@@ -356,10 +356,10 @@ def sweep_family(report: Report, check: str, hs: HyperbolicSpace, fam: Family, t
     rows, and an instance holds when its two sides give equal rows.  An
     instance with a letter X_i(xi), xi outside `hs.l0`, fails unevaluated:
     the `LetterMemo` behind `evaluate` raises `OutsideL0` on such a letter,
-    and the chunk is evaluated again without those instances.  The
-    instances of a chunk up to its first failing one are one verdict, so
-    the count is that of a case-by-case sweep; `witness(params)` names the
-    first failing instance.  False on a failure."""
+    and the chunk is evaluated again without those instances.  A chunk
+    that holds is one verdict of its size, so the count is that of a
+    case-by-case sweep; of a failing chunk, only its first failing instance
+    is a verdict, which `witness(params)` names.  False on a failure."""
     def holds(lhs, rhs):
         return (evaluate(lhs) == evaluate(rhs)).reshape(len(lhs), -1).all(axis=1)
 
@@ -371,9 +371,10 @@ def sweep_family(report: Report, check: str, hs: HyperbolicSpace, fam: Family, t
                 bad = outside_l0(hs, np.concatenate([lhs, rhs], axis=1)).any(axis=1)
                 same = holds(*(np.where(bad[:, None], 0, side) for side in (lhs, rhs))) & ~bad
             fails = np.flatnonzero(~same)[:1]
-            yield int(fails[0]) if fails.size else len(lhs), None
             if fails.size:
                 yield 1, chunk_params(hs, fam, idx[fails], pos[fails])[0]
+            else:
+                yield len(lhs), None
 
     return report.sweep(check, verdicts(), lambda verdict: verdict[1] is None,
                         lambda verdict: witness(verdict[1]), unit,

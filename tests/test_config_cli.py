@@ -115,7 +115,7 @@ v0_parameter = seeds:(1|0)
 """
     hs = build_space(parse_config(text))
     # the seed's action orbit and the minimal scalars span all of V0 x R
-    assert len(hs.v0.param_elements()) == 9
+    assert len(hs.v0.parameter.elements(hs.v0)) == 9
     assert len(hs.l0) == 9
 
 

@@ -171,7 +171,7 @@ def test_hyperbolic_plane_parameter_z2(z2):
     expected = frozenset(
         ((a, b), (a * b) % 2) for a in range(2) for b in range(2)
     )
-    assert sp.param_elements() == expected
+    assert sp.parameter.elements(sp) == expected
 
 
 def test_form_arr_matches_form(z3n, m2z2):

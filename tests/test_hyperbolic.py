@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from collections import deque
 
@@ -234,16 +235,21 @@ def test_spaces_share_the_rings_minimal_scalars(hs_rich):
     assert hs.ring.lmin_scalars == frozenset({0, 1, 2})
 
 
-def test_parameter_caps_count_their_candidates(hs_z3_n3):
-    # Z/3 at n = 3: the hyperbolic parameter has 3^7 = 2187 elements, but
-    # listing it sums 27^3 * 3 = 59049 candidates, one per triple of plane
-    # elements and V0 scalar
+def test_parameter_caps_count_their_elements(hs_z3_n3):
+    # Z/3 at n = 3: the hyperbolic parameter has 3^6 * 3 = 2187 elements,
+    # one per hyperbolic vector and element of the V0 part
     hs = hs_z3_n3
-    assert len(hs.param_elements()) == 2187
-    with pytest.raises(CapExceeded, match="^hyperbolic parameter needs 59049 candidates$"):
-        hs.param_elements(cap=2187)
+    assert len(hs.parameter.elements(hs, cap=2187)) == 2187
+    with pytest.raises(CapExceeded, match="^hyperbolic parameter has 2187 elements$"):
+        hs.parameter.elements(hs, cap=2186)
     with pytest.raises(CapExceeded, match="^maximal parameter needs 2187 candidates$"):
         MaxParameter().elements(hs, cap=2186)
+    # Z/8 with lam = 3 at n = 2: 8^4 vectors and lmin = {0, 4}
+    z8 = make_hyperbolic(make_ring("residue", 8, involution="table",
+                                   table=(0, 3, 6, 1, 4, 7, 2, 5)), 2)
+    assert len(z8.parameter.elements(z8, cap=8192)) == 8192
+    with pytest.raises(CapExceeded, match="^hyperbolic parameter has 8192 elements$"):
+        z8.parameter.elements(z8, cap=8191)
 
 
 def test_enumerate_eu_no_generators_is_trivial(z2):
@@ -639,13 +645,11 @@ def test_eu6_z3_negation_closure(z3n):
     assert cl.layers == [1, 24, 384, 4636, 43659, 309784, 1518622, 3246412, 931936, 9756, 66]
 
 
-def _naive_v0_sets(hs):
-    """Every V0 parameter scalar plus every lmin scalar, per V0 vector."""
+def _naive_v0_part(hs):
+    """Every V0 parameter element plus every lmin scalar."""
     r = hs.ring
-    sets = {}
-    for u0, a0 in hs.v0.param_elements():
-        sets.setdefault(u0, set()).update(r.add(a0, s) for s in r.lmin_scalars)
-    return sets
+    return {(u0, r.add(a0, s)) for u0, a0 in hs.v0.parameter.elements(hs.v0)
+            for s in r.lmin_scalars}
 
 
 def _symplectic(ring, parameter):
@@ -653,7 +657,7 @@ def _symplectic(ring, parameter):
         ring, ((ring.zero, ring.one), (ring.neg(ring.lam), ring.zero)), parameter)
 
 
-def test_v0_scalar_sets_match_naive_sums(hs_rich):
+def test_v0_part_matches_naive_sums(hs_rich):
     z4 = make_ring("residue", 4)  # lmin = {0, 2}: a proper subgroup
     m2z2 = make_ring("matrix", 2, 2, "transpose")
     spaces = [hs_rich] + [
@@ -661,9 +665,37 @@ def test_v0_scalar_sets_match_naive_sums(hs_rich):
         for r in (z4, m2z2) for p in (MinParameter(), MaxParameter())
     ]
     for hs in spaces:
-        sets = hs.parameter.v0_scalar_sets
-        assert sets == _naive_v0_sets(hs)
-        assert hs.l0 == tuple(sorted((u0, t) for u0, ts in sets.items() for t in ts))
+        part = hs.parameter.v0_part
+        assert set(part) == hs.parameter.v0_set == _naive_v0_part(hs)
+        assert hs.l0 == part == tuple(sorted(part))
+
+
+def _plane_product_elements(hs):
+    """The hyperbolic parameter as sums of one element per plane,
+    {((a, b), bar(a) lam^-1 b + s) : s in lmin}, and one of the V0 part."""
+    r, n = hs.ring, hs.n
+    plane = sorted({((a, b), r.add(r.prod(r.bar(a), r.lam_inv, b), s))
+                    for a in r.elements() for b in r.elements() for s in r.lmin_scalars})
+    out = set()
+    for parts in itertools.product(plane, repeat=n):
+        u = tuple(p[0][0] for p in parts) + tuple(p[0][1] for p in reversed(parts))
+        s = r.sum(*(p[1] for p in parts))
+        out.update((u + u0, r.add(s, t)) for u0, t in hs.parameter.v0_part)
+    return frozenset(out)
+
+
+def test_listing_matches_plane_products(hs_rich):
+    m2z2 = make_ring("matrix", 2, 2, "transpose")
+    z3n = make_ring("residue", 3, involution="negation")
+    z8 = make_ring("residue", 8, involution="table", table=(0, 3, 6, 1, 4, 7, 2, 5))
+    m2_v0 = OddQuadraticSpace(m2z2, ((((0, 1), (1, 0)),),), MaxParameter())
+    spaces = [(hs_rich, 19683), (make_hyperbolic(z3n, 2), 81),
+              (make_hyperbolic(m2z2, 1, m2_v0), 32768), (make_hyperbolic(z8, 2), 8192),
+              (make_hyperbolic(make_ring("residue", 4), 2), 512)]
+    for hs, size in spaces:
+        listed = hs.parameter.elements(hs)
+        assert len(listed) == size and listed == _plane_product_elements(hs)
+        assert all(hs.parameter.contains(hs, x) for x in sorted(listed)[::97])
 
 
 def test_v0_scalar_sets_on_a_large_modulus():
@@ -684,7 +716,7 @@ def _displacement_columns(hs, f, vectors):
     return r.arr(disp, (len(vectors), hs.rank)), r.arr(scal, (len(vectors),))
 
 
-@pytest.mark.parametrize("space", ["rich", "z3n", "z4", "v0_min"])
+@pytest.mark.parametrize("space", ["rich", "z3n", "z4", "v0_min", "v0_wide"])
 def test_contains_batch_matches_contains(request, space):
     z3 = make_ring("residue", 3)
     hs = {
@@ -694,6 +726,9 @@ def test_contains_batch_matches_contains(request, space):
         # only the zero V0 vector has a scalar set
         "v0_min": lambda: make_hyperbolic(
             z3, 2, OddQuadraticSpace(z3, ((0, 1), (2, 0)), MinParameter())),
+        # the same on a rank-12 V0: the pair codes reach 3^13
+        "v0_wide": lambda: make_hyperbolic(
+            z3, 2, OddQuadraticSpace(z3, ((0,) * 12,) * 12, MinParameter())),
     }[space]()
     m = hs.ring.modulus
     rng = np.random.default_rng(17)
@@ -706,10 +741,13 @@ def test_contains_batch_matches_contains(request, space):
     disp = np.concatenate([d for d, _ in columns])
     scal = np.concatenate([s for _, s in columns])
     # explicit parameters: a spanned one, {(e_1 b, s) : s in lmin}, and the
-    # maximal one less one element, as in the broken set of test_forms.py
+    # maximal one less one element, as in the broken set of test_forms.py,
+    # where the maximal one can be listed
     e1 = (1,) + (0,) * (hs.rank - 1)
-    full = MaxParameter().elements(hs)
-    explicit = (span_form_parameter(hs, [(e1, 0)]), ExplicitParameter(full - {sorted(full)[1]}))
+    explicit = [span_form_parameter(hs, [(e1, 0)])]
+    if space != "v0_wide":
+        full = MaxParameter().elements(hs)
+        explicit.append(ExplicitParameter(full - {sorted(full)[1]}))
     for param in (hs.parameter, MinParameter(), MaxParameter(), *explicit):
         expected = [param.contains(hs, (tuple(d), t))
                     for d, t in zip(disp[..., 0, 0].tolist(), scal[:, 0, 0].tolist())]
@@ -727,7 +765,7 @@ def test_contains_batch_matches_contains(request, space):
     d, s = _displacement_columns(hs, t, vectors)
     assert not MinParameter().contains_batch(hs, d, s).all()
     assert hs.parameter.contains_batch(hs, d, s).all()
-    if space == "v0_min":
+    if space in ("v0_min", "v0_wide"):
         # a displacement along V0 has no scalar set, whatever the scalar
         along_v0 = np.zeros((m, hs.rank, 1, 1), dtype=np.int64)
         along_v0[:, -1] = 1

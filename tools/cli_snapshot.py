@@ -8,9 +8,13 @@ Usage, from anywhere:
 Each file holds the run's stdout followed by a final `exit=<code>` line.
 The runs are every subcommand on each `configs/*.cfg` under both
 strategies, every subcommand on the built-in default config, the README's
-`decompose-u1` example, the `enumerate-eu --out` dump on
-`configs/z2_n3.cfg`, the exhaustive `verify-relations` on M_2(Z/2) with
-transpose at n = 3 (90,384 instances) and the sampled one on the same ring
+`decompose-u1` example, a `decompose-u1` word on
+`configs/z3_sympl_v0.cfg` with one-index letters `X3(u;a)`, one of them
+inverted, the `enumerate-eu --out` dump on `configs/z2_n3.cfg` and on
+M_2(Z/2) with transpose at n = 1 (whose dump formats matrix scalars),
+`verify-ring --out` on the built-in config (the `--out` file of a
+subcommand other than `enumerate-eu`), the exhaustive `verify-relations`
+on M_2(Z/2) with transpose at n = 3 (90,384 instances) and the sampled one on the same ring
 and rank with a rank-1 V0 of Gram `[0,1;1,0]` under the maximal parameter,
 `verify-ring` on Z/101, whose 101^3 triples are too many to list, so
 the triple checks draw 4096 seeded samples (seed 3293), and `split-demo 3`
@@ -57,6 +61,8 @@ CLOSURE_CAP = 30000
 STRATEGIES = ("exhaustive", "sampled")
 DEFAULT_RANK = 3  # the built-in config's n
 README_WORD = "X3-1(1) X31(1)"
+# one-index letters X3(u;a) and X3(u;a)^-1 around a two-index one
+ONE_INDEX_WORD = "X3(1,0;0) X3-1(1) X3(0,1;2)'"
 # written into OUTDIR by main(), so the run names it by a relative path
 M2Z2_N3_CFG = "m2z2_n3.cfg"
 M2Z2_N3_TEXT = """\
@@ -70,6 +76,8 @@ n = 3
 [run]
 strategy = exhaustive
 """
+M2Z2_N1_CFG = "m2z2_n1.cfg"
+M2Z2_N1_TEXT = M2Z2_N3_TEXT.replace("n = 3\n", "n = 1\n")
 M2Z2_V0_N3_CFG = "m2z2_v0_n3.cfg"
 M2Z2_V0_N3_TEXT = M2Z2_N3_TEXT.replace(
     "n = 3\n", "n = 3\nv0_gram = [0,1;1,0]\nv0_parameter = max\n")
@@ -156,6 +164,12 @@ def runs():
            ["--config", str(ROOT / "configs" / "z2_n3.cfg"),
             "--cap", str(CLOSURE_CAP),
             "--out", "z2_n3.closure.dump", "enumerate-eu"])
+    yield ("m2z2_n1.enumerate-eu.out",
+           ["--config", M2Z2_N1_CFG, "--out", "m2z2_n1.closure.dump", "enumerate-eu"])
+    yield "default.verify-ring.out", ["--out", "default.verify-ring.json", "verify-ring"]
+    yield ("z3_sympl_v0.decompose-u1.one-index",
+           ["--config", str(ROOT / "configs" / "z3_sympl_v0.cfg"), "decompose-u1",
+            ONE_INDEX_WORD])
     yield ("m2z2_n3.exhaustive.verify-relations",
            ["--config", M2Z2_N3_CFG, "verify-relations"])
     yield ("m2z2_v0_n3.sampled.verify-relations",
@@ -179,6 +193,7 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     (outdir / M2Z2_N3_CFG).write_text(M2Z2_N3_TEXT)
+    (outdir / M2Z2_N1_CFG).write_text(M2Z2_N1_TEXT)
     (outdir / M2Z2_V0_N3_CFG).write_text(M2Z2_V0_N3_TEXT)
     (outdir / Z101_CFG).write_text(Z101_TEXT)
     (outdir / Z3_V0_N4_CFG).write_text(Z3_V0_N4_TEXT)
