@@ -256,7 +256,10 @@ def gen_matrix(hs: HyperbolicSpace, gen) -> Mat:
 
 
 def eu_generators(hs: HyperbolicSpace):
-    """All nontrivial elementary transvections, in canonical index order."""
+    """All nontrivial elementary transvections, in canonical index order.
+    The two names of an R0 pair, X_ij(a) and X_{-j,-i}(eps_-j bar(a) eps_i),
+    give equal matrices; both are listed, and `GroupClosure` multiplies by
+    the first of the two only."""
     return [(g, gen_matrix(hs, g)) for g in generators(hs, nontrivial=True)]
 
 
@@ -300,12 +303,15 @@ class GroupClosure:
     binary search.  Each element stores its parent, the index in `gens` of
     the generator that reached it, and its depth, the length of that word;
     `mat(i)` and `word(i)` build the `Mat` or the word at position i.
+    Only the first copy of each distinct generator matrix other than the
+    identity is multiplied: if g_k = g_j with j < k, E g_k = E g_j comes
+    earlier in the product stream or is already an element, and E I = E, so
+    a skipped product is never new.
     """
 
     def __init__(self, hs: HyperbolicSpace, cap=DEFAULT_CAP, what="closure"):
         self.hs = hs
         self.gens = []  # [(label, Mat)]; subgroup closures have label None
-        self._support = []  # per generator, the columns where it differs from the identity
         self._cap = cap
         self._what = what
         ident = hs.identity
@@ -394,13 +400,11 @@ class GroupClosure:
         """Add generators [(label, Mat)] and close: every element times each
         new generator, then every new element times all generators, in queue
         order, until no new element appears."""
-        if not gens:
-            return
         old, first = self.order, len(self.gens)
         self.gens.extend(gens)
-        ident = self.hs.identity.arr
-        self._support.extend(np.flatnonzero((m.arr != ident).any(axis=0)) for _, m in gens)
         new = self._products(first)
+        if new is None:  # no new generator, or each is the identity or a repeat
+            return
         self._expand(0, old, new)
         every = new if first == 0 else self._products(0)
         head = old
@@ -408,15 +412,23 @@ class GroupClosure:
             head = self._expand(head, self.order, every)
 
     def _products(self, first):
-        """What `_expand` needs to multiply by generators first..: their index
-        `first`, their stack (G, d, d), the columns of their supports side by
-        side (d, C), and two place-value matrices that give the segments of
+        """What `_expand` needs to multiply by the generators from `first` on
+        that are the first copy of a matrix other than the identity, or None
+        if there is none: their indices in `gens`, their stack (G, d, d), the
+        columns of their supports (where each differs from the identity) side
+        by side (d, C), and two place-value matrices that give the segments of
         a product's rows: `weights` (C, G segments), block diagonal, for the
         support columns of each generator, and `base` (d, G segments) for
         the columns outside its support, which the product keeps."""
-        places = self._plan[0]
-        mats = [m.arr for _, m in self.gens[first:]]
-        support = self._support[first:]
+        firsts = {self.hs.identity.key(): -1}
+        for k, (_, m) in enumerate(self.gens):
+            firsts.setdefault(m.key(), k)
+        index = np.array([k for k in firsts.values() if k >= first], dtype=np.intp)
+        if not len(index):
+            return None
+        places, ident = self._plan[0], self.hs.identity.arr
+        mats = [self.gens[k][1].arr for k in index]
+        support = [np.flatnonzero((a != ident).any(axis=0)) for a in mats]
         cols = np.concatenate(support)
         owner = np.repeat(np.arange(len(mats)), [len(c) for c in support])
         weights = np.zeros((len(cols), len(mats), places.shape[1]))
@@ -424,7 +436,7 @@ class GroupClosure:
         base = np.repeat(places[:, None], len(mats), axis=1)
         base[cols, owner] = 0
         columns = np.hstack([a[:, c] for a, c in zip(mats, support)])
-        return (first, np.stack(mats), columns,
+        return (index, np.stack(mats), columns,
                 weights.reshape(len(cols), -1), base.reshape(len(places), -1))
 
     def _expand(self, lo, hi, products):
@@ -437,7 +449,7 @@ class GroupClosure:
         exact in float64.  The products of max(FLUSH, order) at a time are
         coded in blocks of BLOCK and then deduplicated at once by `_keep`."""
         d = self._d
-        first, stack, columns, weights, base = products
+        index, stack, columns, weights, base = products
         ng = len(stack)
         step = max(1, BLOCK // ng)
         start = lo
@@ -449,13 +461,14 @@ class GroupClosure:
                 rows = self._rows[s:t].reshape(-1, d)
                 segs = mulmod_unpacked(self.hs.ring, rows, columns) @ weights + rows @ base
                 codes.append(self._words(segs.astype(np.uint64).reshape(t - s, d, ng, -1)))
-            self._keep(np.concatenate(codes), start, first, stack)
+            self._keep(np.concatenate(codes), start, index, stack)
             start = stop
         return hi
 
-    def _keep(self, codes, start, first, gens):
+    def _keep(self, codes, start, index, gens):
         """Add the products whose codes are new, in order of first position in
-        the stream `codes` of (element start + p // ng, generator p % ng)."""
+        the stream `codes` of (element start + p // ng, generator p % ng);
+        `gens` stacks the generators at `index` in `self.gens`."""
         by_code = np.argsort(codes)
         ranked = codes[by_code]
         runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
@@ -471,13 +484,13 @@ class GroupClosure:
         by_pos = np.argsort(pos)
         pos = pos[by_pos]
         parent, gen = start + pos // len(gens), pos % len(gens)
-        self._append(parent, gen, gens, first)
+        self._append(parent, gen, gens, index)
         slots = np.empty(len(pos), dtype=np.intp)
         slots[by_pos] = np.arange(found, self._order)
         self._codes = np.insert(self._codes, at[new], uniq[new])
         self._slots = np.insert(self._slots, at[new], slots)
 
-    def _append(self, parent, gen, gens, first):
+    def _append(self, parent, gen, gens, index):
         """Store the elements just counted in `order`, the products of the
         rows `parent` by `gens[gen]`, recomputed BLOCK at a time."""
         end, d = self.order, self._d
@@ -493,7 +506,7 @@ class GroupClosure:
             self._rows[begin + s:begin + s + len(p)] = rows.reshape(-1, d * d)
         new = slice(begin, end)
         self._parent[new] = parent
-        self._gen[new] = first + gen
+        self._gen[new] = index[gen]
         self._depth[new] = self._depth[parent] + 1
 
 

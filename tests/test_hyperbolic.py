@@ -514,6 +514,52 @@ def test_engine_with_two_byte_entries():
     assert _words(cl) == words
 
 
+def _spy_stacks(monkeypatch):
+    """The generator stack of every `_keep` call, as lists of matrices."""
+    stacks, keep = [], GroupClosure._keep
+
+    def spy(self, codes, start, index, gens):
+        stacks.append([Mat(self.hs.ring, g) for g in gens])
+        keep(self, codes, start, index, gens)
+
+    monkeypatch.setattr(GroupClosure, "_keep", spy)
+    return stacks
+
+
+def test_engine_multiplies_each_distinct_generator_once(monkeypatch, z2, z3):
+    hs = make_hyperbolic(z2, 2)
+    a, b, c = (gen_matrix(hs, g) for g in (Xij(1, 2, 1), Xij(-2, -1, 1), Xij(2, 1, 1)))
+    assert a == b  # the two names of an R0 pair
+    stacks = _spy_stacks(monkeypatch)
+    gens = [(None, c), (None, hs.identity), (None, a), (None, c), (None, b)]
+    cl = enumerate_eu(hs, gens=gens)
+    mats, words = naive_closure(hs, cl.gens)
+    assert cl.gens == gens
+    assert list(cl) == list(mats) and _mats(cl) == mats and _words(cl) == words
+    assert {k for w in words.values() for k in w} == {0, 2}  # the first copies
+    assert cl.layers == [sum(len(w) == d for w in words.values())
+                         for d in range(len(cl.layers))]
+    assert stacks and all(s == [c, a] for s in stacks)
+    # a generator equal to an earlier one adds no element and no product
+    expanded = []
+    monkeypatch.setattr(GroupClosure, "_expand", lambda self, *args: expanded.append(args))
+    order = cl.order
+    cl.extend([(None, hs.transvection_ij(2, 1, 1))])
+    assert cl.order == order and not expanded and len(cl.gens) == len(gens) + 1
+    monkeypatch.undo()
+    # same support, different matrices: both are multiplied
+    hs3 = make_hyperbolic(z3, 2)
+    one, two = gen_matrix(hs3, Xij(1, 2, 1)), gen_matrix(hs3, Xij(1, 2, 2))
+    supports = [(m.arr != hs3.identity.arr).any(axis=0).tolist() for m in (one, two)]
+    assert one != two and supports[0] == supports[1]
+    stacks = _spy_stacks(monkeypatch)
+    cl = enumerate_eu(hs3, gens=[(None, one), (None, two)])
+    mats, words = naive_closure(hs3, cl.gens)
+    assert list(cl) == list(mats) and _words(cl) == words
+    assert list(words.values()) == [(), (0,), (1,)]
+    assert stacks and all(s == [one, two] for s in stacks)
+
+
 def _assert_words_hold_the_digits(cl, m, d):
     """The all-(m-1) matrix codes to words w with w + 1 a power of the prime
     m and with m^(d^2) as their product: every word holds whole digits and
@@ -639,7 +685,7 @@ def test_commutator_seeds_keep_their_first_order(z3n):
 
 @pytest.mark.slow
 def test_eu6_z3_negation_closure(z3n):
-    # Omega+_6(3): about 65 s and 850 MB, so deselected unless `pytest -m slow`
+    # Omega+_6(3): about 35 s and 800 MB, so deselected unless `pytest -m slow`
     cl = enumerate_eu(make_hyperbolic(z3n, 3), cap=7_000_000)
     assert cl.order == 3**6 * (3**2 - 1) * (3**3 - 1) * (3**4 - 1) // 2 == 6_065_280
     assert cl.layers == [1, 24, 384, 4636, 43659, 309784, 1518622, 3246412, 931936, 9756, 66]
