@@ -13,68 +13,63 @@ import numpy as np
 
 from .report import (DEFAULT_CAP, DEFAULT_SEED, CapExceeded, Report, WorkbenchError,
                      cases_or_sample)
+from .matrices import mulmod_unpacked
+from .rings import member, place_values
 
 VECTOR_PAIRS = 10**5  # the most vector pairs that `verify_antihermitian` lists
 PARAM_PAIRS = 4 * 10**6  # the most parameter pairs that `verify_form_parameter` lists
+BLOCK = 2**12  # elements or pairs per array pass of a parameter sweep
 
 
 class FormParameter:
-    def contains(self, space, xi) -> bool:
-        raise NotImplementedError
-
-    def contains_batch(self, space, disp, scal):
-        """`contains` on each (disp[c], scal[c]) of the stacks (N, rank, k, k)
-        and (N, k, k) laid out as in `Ring.arr`, as a boolean array: each row
-        back to ring values (`arr_codes`, then `scalar`), one `contains` each."""
-        r = space.ring
-        return np.array([self.contains(space, (tuple([r.scalar(c) for c in u]), r.scalar(t)))
-                         for u, t in zip(r.arr_codes(disp).tolist(), r.arr_codes(scal).tolist())],
-                        dtype=bool)
-
-    def elements(self, space, cap=DEFAULT_CAP) -> frozenset:
-        raise NotImplementedError
+    """`contains_batch(space, disp, scal)`: which (disp[c], scal[c]) of stacks
+    (N, rank, k, k), (N, k, k) lie in it; `elements`: its sorted codes."""
 
 
 class MinParameter(FormParameter):
     """{(0, a + bar(a))}: the smallest admissible parameter."""
 
-    def contains(self, space, xi):
-        u, a = xi
-        return u == space.zero_vec and a in space.ring.lmin_scalars
+    def contains_batch(self, space, disp, scal):
+        r = space.ring
+        return ~disp.any(axis=(1, 2, 3)) & member(r.lmin, r.arr_codes(scal))
 
     def elements(self, space, cap=DEFAULT_CAP):
-        return frozenset((space.zero_vec, s) for s in space.ring.lmin_scalars)
+        return space.ring.lmin  # the code of (0, s) is that of s
 
 
 class MaxParameter(FormParameter):
     """{(u, a) : a - bar(a) = B(u, u)}: the largest admissible parameter."""
 
-    def contains(self, space, xi):
-        u, a = xi
+    def contains_batch(self, space, disp, scal):
         r = space.ring
-        return r.sub(a, r.bar(a)) == space.form(u, u)
+        return (r.arr_add(scal, r.arr_neg(r.arr_bar(scal)))
+                == space.form_arr(disp, disp)).all(axis=(-2, -1))
 
     def elements(self, space, cap=DEFAULT_CAP):
         total = space.ring.card ** (space.rank + 1)
         if total > cap:
             raise CapExceeded(f"maximal parameter needs {total} candidates")
-        return frozenset(
-            (u, a)
-            for u in space.vectors()
-            for a in space.ring.elements()
-            if self.contains(space, (u, a))
-        )
+        return space.select(range(space.heis_span()), self)
 
 
 class ExplicitParameter(FormParameter):
-    def __init__(self, elems):
-        self.set = frozenset(elems)
+    """The elements of the given codes of one space."""
 
-    def contains(self, space, xi):
-        return xi in self.set
+    def __init__(self, codes):
+        self.codes = np.unique(np.asarray(codes, dtype=np.int64))
+
+    def contains_batch(self, space, disp, scal):
+        return member(self.codes, space.heis_codes((disp, scal)))
 
     def elements(self, space, cap=DEFAULT_CAP):
-        return self.set
+        return self.codes
+
+
+def blocks(cases):
+    """`cases`, a range or an int64 array, as int64 arrays of at most BLOCK."""
+    for start in range(0, len(cases), BLOCK):
+        part = cases[start:start + BLOCK]
+        yield np.arange(part.start, part.stop) if isinstance(part, range) else part
 
 
 class OddQuadraticSpace:
@@ -111,13 +106,15 @@ class OddQuadraticSpace:
 
     def form_arr(self, u, v):
         """`form` on stacks of vectors: int64 arrays (..., rank, k, k) as in
-        `Ring.arr`, giving (..., k, k)."""
-        r = self.ring
-        gram = r.arr(self.gram, (self.rank, self.rank))
-        bu = r.arr_mul(r.arr_bar(u), r.arr(r.lam_inv))
-        # [..., i, j] = bar(u_i) lam^-1 G[i][j] v_j
-        terms = r.arr_mul(r.arr_mul(bu[..., :, None, :, :], gram), v[..., None, :, :, :])
-        return terms.sum(axis=(-4, -3)) % r.base_modulus
+        `Ring.arr`, with broadcast leading axes, giving (..., k, k): the sum
+        of bar(u_i) w_i for w = lam^-1 G v, one product for every v at once."""
+        r, k, size = self.ring, self.ring.degree, self.rank * self.ring.degree
+        gram = r.arr_mul(r.arr(r.lam_inv), r.arr(self.gram, (self.rank, self.rank)))
+        count = int(np.prod(v.shape[:-3]))
+        cols = np.moveaxis(v.reshape(count, size, k), 0, 1).reshape(size, count * k)
+        w = mulmod_unpacked(r, gram.swapaxes(1, 2).reshape(size, size), cols)
+        w = np.moveaxis(w.astype(np.int64).reshape(size, count, k), 1, 0)
+        return r.arr_bar_dot(u, w.reshape(v.shape))
 
     def vectors(self):
         return (
@@ -134,10 +131,6 @@ class OddQuadraticSpace:
     def vec_neg(self, u):
         return tuple([self.ring.neg(a) for a in u])
 
-    def vec_scale(self, u, b):
-        """u * b with the scalar on the right."""
-        return tuple([self.ring.mul(a, b) for a in u])
-
     # -- Heisenberg group --------------------------------------------------
 
     def heis_add(self, xi, zeta):
@@ -150,15 +143,63 @@ class OddQuadraticSpace:
         r = self.ring
         return (self.vec_neg(u), r.add(r.neg(a), self.form(u, u)))
 
-    def heis_act(self, xi, b):
-        u, a = xi
+    # -- Heisenberg codes: (u, a) has the scalar codes of u_1, ..., u_rank, a
+    # as its digits in base card, so sorted codes are sorted (u, a) tuples
+
+    def heis_span(self, times=1):
+        """card^(rank + 1) codes; raises when `times` as many overflow int64."""
+        span = self.ring.card ** (self.rank + 1)
+        if times * span >= 2**63:
+            raise WorkbenchError(f"codes over {self.ring!r} at rank {self.rank} exceed int64")
+        return span
+
+    def heis_codes(self, xi):
+        """The codes of stacks xi = (u, a), (N, rank, k, k) and (N, k, k)."""
+        self.heis_span()
+        digits = self.ring.arr_codes(np.concatenate([xi[0], xi[1][:, None]], axis=1))
+        return digits @ place_values(self.ring.card, self.rank + 1)
+
+    def heis_arr(self, codes):
+        """The stacks (u, a) of an int64 array of codes."""
+        digits = [codes]
+        for _ in range(self.rank):
+            digits[:1] = np.divmod(digits[0], self.ring.card)
+        x = self.ring.codes_arr(np.stack(digits, axis=1))
+        return x[:, :-1], x[:, -1]
+
+    def heis_rows(self, xs):
+        """The stacks (u, a) of a list of elements given as ring values."""
         r = self.ring
-        return (self.vec_scale(u, b), r.prod(r.bar(b), r.lam_inv, a, b))
+        return (r.arr([u for u, _ in xs], (len(xs), self.rank)),
+                r.arr([a for _, a in xs], (len(xs),)))
+
+    def heis_element(self, code):
+        """The element of one code, as ring values (u, a)."""
+        card, code = self.ring.card, int(code)
+        digits = [self.ring.scalar(code // card**e % card) for e in range(self.rank, -1, -1)]
+        return tuple(digits[:-1]), digits[-1]
+
+    def heis_add_arr(self, xi, zeta):
+        r, (u, a), (v, b) = self.ring, xi, zeta
+        return r.arr_add(u, v), r.arr_add(r.arr_add(a, b), self.form_arr(u, v))
+
+    def heis_neg_arr(self, xi):
+        r, (u, a) = self.ring, xi
+        return r.arr_neg(u), r.arr_add(r.arr_neg(a), self.form_arr(u, u))
+
+    def heis_act_arr(self, xi, b):
+        r, (u, a) = self.ring, xi
+        return r.arr_mul(u, b[:, None]), r.arr_mul(r.arr_bar(b), r.arr(r.lam_inv), a, b)
 
     # -- parameter ---------------------------------------------------------
 
-    def param_contains(self, xi):
-        return self.parameter.contains(self, xi)
+    def param_contains(self, xi):  # one row of `contains_batch`
+        return bool(self.parameter.contains_batch(self, *self.heis_rows([xi]))[0])
+
+    def select(self, cases, param):
+        """The codes of `cases` (as in `blocks`) whose elements lie in `param`."""
+        return np.concatenate([c[param.contains_batch(self, *self.heis_arr(c))]
+                               for c in blocks(cases)])
 
 
 def zero_space(ring) -> OddQuadraticSpace:
@@ -187,44 +228,70 @@ def verify_antihermitian(space, seed=DEFAULT_SEED) -> Report:
 
 
 def span_form_parameter(space, seeds, cap=DEFAULT_CAP) -> ExplicitParameter:
-    """Smallest subgroup containing lmin and the seeds, stable under the action."""
-    for s in seeds:
-        if not MaxParameter().contains(space, s):
-            raise WorkbenchError(f"seed {s!r} lies outside the maximal parameter")
-    ring_elems = list(space.ring.elements())
-    current = set(MinParameter().elements(space))
-    current.add(space.heis_identity)
-    current.update(tuple(s) if not isinstance(s, tuple) else s for s in seeds)
-    while True:
-        new = {space.heis_neg(x) for x in current}
-        new.update(space.heis_act(x, b) for x in current for b in ring_elems)
-        new.update(space.heis_add(x, y) for x in current for y in current)
-        new -= current
-        if not new:
-            break
-        current |= new
+    """Smallest subgroup containing lmin and the seeds, stable under the
+    action: each round acts on the elements that the last one found and adds
+    them to every element, on both sides, until nothing is new (a finite set
+    closed under the sum holds the negatives)."""
+    r, xi = space.ring, space.heis_rows(seeds)
+    bad = np.flatnonzero(~MaxParameter().contains_batch(space, *xi))[:1]
+    if bad.size:
+        raise WorkbenchError(f"seed {seeds[bad[0]]!r} lies outside the maximal parameter")
+    current = new = np.union1d(r.lmin, space.heis_codes(xi))
+    while new.size:
+        found = []
+        for p in blocks(range(len(new) * r.card)):
+            x, b = space.heis_arr(new[p // r.card]), r.codes_arr(p % r.card)
+            found.append(space.heis_act_arr(x, b))
+        for p in blocks(range(len(new) * len(current))):
+            i, j = np.divmod(p, len(current))
+            x, y = space.heis_arr(new[i]), space.heis_arr(current[j])
+            found += [space.heis_add_arr(x, y), space.heis_add_arr(y, x)]
+        found = [c[~member(current, c)] for c in map(space.heis_codes, found)]
+        new = np.unique(np.concatenate(found))
+        current = np.union1d(current, new)
         if len(current) > cap:
             raise CapExceeded(f"parameter closure exceeded cap {cap}")
     return ExplicitParameter(current)
 
 
 def verify_form_parameter(space, cap=DEFAULT_CAP, seed=DEFAULT_SEED) -> Report:
-    """lmin <= L <= lmax, closure under the group operations, action stability."""
-    rep = Report()
-    elems = space.parameter.elements(space, cap)
-    zero = space.zero_vec
-    rep.sweep("param.contains_min", space.ring.lmin_scalars, lambda s: (zero, s) in elems,
-              lambda s: f"(0, {s!r})", "scalars")
-    rep.sweep("param.inside_max", elems, lambda x: MaxParameter().contains(space, x),
-              unit="elements")
-    rep.sweep("param.closed_under_neg", elems, lambda x: space.heis_neg(x) in elems,
-              unit="elements")
-    listed = sorted(elems)
+    """lmin <= L <= lmax, closure under the group operations, action
+    stability: array sweeps over the listed codes, each case a flat index p
+    split as (p // width, p % width), results tested by `contains_batch`."""
+    rep, r, param = Report(), space.ring, space.parameter
+    elems = param.elements(space, cap)
+    n = len(elems)
+
+    def sweep(check, cases, width, holds, witness, unit, used_seed=None):
+        rep.sweep_blocks(check, ((holds(*ij), lambda k, ij=ij: witness(*(x[k] for x in ij)))
+                                 for ij in (np.divmod(p, width) for p in blocks(cases))),
+                         unit, used_seed)
+
+    def arr(i):  # the elements at positions i; a run of them decoded once
+        lo, hi = int(i.min()), int(i.max()) + 1
+        if hi - lo > len(i):
+            return space.heis_arr(elems[i])
+        return tuple(x[i - lo] for x in space.heis_arr(elems[lo:hi]))
+
+    def inside(xi):
+        return param.contains_batch(space, *xi)
+
+    named = space.heis_element
+    sweep("param.contains_min", r.lmin, 1, lambda s, _: inside(space.heis_arr(s)),
+          lambda s, _: f"(0, {r.scalar(int(s))!r})", "scalars")
+    sweep("param.inside_max", range(n), 1,
+          lambda i, _: MaxParameter().contains_batch(space, *arr(i)),
+          lambda i, _: repr(named(elems[i])), "elements")
+    sweep("param.closed_under_neg", range(n), 1,
+          lambda i, _: inside(space.heis_neg_arr(arr(i))),
+          lambda i, _: repr(named(elems[i])), "elements")
     pairs, used_seed = cases_or_sample(
-        len(elems) ** 2, PARAM_PAIRS, lambda: itertools.product(elems, repeat=2),
-        lambda rng: (rng.choice(listed), rng.choice(listed)), seed)
-    rep.sweep("param.closed_under_add", pairs, lambda p: space.heis_add(*p) in elems,
-              unit="pairs", seed=used_seed)
-    rep.sweep("param.action_stable", itertools.product(elems, space.ring.elements()),
-              lambda p: space.heis_act(*p) in elems, unit="pairs")
+        n * n, PARAM_PAIRS, lambda: range(n * n),
+        lambda rng: rng.choice(range(n)) * n + rng.choice(range(n)), seed)
+    sweep("param.closed_under_add", pairs if used_seed is None else np.fromiter(pairs, np.int64),
+          n, lambda i, j: inside(space.heis_add_arr(arr(i), arr(j))),
+          lambda i, j: repr((named(elems[i]), named(elems[j]))), "pairs", used_seed)
+    sweep("param.action_stable", range(n * r.card), r.card,
+          lambda i, b: inside(space.heis_act_arr(arr(i), r.codes_arr(b))),
+          lambda i, b: repr((named(elems[i]), r.scalar(int(b)))), "pairs")
     return rep

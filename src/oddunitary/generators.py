@@ -18,8 +18,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .report import WorkbenchError
-from .rings import place_values
+from .rings import member
+
 
 Word = Tuple[tuple, ...]  # sequence of (generator, +1 | -1)
 
@@ -53,9 +53,10 @@ def generators(hs, nontrivial=False):
             for a in r.elements():
                 if not (nontrivial and a == r.zero):
                     yield Xij(i, j, a)
+    l0 = [(c, hs.v0.heis_element(c)) for c in hs.l0.tolist()]
     for i in hs.omega:
-        for xi in hs.l0:
-            if not (nontrivial and xi == hs.v0.heis_identity):
+        for c, xi in l0:
+            if not (nontrivial and c == 0):  # the code of the identity
                 yield Xi(i, xi)
 
 
@@ -64,58 +65,51 @@ def generators(hs, nontrivial=False):
 # A letter is a signed int64: +c for the generator with code c >= 1, -c for
 # its formal inverse, 0 for the identity.  The code of a generator is
 # 1 + (col(i) (2n + 1) + slot) card^(r0 + 1) + arg, where slot is col(j) for
-# X_ij(a) and 2n for X_i(u, a), and arg is the argument's code: the scalar
-# codes (see Ring.codes_arr) of u_1, ..., u_r0, a as digits in base card,
-# of a alone for X_ij.
+# X_ij(a) and 2n for X_i(u, a), and arg is the code of the argument as an
+# element of V0's Heisenberg group (see `OddQuadraticSpace.heis_codes`),
+# of (0, a) for X_ij(a), which is the code of a.
 
 
-def _codes(hs, i, slot, digits):
-    """Codes from index and slot arrays and argument digits (N, t, k, k)."""
-    card, d = hs.ring.card, 2 * hs.n
-    span = card ** (hs.v0.rank + 1)
-    if d * (d + 1) * span >= 2**63:
-        raise WorkbenchError(f"generator codes over {hs.ring!r} at n = {hs.n} exceed int64")
-    arg = hs.ring.arr_codes(digits) @ place_values(card, digits.shape[1])
+def _codes(hs, i, slot, arg):
+    """Codes from index, slot and argument code arrays."""
+    d = 2 * hs.n
+    span = hs.v0.heis_span(d * (d + 1))
     return 1 + (np.where(i > 0, i - 1, d + i) * (d + 1) + slot) * span + arg
 
 
 def xij_codes(hs, i, j, a):
     """Codes of X_ij(a) for index arrays i, j and a scalar array a."""
-    return _codes(hs, i, np.where(j > 0, j - 1, 2 * hs.n + j), a[:, None])
+    return _codes(hs, i, np.where(j > 0, j - 1, 2 * hs.n + j), hs.ring.arr_codes(a))
 
 
 def xi_codes(hs, i, xi):
     """Codes of X_i(u, a) for an index array i and xi = (u, a) arrays."""
-    u, a = xi
-    return _codes(hs, i, 2 * hs.n, np.concatenate([u, a[:, None]], axis=1))
+    return _codes(hs, i, 2 * hs.n, hs.v0.heis_codes(xi))
 
 
 def outside_l0(hs, codes):
     """Whether each letter code of an array is X_i(xi)^(+-1) with xi outside
-    the V0-supported parameter `hs.l0`: inside an interval of
-    `hs.outside_bounds`, so above an odd number of its bounds."""
-    return np.searchsorted(hs.outside_bounds, np.abs(codes), side="right") % 2 == 1
+    the V0-supported parameter `hs.l0`."""
+    d = 2 * hs.n
+    place, arg = np.divmod(np.abs(codes) - 1, hs.v0.heis_span(d * (d + 1)))
+    return (codes != 0) & (place % (d + 1) == d) & ~member(hs.l0, arg)
 
 
 def gen_codes(hs, gens):
     """The code of each generator, as an int64 array."""
-    # X_ij(a) has the argument digits (0, ..., 0, a)
-    rows = [(g.i, hs.col(g.j), hs.v0.zero_vec + (g.a,)) if isinstance(g, Xij)
-            else (g.i, 2 * hs.n, g.xi[0] + (g.xi[1],)) for g in gens]
+    rows = [(g.i, hs.col(g.j), hs.v0.zero_vec, g.a) if isinstance(g, Xij)
+            else (g.i, 2 * hs.n, *g.xi) for g in gens]
     i, slot = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2).T
-    return _codes(hs, i, slot, hs.ring.arr([row[2] for row in rows],
-                                           (len(rows), hs.v0.rank + 1)))
+    return _codes(hs, i, slot, hs.v0.heis_codes(hs.v0.heis_rows([row[2:] for row in rows])))
 
 
 def decode_gen(hs, code: int):
     """The generator with code `code`."""
-    card, d = hs.ring.card, 2 * hs.n
-    place, arg = divmod(code - 1, card ** (hs.v0.rank + 1))
+    d = 2 * hs.n
+    place, arg = divmod(code - 1, hs.v0.heis_span())
     ci, slot = divmod(place, d + 1)
-    digits = [hs.ring.scalar(arg // card**e % card) for e in range(hs.v0.rank, -1, -1)]
-    if slot == d:
-        return Xi(hs.omega[ci], (tuple(digits[:-1]), digits[-1]))
-    return Xij(hs.omega[ci], hs.omega[slot], digits[-1])
+    u, a = hs.v0.heis_element(arg)
+    return Xi(hs.omega[ci], (u, a)) if slot == d else Xij(hs.omega[ci], hs.omega[slot], a)
 
 
 def decode_word(hs, codes) -> Word:

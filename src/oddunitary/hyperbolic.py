@@ -7,72 +7,67 @@ left-to-right (first generator applied first).
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 import numpy as np
 
 from .forms import FormParameter, OddQuadraticSpace, zero_space
-from .generators import Xi, Xij, format_word, gen_codes, generators
+from .generators import Xi, Xij, format_word, generators
 from .matrices import Mat, mulmod, mulmod_unpacked
 from .report import DEFAULT_CAP, CapExceeded, NotInvertible, WorkbenchError
-from .rings import place_values
+from .rings import member, place_values
 
 
 class ProductParameter(FormParameter):
     """Canonical hyperbolic parameter, fixed by its V0-supported part L0:
     L = {(u, q(u) + t) : (u0, t) in L0}, u0 the V0 part of u and q(u) =
-    sum_i bar(u_i) lam^-1 u_-i over the planes.  L0, `v0_part`, is every
-    (u0, a0) of V0's parameter plus every scalar of lmin, sorted.
+    sum_i bar(u_i) lam^-1 u_-i over the planes.  L0 is every (u0, a0) of
+    V0's parameter plus every scalar of lmin, `codes` its sorted codes in V0.
     """
 
     def __init__(self, v0: OddQuadraticSpace):
-        r, part = v0.ring, set()
-        for u0, a0 in v0.parameter.elements(v0):
-            # lmin is an additive subgroup, so a0 + lmin is already in the
-            # part when a0 is
-            if (u0, a0) not in part:
-                part.update((u0, r.add(a0, s)) for s in r.lmin_scalars)
-        self.v0_part = tuple(sorted(part))
-        self.v0_set = frozenset(part)
-        self._codes = None  # built by the first contains_batch
+        self.v0 = v0
+
+    @cached_property
+    def codes(self):
+        """V0's parameter plus (0, s), 2s, 4s, ... for each generator s = e +
+        bar(e) of lmin, e a basis scalar, until S + (0, 2^j s) = S."""
+        v0, r = self.v0, self.v0.ring
+        codes = v0.parameter.elements(v0)
+        basis = r.codes_arr(place_values(r.base_modulus, r.degree**2))
+        for step in r.arr_add(basis, r.arr_bar(basis)):
+            while True:  # adding (0, s) changes the last digit alone
+                a = codes % r.card
+                moved = codes - a + r.arr_codes(r.arr_add(r.codes_arr(a), step))
+                if member(codes, moved).all():
+                    break
+                codes, step = np.union1d(codes, moved), r.arr_add(step, step)
+        return codes
 
     @staticmethod
-    def q(space, u):
+    def _q(space, disp):
+        """q(u) = bar(sum_i bar(u_-i) u_i), as bar(xy) = bar(y) lam^-1 bar(x)."""
         r, n = space.ring, space.n
-        return r.sum(*(r.prod(r.bar(u[i]), r.lam_inv, u[2 * n - 1 - i]) for i in range(n)))
-
-    def contains(self, space, xi):
-        u, t = xi
-        return (tuple(u[2 * space.n:]), space.ring.sub(t, self.q(space, u))) in self.v0_set
+        return r.arr_bar(r.arr_bar_dot(disp[:, n:2 * n][:, ::-1], disp[:, :n]))
 
     def contains_batch(self, space, disp, scal):
-        """`contains` on every (disp[c], scal[c]) at once: q by one sum over
-        the planes, then a binary search of each code of (V0 vector, t - q)
-        among the sorted codes of `v0_part`, built on the first call."""
-        r, n, r0 = space.ring, space.n, space.rank - 2 * space.n
-        radix = place_values(r.card, r0 + 1)  # scalar codes -> the pair's code
-        if self._codes is None:
-            part = r.arr([u0 + (t,) for u0, t in self.v0_part], (len(self.v0_part), r0 + 1))
-            self._codes = np.sort(r.arr_codes(part) @ radix)
-        # q(u) = bar(sum_i bar(u_-i) u_i), as bar(xy) = bar(y) lam^-1 bar(x)
-        base = r.arr_bar(r.arr_bar_dot(disp[:, n:2 * n][:, ::-1], disp[:, :n]))
-        pairs = np.concatenate([disp[:, 2 * n:], (scal - base)[:, None] % r.base_modulus], 1)
-        codes = r.arr_codes(pairs) @ radix
-        return self._codes.take(np.searchsorted(self._codes, codes), mode="clip") == codes
+        """Whether the code of each (V0 part, t - q) lies in `codes`."""
+        r, n = space.ring, space.n
+        t = r.arr_add(scal, r.arr_neg(self._q(space, disp)))
+        return member(self.codes, space.v0.heis_codes((disp[:, 2 * n:], t)))
 
     def elements(self, space, cap=DEFAULT_CAP):
-        """Every hyperbolic vector h, with each (u0, t) of `v0_part`, gives
-        the element (h + u0, q(h) + t), so the set has card^2n |L0| elements."""
-        r = space.ring
-        total = r.card ** (2 * space.n) * len(self.v0_part)
+        """Every hyperbolic vector h, with each (u0, t) of L0, gives the element
+        (h + u0, q(h) + t), so the set has card^2n |L0| elements."""
+        r, codes = space.ring, self.codes
+        total = r.card ** (2 * space.n) * len(codes)
         if total > cap:
             raise CapExceeded(f"hyperbolic parameter has {total} elements")
-        out = set()
-        for h in itertools.product(list(r.elements()), repeat=2 * space.n):
-            qh = self.q(space, h)
-            out.update((h + u0, r.add(qh, t)) for u0, t in self.v0_part)
-        return frozenset(out)
+        space.heis_span()  # every code of the space fits in int64
+        h = np.arange(r.card ** (2 * space.n)) * space.v0.heis_span()  # the codes of (h, 0)
+        q = self._q(space, space.heis_arr(h)[0])
+        t = r.arr_codes(r.arr_add(q[:, None], r.codes_arr(codes % r.card)))
+        return np.sort(h[:, None] + codes - codes % r.card + t, axis=1).ravel()
 
 
 class HyperbolicSpace(OddQuadraticSpace):
@@ -105,28 +100,23 @@ class HyperbolicSpace(OddQuadraticSpace):
         if parameter is None:
             parameter = ProductParameter(v0)
         super().__init__(ring, gram, parameter)
-        # V0-supported part of the parameter, as V0-level Heisenberg elements;
-        # the one-index generator data is therefore independent of n, which is
-        # what makes the rank-stabilization map the identity on words.
-        if isinstance(parameter, ProductParameter):
-            self.l0 = parameter.v0_part
-        else:
-            self.l0 = tuple(sorted((u0, a) for u0 in v0.vectors() for a in r.elements()
-                                   if parameter.contains(self, (self.embed_v0(u0), a))))
-        self.l0_set = frozenset(self.l0)
         self.identity = Mat.identity(ring, self.rank)
         self.gen_mats = {}  # generator -> its transvection, filled by gen_matrix
 
     @cached_property
-    def outside_bounds(self):
-        """The codes of the letters X_i(xi) with xi outside `l0`, as the sorted
-        bounds lo, hi of intervals [lo, hi): for each index i, the gaps
-        between the argument codes of `l0` (see `generators.gen_codes`)."""
-        span, d = self.ring.card ** (self.v0.rank + 1), 2 * self.n
-        args = np.sort((gen_codes(self, [Xi(1, xi) for xi in self.l0]) - 1) % span)
-        lo, hi = np.append(-1, args) + 1, np.append(args, span)
-        gaps = np.stack([lo, hi], axis=1)[lo < hi].ravel()
-        return (1 + (np.arange(d)[:, None] * (d + 1) + d) * span + gaps).ravel()
+    def l0(self):
+        """The V0-supported part of the parameter as sorted codes in V0 (so
+        rank stabilization is the identity on words): the code of (u0, a) in
+        V0 is that of (0 + u0, a) here, so one scan selects them."""
+        if isinstance(self.parameter, ProductParameter):
+            return self.parameter.codes
+        return self.select(range(self.v0.heis_span()), self.parameter)
+
+    def in_l0(self, xi) -> bool:
+        """Whether xi, a pair (u, a), is an element of ring values (its code
+        gives it back) whose code is in `l0`."""
+        code = self.v0.heis_codes(self.v0.heis_rows([xi]))
+        return self.v0.heis_element(code[0]) == xi and bool(member(self.l0, code)[0])
 
     # -- indices -----------------------------------------------------------
 
@@ -140,10 +130,6 @@ class HyperbolicSpace(OddQuadraticSpace):
         self.col(i)
         r = self.ring
         return r.lam_inv if i > 0 else r.neg(r.one)
-
-    def embed_v0(self, u0):
-        """V0 coordinates -> full-length vector with zero hyperbolic part."""
-        return tuple(self.ring.zero for _ in range(2 * self.n)) + tuple(u0)
 
     # -- transvections -------------------------------------------------------
 
@@ -171,10 +157,10 @@ class HyperbolicSpace(OddQuadraticSpace):
         xi = (u, b) is a V0-level Heisenberg element from the V0-supported
         part of the parameter; u is embedded with zero hyperbolic part.
         """
-        if xi not in self.l0_set:
+        if not self.in_l0(xi):
             raise WorkbenchError(f"{xi!r} is not in the V0-supported form parameter")
         r = self.ring
-        u, b = r.arr(self.embed_v0(xi[0]), (self.rank,)), xi[1]
+        u, b = r.arr(self.zero_vec[:2 * self.n] + tuple(xi[0]), (self.rank,)), xi[1]
         ci, ei, emi = self.col(i), self.eps(i), self.eps(-i)
         t, gram = self._blocks()
         # B(u, e_c) = sum_a bar(u_a) lam^-1 G[a][c], by c

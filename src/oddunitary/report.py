@@ -69,6 +69,12 @@ class Report:
                  seed=seed)
         return True
 
+    def sweep_blocks(self, check, blocks, unit="instances", seed=None) -> bool:
+        """`sweep` over blocks (holds, name) of cases, a boolean array and the
+        witness at each position: a block that holds counts its size."""
+        return self.sweep(check, blocks, lambda b: b[0].all(), lambda b: b[1](int(b[0].argmin())),
+                          unit, seed, size=lambda b: len(b[0]))
+
     def extend(self, other: "Report"):
         self.results.extend(other.results)
 

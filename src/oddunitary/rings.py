@@ -10,12 +10,13 @@ and bar(A) = c A^T on M_k(Z/m).
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from math import gcd
 
 import numpy as np
 
-from .matrices import exact_dims, inv_mod, invert_rows_mod, mulmod, mulmod_unpacked
+from .matrices import (_readonly, exact_dims, inv_mod, invert_rows_mod, mulmod,
+                       mulmod_unpacked)
 from .report import DEFAULT_SEED, CapExceeded, Report, cases_or_sample
 
 # the largest carrier, and the most pairs or triples, that a check lists in full
@@ -50,9 +51,11 @@ class Ring:
         return self._lam_inv
 
     @cached_property
-    def lmin_scalars(self):
-        """{a + bar(a)}: the scalars of the minimal form parameter."""
-        return frozenset(self.add(a, self.bar(a)) for a in self.elements())
+    def lmin(self):
+        """The sorted codes of {a + bar(a)}, the scalars of the minimal form
+        parameter, from one array pass over every scalar."""
+        a = self.codes_arr(np.arange(self.card))
+        return np.flatnonzero(np.bincount(self.arr_codes(self.arr_add(a, self.arr_bar(a)))))
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -93,6 +96,8 @@ class Ring:
         return (-a) % self.base_modulus
 
     def arr_mul(self, *xs):
+        if self.degree == 1 and self.exact_dim:  # (m - 1)^2 < 2^63: elementwise
+            return reduce(lambda a, b: a * b % self.base_modulus, xs)
         return reduce(lambda a, b: mulmod(self, a, b).astype(np.int64), xs)
 
     def _scale(self, a):
@@ -112,9 +117,17 @@ class Ring:
         return self._scale(dot.astype(np.int64, copy=False))
 
 
+@cache
 def place_values(base, digits):
-    """base^(digits-1), ..., base, 1 as int64."""
-    return np.array([base**e for e in range(digits - 1, -1, -1)], dtype=np.int64)
+    """base^(digits-1), ..., base, 1 as a read-only int64 array."""
+    return _readonly(np.array([base**e for e in range(digits - 1, -1, -1)], dtype=np.int64))
+
+
+def member(ranked, codes):
+    """Whether each code of an array lies in the sorted int64 array `ranked`."""
+    if not len(ranked):
+        return np.zeros(np.shape(codes), dtype=bool)
+    return ranked[np.minimum(np.searchsorted(ranked, codes), len(ranked) - 1)] == codes
 
 
 def involution_unit(m, name, table=None):
@@ -153,6 +166,11 @@ class ResidueRing(Ring):
     @property
     def card(self):
         return self.modulus
+
+    @cached_property
+    def lmin(self):
+        """{a + c a} = gcd(1 + c, m) Z/m, an additive subgroup."""
+        return np.arange(0, self.modulus, gcd(1 + self.c, self.modulus))
 
     def elements(self):
         return range(self.modulus)

@@ -151,11 +151,8 @@ def _r1(hs, i, j, a, b):
 
 
 def _r2(hs, i, xi, zeta):
-    r, (u, a), (v, b) = hs.ring, xi, zeta
-    # heis_add(xi, zeta) = (u + v, a + b + B(u, v))
-    total = r.arr_add(u, v), r.arr_add(r.arr_add(a, b), hs.v0.form_arr(u, v))
     return (_word(xi_codes(hs, i, xi), xi_codes(hs, i, zeta)),
-            _word(xi_codes(hs, i, total)))
+            _word(xi_codes(hs, i, hs.v0.heis_add_arr(xi, zeta))))
 
 
 def _r3(hs, i, j, h, k, a, b):
@@ -186,9 +183,7 @@ def _r7(hs, i, xi, zeta):
 
 def _r8(hs, i, j, xi, b):
     r, (u, a) = hs.ring, xi
-    # heis_act((u, -bar(a)), b) = (u b, bar(b) lam^-1 (-bar(a)) b)
-    acted = (r.arr_mul(u, b[:, None]),
-             r.arr_mul(r.arr_bar(b), r.arr(r.lam_inv), r.arr_neg(r.arr_bar(a)), b))
+    acted = hs.v0.heis_act_arr((u, r.arr_neg(r.arr_bar(a))), b)
     return (_comm(xi_codes(hs, i, xi), xij_codes(hs, -i, j, b)),
             _word(xij_codes(hs, i, j, r.arr_mul(_eps(hs, i), a, b)),
                   xi_codes(hs, -j, acted)))
@@ -307,17 +302,9 @@ def family_params(hs: HyperbolicSpace, fam: Family, tag: str,
         yield table[rows[:, 0]], rows[:, 1:]
 
 
-def _values_arr(hs, domain, values):
-    """Arguments of one domain as the arrays that `sides` takes."""
-    r, n = hs.ring, len(values)
-    if domain == "ring":
-        return r.arr(values, (n,))
-    return r.arr([u for u, _ in values], (n, hs.v0.rank)), r.arr([a for _, a in values], (n,))
-
-
 def chunk_params(hs: HyperbolicSpace, fam: Family, idx, pos):
     """The parameter tuples (indices, then arguments) of a chunk."""
-    args = [[hs.ring.scalar(c) if d == "ring" else hs.l0[c] for c in col]
+    args = [[hs.ring.scalar(c) if d == "ring" else hs.v0.heis_element(hs.l0[c]) for c in col]
             for d, col in zip(fam.domains, pos.T.tolist())]
     return [tuple(row) + tuple(vals) for row, *vals in zip(idx.tolist(), *args)]
 
@@ -326,7 +313,7 @@ def family_chunks(hs: HyperbolicSpace, fam: Family, tag: str, strategy="exhausti
                   seed=DEFAULT_SEED, samples=256):
     """Yield (idx, pos, lhs, rhs) per chunk of one family: its parameters
     (see `family_params`) and both sides as letter codes."""
-    l0 = _values_arr(hs, "l0", hs.l0) if "l0" in fam.domains else None
+    l0 = hs.v0.heis_arr(hs.l0) if "l0" in fam.domains else None
     for idx, pos in family_params(hs, fam, tag, strategy, seed, samples):
         args = [hs.ring.codes_arr(p) if d == "ring" else (l0[0][p], l0[1][p])
                 for d, p in zip(fam.domains, pos.T)]
@@ -341,11 +328,12 @@ def relation_instance(hs: HyperbolicSpace, rid: str, params) -> tuple[Word, Word
         raise ValueError(f"{rid}{tuple(params)!r} violates the side condition")
     for i in params[:fam.arity]:
         hs.col(i)
+    r, args = hs.ring, []
     for d, v in zip(fam.domains, params[fam.arity:]):
-        if not (hs.ring.is_scalar(v) if d == "ring" else v in hs.l0_set):
+        if not (r.is_scalar(v) if d == "ring" else hs.in_l0(v)):
             raise ValueError(f"{rid}{tuple(params)!r}: {v!r} is outside the {d} domain")
+        args.append(r.arr([v], (1,)) if d == "ring" else hs.v0.heis_rows([v]))
     idx = [np.array([i], dtype=np.int64) for i in params[:fam.arity]]
-    args = [_values_arr(hs, d, [v]) for d, v in zip(fam.domains, params[fam.arity:])]
     return tuple(decode_word(hs, side[0]) for side in fam.sides(hs, *idx, *args))
 
 
@@ -363,23 +351,18 @@ def sweep_family(report: Report, check: str, hs: HyperbolicSpace, fam: Family, t
     def holds(lhs, rhs):
         return (evaluate(lhs) == evaluate(rhs)).reshape(len(lhs), -1).all(axis=1)
 
-    def verdicts():
+    def blocks():
         for idx, pos, lhs, rhs in family_chunks(hs, fam, tag, strategy, seed, samples):
             try:
                 same = holds(lhs, rhs)
             except OutsideL0:
                 bad = outside_l0(hs, np.concatenate([lhs, rhs], axis=1)).any(axis=1)
                 same = holds(*(np.where(bad[:, None], 0, side) for side in (lhs, rhs))) & ~bad
-            fails = np.flatnonzero(~same)[:1]
-            if fails.size:
-                yield 1, chunk_params(hs, fam, idx[fails], pos[fails])[0]
-            else:
-                yield len(lhs), None
+            yield same, lambda k, idx=idx, pos=pos: witness(
+                chunk_params(hs, fam, idx[k:k + 1], pos[k:k + 1])[0])
 
-    return report.sweep(check, verdicts(), lambda verdict: verdict[1] is None,
-                        lambda verdict: witness(verdict[1]), unit,
-                        seed if strategy == "sampled" else None,
-                        size=lambda verdict: verdict[0])
+    return report.sweep_blocks(check, blocks(), unit,
+                               seed if strategy == "sampled" else None)
 
 
 def sweep_relations(hs: HyperbolicSpace, prefix: str, evaluate, strategy, seed,
@@ -473,7 +456,7 @@ def u1_decompose(hs: HyperbolicSpace, w: Word) -> U1NormalForm:
             coeffs[j] = r.add(coeffs[j], b)
         else:
             raise ValueError(f"{g!r} is outside the U1 alphabet")
-    if zeta not in hs.l0_set:
+    if not hs.in_l0(zeta):
         raise WorkbenchError(f"collected X_n argument {zeta!r} left the parameter")
     return U1NormalForm(zeta, tuple([(i, coeffs[i]) for i in order]))
 

@@ -23,6 +23,17 @@ def basis_vec(hs, c):
     return tuple(r.one if k == c else r.zero for k in range(hs.rank))
 
 
+def elements(space, codes):
+    """The elements of an array of Heisenberg codes, as ring values."""
+    return frozenset(map(space.heis_element, codes.tolist()))
+
+
+def act(space, xi, b):
+    """The action (u, a) <- b on one element given as ring values."""
+    arrs = space.heis_act_arr(space.heis_rows([xi]), space.ring.arr([b], (1,)))
+    return space.heis_element(space.heis_codes(arrs)[0])
+
+
 def u1_uniqueness_check(hs, w1, w2):
     """True iff evaluation equality and normal-form equality agree."""
     same_eval = steinberg.eval_word(hs, w1) == steinberg.eval_word(hs, w2)

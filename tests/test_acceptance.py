@@ -37,7 +37,7 @@ from oddunitary.steinberg import (
     u1_decompose,
 )
 
-from conftest import u1_uniqueness_check
+from conftest import act, u1_uniqueness_check
 
 SEED = 3293
 EU6_Z2_ORDER = 20160  # regression baseline computed by the BFS oracle
@@ -123,8 +123,7 @@ def test_criterion_2_heisenberg_form_parameter_suite():
                 for xi in elems:
                     for a in vals:
                         for b in vals:
-                            assert sp.heis_act(sp.heis_act(xi, a), b) == \
-                                sp.heis_act(xi, ring.mul(a, b))
+                            assert act(sp, act(sp, xi, a), b) == act(sp, xi, ring.mul(a, b))
 
                 # distributivity of the action over the sum reduces to
                 # bar(a) lam^-1 B(u,v) a = B(ua, va); scan it over V^2 x R,
@@ -134,16 +133,14 @@ def test_criterion_2_heisenberg_form_parameter_suite():
                         buv = sp.form(u, v)
                         for a in vals:
                             lhs = ring.prod(ring.bar(a), ring.lam_inv, buv, a)
-                            assert lhs == sp.form(
-                                sp.vec_scale(u, a), sp.vec_scale(v, a)
-                            )
+                            assert lhs == sp.form(tuple(ring.mul(x, a) for x in u),
+                                                  tuple(ring.mul(x, a) for x in v))
                 if n == 1:
                     for xi in elems:
                         for zeta in elems:
                             for a in vals:
-                                assert sp.heis_act(sp.heis_add(xi, zeta), a) == \
-                                    sp.heis_add(sp.heis_act(xi, a),
-                                                sp.heis_act(zeta, a))
+                                assert act(sp, sp.heis_add(xi, zeta), a) == \
+                                    sp.heis_add(act(sp, xi, a), act(sp, zeta, a))
 
                 # parameter chain and action stability, exhaustively
                 rep = verify_form_parameter(sp)
@@ -227,7 +224,7 @@ def test_criterion_7_main_lemma_pipeline():
         z3 = make_ring("residue", 3, involution="identity")
         hs_v0 = make_hyperbolic(
             z3, 4, OddQuadraticSpace(z3, ((0, 1), (2, 0)), MaxParameter()))
-        assert hs_v0.l0[0] == hs_v0.v0.heis_identity
+        assert hs_v0.v0.heis_element(hs_v0.l0[0]) == hs_v0.v0.heis_identity
         for a_order in (2, 3):
             ext = product_extension(hs, a_order)
             ext_rand = product_extension(hs, a_order, chooser_seed=SEED)
@@ -249,7 +246,7 @@ def test_criterion_7_main_lemma_pipeline():
             ext_v0 = product_extension(hs_v0, a_order, chooser_seed=SEED)
             for k in (1, -2):
                 admissible = [w for w in hs_v0.omega if w not in (k, -k)]
-                for xi in hs_v0.l0[1:]:
+                for xi in map(hs_v0.v0.heis_element, hs_v0.l0[1:].tolist()):
                     assert len({
                         section_entry(ext_v0, Xi(k, xi), witness=w) for w in admissible
                     }) == 1

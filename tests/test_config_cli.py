@@ -100,8 +100,9 @@ n = 3
 parameter = span:(0 0 0 0 0 0|0)
 """
     hs = build_space(parse_config(text))
-    # spanning with a trivial seed gives the minimal parameter
-    assert hs.l0 == (((), 0),)
+    # spanning with a trivial seed gives the minimal parameter: l0 is the
+    # code of ((), 0)
+    assert hs.l0.tolist() == [0]
 
 
 def test_build_space_v0_seeded_parameter():

@@ -19,6 +19,8 @@ from oddunitary import (
     zero_space,
 )
 
+from conftest import act, elements
+
 
 def hyperbolic_plane(ring):
     return OddQuadraticSpace(ring, ((ring.zero, ring.one), (ring.neg(ring.lam), ring.zero)))
@@ -70,9 +72,9 @@ def test_heis_neg_is_inverse_exhaustively(z3):
 def test_heis_act_examples(z5):
     sp = hyperbolic_plane(z5)
     xi = ((1, 0), 1)
-    assert sp.heis_act(xi, 1) == xi
-    assert sp.heis_act(xi, 2) == ((2, 0), 4)
-    assert sp.heis_act(xi, 0) == sp.heis_identity
+    assert act(sp, xi, 1) == xi
+    assert act(sp, xi, 2) == ((2, 0), 4)
+    assert act(sp, xi, 0) == sp.heis_identity
 
 
 def test_heis_associativity_small_scan(z2, z3):
@@ -86,32 +88,32 @@ def test_heis_associativity_small_scan(z2, z3):
 
 
 def test_action_axioms_small_scan(z3n):
+    # the array action on every element, and on every pair of elements
     sp = hyperbolic_plane(z3n)
-    elems = list(itertools.product(sp.vectors(), sp.ring.elements()))
-    ring_vals = list(z3n.elements())
-    for xi in elems:
-        for a in ring_vals:
-            for b in ring_vals:
-                assert sp.heis_act(sp.heis_act(xi, a), b) == sp.heis_act(
-                    xi, z3n.mul(a, b)
-                )
-    for xi in elems:
-        for zeta in elems:
-            for a in ring_vals:
-                assert sp.heis_act(sp.heis_add(xi, zeta), a) == sp.heis_add(
-                    sp.heis_act(xi, a), sp.heis_act(zeta, a)
-                )
+    xi = sp.heis_arr(np.arange(sp.heis_span()))
+    i, j = np.divmod(np.arange(len(xi[1]) ** 2), len(xi[1]))
+    x, z = (tuple(c[k] for c in xi) for k in (i, j))
+
+    def act_all(x, a):
+        return sp.heis_act_arr(x, z3n.arr([a] * len(x[1]), (len(x[1]),)))
+
+    for a in z3n.elements():
+        for b in z3n.elements():
+            assert (sp.heis_codes(act_all(act_all(xi, a), b))
+                    == sp.heis_codes(act_all(xi, z3n.mul(a, b)))).all()
+        assert (sp.heis_codes(act_all(sp.heis_add_arr(x, z), a))
+                == sp.heis_codes(sp.heis_add_arr(act_all(x, a), act_all(z, a)))).all()
 
 
 def test_lmin_lmax_examples(z5, z2):
-    sp5 = hyperbolic_plane(z5)
-    assert MinParameter().contains(sp5, ((0, 0), 4))  # 4 = 2 + bar(2)
+    sp5 = hyperbolic_plane(z5)  # under the minimal parameter
+    assert sp5.param_contains(((0, 0), 4))  # 4 = 2 + bar(2)
     z4 = make_ring("residue", 4, involution="identity")
     sp4 = hyperbolic_plane(z4)
-    assert sp4.ring.lmin_scalars == frozenset({0, 2})
-    assert not MinParameter().contains(sp4, ((0, 0), 1))
-    sp2 = hyperbolic_plane(z2)
-    assert MaxParameter().contains(sp2, ((1, 0), 0))
+    assert sp4.ring.lmin.tolist() == [0, 2]
+    assert not sp4.param_contains(((0, 0), 1))
+    sp2 = OddQuadraticSpace(z2, hyperbolic_plane(z2).gram, MaxParameter())
+    assert sp2.param_contains(((1, 0), 0))
 
 
 def test_min_max_are_parameters(z3):
@@ -124,18 +126,18 @@ def test_min_max_are_parameters(z3):
 def test_span_rank0_examples(z5, z2):
     sp = zero_space(z5)
     param = span_form_parameter(sp, [])
-    assert param.elements(sp) == frozenset(((), c) for c in range(5))
+    assert elements(sp, param.elements(sp)) == frozenset(((), c) for c in range(5))
     sp2 = zero_space(z2)
-    assert span_form_parameter(sp2, []).elements(sp2) == frozenset({((), 0)})
+    assert elements(sp2, span_form_parameter(sp2, []).elements(sp2)) == frozenset({((), 0)})
 
 
 def test_span_with_seed_contains_action_orbit(z2):
     sp = hyperbolic_plane(z2)
     seed = ((1, 0), 0)
     param = span_form_parameter(sp, [seed])
-    elems = param.elements(sp)
+    elems = elements(sp, param.elements(sp))
     for b in z2.elements():
-        assert sp.heis_act(seed, b) in elems
+        assert act(sp, seed, b) in elems
     sp_spanned = OddQuadraticSpace(z2, sp.gram, param)
     assert verify_form_parameter(sp_spanned).ok
 
@@ -157,12 +159,17 @@ def test_verify_form_parameter_detects_broken_set(z3):
     sp = hyperbolic_plane(z3)
     full = MaxParameter().elements(sp)
     assert verify_form_parameter(OddQuadraticSpace(z3, sp.gram, ExplicitParameter(full))).ok
-    broken = full - {sorted(full)[1]}
+    broken = np.delete(full, 1)  # less ((0, 0), 1), the second in sorted order
+    assert sp.heis_element(full[1]) == ((0, 0), 1)
     rep = verify_form_parameter(
         OddQuadraticSpace(z3, sp.gram, ExplicitParameter(broken))
     )
     assert not rep.ok
-    assert any(c.witness for c in rep.failures())
+    # each sweep runs in code order, so names the first failure in that order
+    assert [(c.check, c.witness) for c in rep.failures()] == [
+        ("param.contains_min", "(0, 1)"),
+        ("param.closed_under_neg", "((0, 0), 2)"),
+        ("param.closed_under_add", "(((0, 0), 2), ((0, 0), 2))")]
 
 
 def test_hyperbolic_plane_parameter_z2(z2):
@@ -171,7 +178,7 @@ def test_hyperbolic_plane_parameter_z2(z2):
     expected = frozenset(
         ((a, b), (a * b) % 2) for a in range(2) for b in range(2)
     )
-    assert sp.parameter.elements(sp) == expected
+    assert elements(sp, sp.parameter.elements(sp)) == expected
 
 
 def test_form_arr_matches_form(z3n, m2z2):

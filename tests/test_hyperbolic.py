@@ -28,9 +28,9 @@ from oddunitary import (
     unitary_member,
 )
 from oddunitary.generators import generators
-from oddunitary.hyperbolic import GroupClosure, dump_closure, gen_matrix
+from oddunitary.hyperbolic import GroupClosure, ProductParameter, dump_closure, gen_matrix
 
-from conftest import apply, basis_vec
+from conftest import apply, basis_vec, elements
 from oddunitary.matrices import mulmod_unpacked
 
 
@@ -114,8 +114,8 @@ def test_transvection_i_z3_identity_ring(z3):
 
 
 def test_transvection_i_z2_only_identity(hs_z2_n3):
-    # over Z/2 with V0 = 0 the parameter forces b = 0
-    assert hs_z2_n3.l0 == (((), 0),)
+    # over Z/2 with V0 = 0 the parameter forces b = 0: l0 is the code of ((), 0)
+    assert hs_z2_n3.l0.tolist() == [0]
     with pytest.raises(WorkbenchError):
         hs_z2_n3.transvection_i(1, ((), 1))
 
@@ -126,8 +126,11 @@ def _formula_image(hs, gen, w):
     r = hs.ring
     form, eps = hs.form, hs.eps
 
+    def scale(u, s):  # u s
+        return tuple(r.mul(x, s) for x in u)
+
     def e(i, s):  # e_i s
-        return hs.vec_scale(basis_vec(hs, hs.col(i)), s)
+        return scale(basis_vec(hs, hs.col(i)), s)
 
     if isinstance(gen, Xij):
         i, j, a = gen.i, gen.j, gen.a
@@ -135,10 +138,10 @@ def _formula_image(hs, gen, w):
                  hs.vec_neg(e(i, r.prod(a, eps(j), form(e(-j, r.one), w))))]
     else:
         i, (u0, b) = gen.i, gen.xi
-        u, bi = hs.embed_v0(u0), form(e(i, r.one), w)
+        u, bi = hs.zero_vec[:2 * hs.n] + u0, form(e(i, r.one), w)
         terms = [hs.vec_neg(e(i, r.mul(eps(i), form(u, w)))),
                  hs.vec_neg(e(i, r.prod(eps(i), b, eps(-i), bi))),
-                 hs.vec_scale(u, r.mul(eps(-i), bi))]
+                 scale(u, r.mul(eps(-i), bi))]
     for term in terms:
         w = hs.vec_add(w, term)
     return w
@@ -151,7 +154,7 @@ def test_transvections_match_their_formulas(space):
     else:
         z5n = make_ring("residue", 5, involution="negation")
         hs = make_hyperbolic(z5n, 2, OddQuadraticSpace(z5n, ((1,),), MaxParameter()))
-        assert any(any(u0) for u0, _ in hs.l0)  # some X_i carries a nonzero vector
+        assert any(any(u0) for u0, _ in elements(hs.v0, hs.l0))  # some X_i(u0, a) has u0 != 0
     basis = [basis_vec(hs, c) for c in range(hs.rank)]
     count = 0
     for gen in generators(hs):
@@ -198,7 +201,7 @@ def test_unitary_member(hs_z2_n3, hs_z3n_n3, hs_rich):
     # e_-1 -> e_-1 + e_1 is an isometry that only the parameter rejects
     z4 = make_ring("residue", 4, involution="identity")
     hs = make_hyperbolic(z4, 1)
-    assert z4.lmin_scalars == frozenset({0, 2})
+    assert z4.lmin.tolist() == [0, 2]
     for rows, member in (([[1, 1], [0, 1]], False), ([[1, 2], [0, 1]], True)):
         mat = Mat.from_rows(z4, rows)
         assert is_isometry(hs, mat)
@@ -231,8 +234,8 @@ def test_unitary_member_over_a_matrix_ring(m2z2):
 def test_spaces_share_the_rings_minimal_scalars(hs_rich):
     # {a + bar(a)} depends only on the ring, so only the ring lists it
     hs = hs_rich
-    assert not hasattr(hs, "lmin_scalars") and not hasattr(hs.v0, "lmin_scalars")
-    assert hs.ring.lmin_scalars == frozenset({0, 1, 2})
+    assert not hasattr(hs, "lmin") and not hasattr(hs.v0, "lmin")
+    assert hs.ring.lmin.tolist() == [0, 1, 2]
 
 
 def test_parameter_caps_count_their_elements(hs_z3_n3):
@@ -490,7 +493,7 @@ def test_gen_matrix_is_cached_per_space(z3, hs_rich):
     g = Xij(1, -2, 2)
     assert gen_matrix(hs, g) is gen_matrix(hs, g)
     assert gen_matrix(hs, g) == hs.transvection_ij(1, -2, 2)
-    xi = next(x for x in hs_rich.l0 if any(x[0]))
+    xi = next(x for x in map(hs_rich.v0.heis_element, hs_rich.l0.tolist()) if any(x[0]))
     assert gen_matrix(hs_rich, Xi(-2, xi)) == hs_rich.transvection_i(-2, xi)
     bad = Xi(1, ((), 7))
     for _ in range(2):
@@ -691,11 +694,15 @@ def test_eu6_z3_negation_closure(z3n):
     assert cl.layers == [1, 24, 384, 4636, 43659, 309784, 1518622, 3246412, 931936, 9756, 66]
 
 
+def _naive_lmin(r):
+    return {r.add(c, r.bar(c)) for c in r.elements()}
+
+
 def _naive_v0_part(hs):
     """Every V0 parameter element plus every lmin scalar."""
     r = hs.ring
-    return {(u0, r.add(a0, s)) for u0, a0 in hs.v0.parameter.elements(hs.v0)
-            for s in r.lmin_scalars}
+    return {(u0, r.add(a0, s)) for u0, a0 in elements(hs.v0, hs.v0.parameter.elements(hs.v0))
+            for s in _naive_lmin(r)}
 
 
 def _symplectic(ring, parameter):
@@ -703,17 +710,29 @@ def _symplectic(ring, parameter):
         ring, ((ring.zero, ring.one), (ring.neg(ring.lam), ring.zero)), parameter)
 
 
+def _explicit(space, tuples):
+    return ExplicitParameter(space.heis_codes(space.heis_rows(list(tuples))))
+
+
 def test_v0_part_matches_naive_sums(hs_rich):
     z4 = make_ring("residue", 4)  # lmin = {0, 2}: a proper subgroup
+    z8 = make_ring("residue", 8, involution="table", table=(0, 3, 6, 1, 4, 7, 2, 5))
     m2z2 = make_ring("matrix", 2, 2, "transpose")
     spaces = [hs_rich] + [
         make_hyperbolic(r, 1, _symplectic(r, p))
         for r in (z4, m2z2) for p in (MinParameter(), MaxParameter())
     ]
+    # V0 parameters that are not closed under adding lmin: the sums are new
+    o, i = m2z2.zero, m2z2.one
+    for r, tuples in ((z4, [((1, 0), 1)]), (z8, [((0, 0), 1), ((2, 1), 3)]),
+                      (m2z2, [((i, o), i), ((o, i), o)])):
+        plane = _symplectic(r, None)
+        spaces.append(make_hyperbolic(r, 1, _symplectic(r, _explicit(plane, tuples))))
     for hs in spaces:
-        part = hs.parameter.v0_part
-        assert set(part) == hs.parameter.v0_set == _naive_v0_part(hs)
-        assert hs.l0 == part == tuple(sorted(part))
+        part = hs.parameter.codes
+        assert elements(hs.v0, part) == _naive_v0_part(hs)
+        assert hs.l0 is part and (np.diff(part) > 0).all()
+    assert [len(hs.l0) for hs in spaces[-3:]] == [2, 4, 4]
 
 
 def _plane_product_elements(hs):
@@ -721,12 +740,12 @@ def _plane_product_elements(hs):
     {((a, b), bar(a) lam^-1 b + s) : s in lmin}, and one of the V0 part."""
     r, n = hs.ring, hs.n
     plane = sorted({((a, b), r.add(r.prod(r.bar(a), r.lam_inv, b), s))
-                    for a in r.elements() for b in r.elements() for s in r.lmin_scalars})
+                    for a in r.elements() for b in r.elements() for s in _naive_lmin(r)})
     out = set()
     for parts in itertools.product(plane, repeat=n):
         u = tuple(p[0][0] for p in parts) + tuple(p[0][1] for p in reversed(parts))
         s = r.sum(*(p[1] for p in parts))
-        out.update((u + u0, r.add(s, t)) for u0, t in hs.parameter.v0_part)
+        out.update((u + u0, r.add(s, t)) for u0, t in _naive_v0_part(hs))
     return frozenset(out)
 
 
@@ -740,8 +759,9 @@ def test_listing_matches_plane_products(hs_rich):
               (make_hyperbolic(make_ring("residue", 4), 2), 512)]
     for hs, size in spaces:
         listed = hs.parameter.elements(hs)
-        assert len(listed) == size and listed == _plane_product_elements(hs)
-        assert all(hs.parameter.contains(hs, x) for x in sorted(listed)[::97])
+        assert len(listed) == size and elements(hs, listed) == _plane_product_elements(hs)
+        assert (np.diff(listed) > 0).all()
+        assert hs.parameter.contains_batch(hs, *hs.heis_arr(listed[::97])).all()
 
 
 def test_v0_scalar_sets_on_a_large_modulus():
@@ -762,8 +782,35 @@ def _displacement_columns(hs, f, vectors):
     return r.arr(disp, (len(vectors), hs.rank)), r.arr(scal, (len(vectors),))
 
 
+def _naive_member(space, param, xi, listed=frozenset()):
+    """Whether xi = (u, a), as ring values, lies in a parameter, from its
+    definition by scalar arithmetic: u = 0 and a in {c + bar(c)} for the
+    minimal one, a - bar(a) = B(u, u) for the maximal one, (u0, a - q(u) - s)
+    in V0's parameter for some s in lmin for the hyperbolic one, and plain
+    tuple membership in `listed` for an explicit one."""
+    r, (u, a) = space.ring, xi
+    if isinstance(param, MinParameter):
+        return u == space.zero_vec and a in _naive_lmin(r)
+    if isinstance(param, MaxParameter):
+        return r.sub(a, r.bar(a)) == space.form(u, u)
+    if isinstance(param, ProductParameter):
+        n, v0 = space.n, space.v0
+        q = r.sum(*(r.prod(r.bar(u[i]), r.lam_inv, u[2 * n - 1 - i]) for i in range(n)))
+        return any(_naive_member(v0, v0.parameter, (u[2 * n:], r.sub(r.sub(a, q), s)))
+                   for s in _naive_lmin(r))
+    return xi in listed
+
+
+def _rows(hs, disp, scal):
+    """The rows of the stacks as elements of ring values."""
+    r = hs.ring
+    return [(tuple(map(r.scalar, d)), r.scalar(t))
+            for d, t in zip(r.arr_codes(disp).tolist(), r.arr_codes(scal).tolist())]
+
+
 @pytest.mark.parametrize("space", ["rich", "z3n", "z4", "v0_min", "v0_wide"])
 def test_contains_batch_matches_contains(request, space):
+    # every membership rule against `_naive_member`
     z3 = make_ring("residue", 3)
     hs = {
         "rich": lambda: request.getfixturevalue("hs_rich"),
@@ -786,6 +833,7 @@ def test_contains_batch_matches_contains(request, space):
                     rng.integers(0, m, (300, 1, 1))))
     disp = np.concatenate([d for d, _ in columns])
     scal = np.concatenate([s for _, s in columns])
+    rows = _rows(hs, disp, scal)
     # explicit parameters: a spanned one, {(e_1 b, s) : s in lmin}, and the
     # maximal one less one element, as in the broken set of test_forms.py,
     # where the maximal one can be listed
@@ -793,10 +841,10 @@ def test_contains_batch_matches_contains(request, space):
     explicit = [span_form_parameter(hs, [(e1, 0)])]
     if space != "v0_wide":
         full = MaxParameter().elements(hs)
-        explicit.append(ExplicitParameter(full - {sorted(full)[1]}))
+        explicit.append(ExplicitParameter(np.delete(full, 1)))
     for param in (hs.parameter, MinParameter(), MaxParameter(), *explicit):
-        expected = [param.contains(hs, (tuple(d), t))
-                    for d, t in zip(disp[..., 0, 0].tolist(), scal[:, 0, 0].tolist())]
+        listed = elements(hs, param.elements(hs)) if param in explicit else frozenset()
+        expected = [_naive_member(hs, param, row, listed) for row in rows]
         got = param.contains_batch(hs, disp, scal)
         assert got.dtype == bool and got.tolist() == expected, type(param).__name__
         assert any(expected), type(param).__name__
@@ -816,8 +864,6 @@ def test_contains_batch_matches_contains(request, space):
         along_v0 = np.zeros((m, hs.rank, 1, 1), dtype=np.int64)
         along_v0[:, -1] = 1
         assert not hs.parameter.contains_batch(hs, along_v0, hs.ring.arr(range(m), (m,))).any()
-        assert not any(hs.parameter.contains(hs, (tuple(along_v0[0, :, 0, 0]), a))
-                       for a in range(m))
 
 
 def test_contains_batch_over_a_matrix_ring(m2z2):
@@ -831,10 +877,31 @@ def test_contains_batch_over_a_matrix_ring(m2z2):
                     r.codes_arr(rng.integers(0, r.card, 300))))
     disp = np.concatenate([d for d, _ in columns])
     scal = np.concatenate([s for _, s in columns])
+    rows = _rows(hs, disp, scal)
     spanned = span_form_parameter(hs, [((r.one,) + (r.zero,) * (hs.rank - 1), r.zero)])
     for param in (hs.parameter, MinParameter(), MaxParameter(), spanned):
-        expected = [param.contains(hs, (tuple(map(r.scalar, d)), r.scalar(t)))
-                    for d, t in zip(r.arr_codes(disp).tolist(), r.arr_codes(scal).tolist())]
+        listed = elements(hs, spanned.elements(hs)) if param is spanned else frozenset()
+        expected = [_naive_member(hs, param, row, listed) for row in rows]
+        assert param.contains_batch(hs, disp, scal).tolist() == expected, type(param).__name__
+        assert any(expected) and not all(expected), type(param).__name__
+
+
+@pytest.mark.parametrize("ring", ["z3n", "z4", "m2z2"])
+def test_membership_rules_on_whole_heisenberg_groups(ring):
+    # every element of a small space: the minimal, maximal and an explicit
+    # parameter against their definitions, each with both verdicts
+    r = {"z3n": make_ring("residue", 3, involution="negation"),
+         "z4": make_ring("residue", 4),
+         "m2z2": make_ring("matrix", 2, 2, "transpose")}[ring]
+    # over Z/4, a V0 of Gram (2) makes B(u, u) = 2u^2 nonzero on odd u
+    v0 = OddQuadraticSpace(r, ((2,),)) if ring == "z4" else None
+    hs = make_hyperbolic(r, 1, v0)
+    every = [hs.heis_element(c) for c in range(hs.heis_span())]
+    disp, scal = hs.heis_rows(every)
+    chosen = set(every[::7])
+    for param, listed in ((MinParameter(), frozenset()), (MaxParameter(), frozenset()),
+                          (_explicit(hs, chosen), chosen)):
+        expected = [_naive_member(hs, param, xi, listed) for xi in every]
         assert param.contains_batch(hs, disp, scal).tolist() == expected, type(param).__name__
         assert any(expected) and not all(expected), type(param).__name__
 

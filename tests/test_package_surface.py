@@ -27,7 +27,7 @@ FROZEN = {
     "section_eval": "extensions.section_eval spans it; no check calls it since "
                     "the section sweeps evaluate rows",
     "param_contains": "forms.param_contains spans it; membership goes through "
-                      "`contains` and `contains_batch`",
+                      "`contains_batch`, of which it is one row",
     "relation_instance": "steinberg.relation_instance spans it; the sweeps build "
                          "relation words as letter codes",
 }

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -199,3 +200,21 @@ def test_ring_axiom_records_state_their_count_and_sample_seed(m, triples, seed):
         ("ring.distributive", "pass", triples, seed),
         ("ring.identity", "pass", f"{m} elements", None),
     ]
+
+
+def test_lmin_is_the_set_of_sums():
+    # lmin, sorted codes, against the naive set {a + bar(a)}: on Z/m for
+    # every unit c and m from 2 to 60, where lmin is the subgroup
+    # gcd(1 + c, m) Z/m, and on M_2(Z/m) for every entry involution, m in {2, 3}
+    rings = [make_ring(kind, m, degree, involution, tuple(a * c % m for a in range(m)))
+             for kind, degree, ms, involution in (("residue", 1, range(2, 61), "table"),
+                                                  ("matrix", 2, (2, 3), "transpose:table"))
+             for m in ms for c in range(1, m) if math.gcd(c, m) == 1]
+    assert len(rings) == sum(map(_units, range(2, 61))) + _units(2) + _units(3)
+    for r in rings:
+        naive = {r.add(a, r.bar(a)) for a in r.elements()}
+        assert [r.scalar(c) for c in r.lmin.tolist()] == sorted(naive), r
+
+
+def _units(m):
+    return sum(1 for c in range(1, m) if math.gcd(c, m) == 1)

@@ -190,8 +190,10 @@ def test_relation_instance_rejects_params_outside_their_domains(
         (hs_z2_n3, "R0", (1, 4, 1)),
         (hs_z2_n3, "R2", (1, ((), 0), ((), 1))),  # ((), 1) is not in l0
         (hs_rich, "R4", (1, 2, 3, ((0, 0), 3), 2)),
-        (hs_rich, "R2", (1, hs_rich.l0[0], ((0, 5), 0))),
-        (hs_rich, "R4", (1, 2, 3, hs_rich.l0[0], 3)),
+        (hs_rich, "R2", (1, hs_rich.v0.heis_identity, ((0, 5), 0))),
+        (hs_rich, "R4", (1, 2, 3, hs_rich.v0.heis_identity, 3)),
+        (hs_rich, "R4", (1, 2, 3, ((0,), 0), 1)),
+        (hs_rich, "R4", (1, 2, 3, ((0, -1), 0), 1)),
         (hs_m2, "R1", (1, 2, ((0, 1), (1, 2)), one)),
         (hs_m2, "R1", (1, 2, ((0, 1),), one)),
         (hs_m2, "R1", (1, 2, 1, one)),
@@ -201,7 +203,7 @@ def test_relation_instance_rejects_params_outside_their_domains(
 
 
 def test_relation_instance_r4_params_are_indices_then_arguments(hs_rich):
-    xi = hs_rich.l0[-1]
+    xi = hs_rich.v0.heis_element(hs_rich.l0[-1])
     lhs, rhs = relation_instance(hs_rich, "R4", (1, 2, 3, xi, 2))
     assert lhs[0] == (Xi(1, xi), 1)
     assert lhs[1] == (Xij(2, 3, 2), 1)
@@ -430,11 +432,18 @@ def test_letter_codes_round_trip(space):
 
 
 def test_letter_codes_past_int64_raise(z3):
-    # 3^41 one-index arguments per index: the codes do not fit in int64
+    # 3^41 one-index arguments per index: the codes do not fit in int64, and
+    # every use of a code says so, membership included
     wide = OddQuadraticSpace(z3, tuple(tuple(0 for _ in range(40)) for _ in range(40)))
     hs = make_hyperbolic(z3, 3, wide)
-    with pytest.raises(WorkbenchError, match="exceed int64"):
-        gen_codes(hs, [Xij(1, 2, 1)])
+    disp, scal = np.zeros((1, hs.rank, 1, 1), dtype=np.int64), np.zeros((1, 1, 1), dtype=np.int64)
+    for use in (lambda: gen_codes(hs, [Xij(1, 2, 1)]),
+                lambda: hs.parameter.contains_batch(hs, disp, scal),
+                lambda: outside_l0(hs, np.array([1])),
+                lambda: hs.transvection_i(1, hs.v0.heis_identity),
+                lambda: MaxParameter().elements(hs, cap=2**200)):
+        with pytest.raises(WorkbenchError, match="exceed int64"):
+            use()
 
 
 def test_exhaustive_matrix_ring_counts():
@@ -451,7 +460,7 @@ def test_exhaustive_matrix_ring_counts():
 def test_remark1_consequences(hs_z3_n3):
     hs = hs_z3_n3
     assert eval_word(hs, word(Xij(2, -1, 0))) == hs.identity
-    for xi in hs.l0:
+    for xi in map(hs.v0.heis_element, hs.l0.tolist()):
         neg = hs.v0.heis_neg(xi)
         assert eval_word(hs, word(Xi(2, neg))) == eval_word(
             hs, word(Xi(2, xi))
@@ -532,7 +541,7 @@ def test_u1_distinct_normal_forms_have_distinct_evals(hs_z3_n3):
     hs = hs_z3_n3
     order = [i for i in hs.omega if i not in (hs.n, -hs.n)]
     seen = {}
-    for zeta in hs.l0:
+    for zeta in map(hs.v0.heis_element, hs.l0.tolist()):
         for a1 in hs.ring.elements():
             for am1 in hs.ring.elements():
                 coeffs = tuple(
@@ -595,7 +604,7 @@ def test_word_tokens_roundtrip(hs_z2_n3, hs_rich):
     assert text == "X31(1) X3-1(1) X3(;0)"
     assert parse_word(text, hs_z2_n3) == w
 
-    xi = hs_rich.l0[-1]
+    xi = hs_rich.v0.heis_element(hs_rich.l0[-1])
     w2 = wmul(word(Xi(-2, xi)), winv(word(Xij(1, -3, 2))))
     text2 = format_word(w2, hs_rich)
     assert parse_word(text2, hs_rich) == w2
@@ -630,7 +639,8 @@ def test_outside_l0_matches_the_decoded_letters(involution, gram, parameter):
     hs = make_hyperbolic(z3, 2, OddQuadraticSpace(z3, gram, parameter))
     top = 4 * 5 * 3 ** (hs.v0.rank + 1)  # the largest generator code
     codes = np.arange(-top, top + 1)
+    l0 = {hs.v0.heis_element(c) for c in hs.l0.tolist()}
     expected = [c != 0 and isinstance(g := decode_gen(hs, abs(c)), Xi)
-                and g.xi not in hs.l0_set for c in codes.tolist()]
+                and g.xi not in l0 for c in codes.tolist()]
     assert outside_l0(hs, codes).tolist() == expected
     assert 0 < sum(expected) < len(codes) / 2

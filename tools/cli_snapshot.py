@@ -26,8 +26,12 @@ given as a `table:` (lam = 3); Z/3 at n = 2 under the minimal parameter;
 and Z/3 at n = 3 with that symplectic V0 under the parameter spanned by
 `(1 0|0)`, the whole space under the one spanned by
 `(0 0 0 0 0 0 1 0|0)`.  In the last two the one-index arguments come from
-a parameter other than the hyperbolic one.  The runs past the presets
-and the default config use configs written into OUTDIR.
+a parameter other than the hyperbolic one, as they do in every subcommand
+on Z/3 at n = 2 under the maximal parameter of the whole space, whose
+one-index arguments the maximal rule selects.  Last comes the sampled
+`verify-relations` on Z/100003 at n = 2 with 16 samples, whose minimal
+scalars and one-index arguments fill all of Z/100003.  The runs past the
+presets and the default config use configs written into OUTDIR.
 Run it on two checkouts and compare with
 `diff -r OUTDIR1 OUTDIR2`: a refactor that keeps the behaviour leaves no
 difference, exit codes included.
@@ -120,6 +124,19 @@ v0_gram = 0,1;2,0
 v0_parameter = seeds:(1 0|0)
 parameter = span:(0 0 0 0 0 0 1 0|0)
 """
+Z3_MAX_N2_CFG = "z3_max_n2.cfg"
+Z3_MAX_N2_TEXT = Z3_MIN_N2_TEXT.replace("parameter = min", "parameter = max")
+Z100003_CFG = "z100003.cfg"
+Z100003_TEXT = """\
+[ring]
+kind = residue
+modulus = 100003
+[space]
+n = 2
+[run]
+strategy = sampled
+samples = 16
+"""
 Z101_CFG = "z101.cfg"
 Z101_TEXT = """\
 [ring]
@@ -176,13 +193,15 @@ def runs():
            ["--config", M2Z2_V0_N3_CFG, "--strategy", "sampled",
             "verify-relations"])
     yield "z101.verify-ring", ["--config", Z101_CFG, "verify-ring"]
-    for cfg, n in ((Z8_LAM3_N3_CFG, 3), (Z3_MIN_N2_CFG, 2), (Z3_SPAN_N3_CFG, 3)):
+    for cfg, n in ((Z8_LAM3_N3_CFG, 3), (Z3_MIN_N2_CFG, 2), (Z3_SPAN_N3_CFG, 3),
+                   (Z3_MAX_N2_CFG, 2)):
         for name in SUBCOMMANDS:
             opts, tail = subcommand_args(name, n)
             yield f"{Path(cfg).stem}.{name}", ["--config", cfg, *opts, name, *tail]
     for strategy in STRATEGIES:
         yield (f"z3_v0_n4.{strategy}.split-demo",
                ["--config", Z3_V0_N4_CFG, "--strategy", strategy, "split-demo", "3"])
+    yield "z100003.sampled.verify-relations", ["--config", Z100003_CFG, "verify-relations"]
 
 
 def main(argv=None) -> int:
@@ -200,6 +219,8 @@ def main(argv=None) -> int:
     (outdir / Z8_LAM3_N3_CFG).write_text(Z8_LAM3_N3_TEXT)
     (outdir / Z3_MIN_N2_CFG).write_text(Z3_MIN_N2_TEXT)
     (outdir / Z3_SPAN_N3_CFG).write_text(Z3_SPAN_N3_TEXT)
+    (outdir / Z3_MAX_N2_CFG).write_text(Z3_MAX_N2_TEXT)
+    (outdir / Z100003_CFG).write_text(Z100003_TEXT)
     for fname, cli_args in runs():
         proc = subprocess.run(
             [sys.executable, "-m", "oddunitary", *cli_args],
