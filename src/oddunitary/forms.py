@@ -13,7 +13,7 @@ import numpy as np
 
 from .report import (DEFAULT_CAP, DEFAULT_SEED, CapExceeded, Report, WorkbenchError,
                      cases_or_sample)
-from .matrices import mulmod_unpacked
+from .matrices import _readonly, mulmod_unpacked
 from .rings import member, place_values
 
 VECTOR_PAIRS = 10**5  # the most vector pairs that `verify_antihermitian` lists
@@ -56,7 +56,7 @@ class ExplicitParameter(FormParameter):
     """The elements of the given codes of one space."""
 
     def __init__(self, codes):
-        self.codes = np.unique(np.asarray(codes, dtype=np.int64))
+        self.codes = _readonly(np.unique(np.asarray(codes, dtype=np.int64)))
 
     def contains_batch(self, space, disp, scal):
         return member(self.codes, space.heis_codes((disp, scal)))
@@ -115,12 +115,6 @@ class OddQuadraticSpace:
         w = mulmod_unpacked(r, gram.swapaxes(1, 2).reshape(size, size), cols)
         w = np.moveaxis(w.astype(np.int64).reshape(size, count, k), 1, 0)
         return r.arr_bar_dot(u, w.reshape(v.shape))
-
-    def vectors(self):
-        return (
-            tuple(v)
-            for v in itertools.product(list(self.ring.elements()), repeat=self.rank)
-        )
 
     def vector_count(self):
         return self.ring.card ** self.rank
@@ -214,16 +208,19 @@ def verify_antihermitian(space, seed=DEFAULT_SEED) -> Report:
     rep.sweep("space.gram_antihermitian", itertools.product(range(rank), repeat=2),
               lambda p: gram[p[0]][p[1]] == r.neg(r.bar(gram[p[1]][p[0]])),
               lambda p: f"basis pair {p}", "basis pairs")
-    # rng.choice(range(card)) draws the position that rng.choice(elements) would
+    # a pair (u, v) as the scalar codes of its 2 rank entries, listed in
+    # lexicographic order; rng.choice(range(card)) draws the position that
+    # rng.choice(elements) would
     pairs, used_seed = cases_or_sample(
         space.vector_count() ** 2, VECTOR_PAIRS,
-        lambda: itertools.product(space.vectors(), repeat=2),
-        lambda rng: tuple(tuple(r.scalar(rng.choice(range(r.card))) for _ in range(rank))
-                          for _ in range(2)),
-        seed)
-    rep.sweep("space.form_skew_axiom", pairs,
-              lambda p: space.form(*p) == r.neg(r.bar(space.form(p[1], p[0]))),
-              lambda p: f"(u, v) = {p!r}", "vector pairs", used_seed)
+        lambda: itertools.product(range(r.card), repeat=2 * rank),
+        lambda rng: [rng.choice(range(r.card)) for _ in range(2 * rank)], seed)
+    pairs = list(pairs)
+    codes = np.array(pairs, dtype=np.int64).reshape(len(pairs), 2, rank)
+    u, v = r.codes_arr(codes[:, 0]), r.codes_arr(codes[:, 1])
+    holds = (space.form_arr(u, v) == r.arr_neg(r.arr_bar(space.form_arr(v, u)))).all(axis=(1, 2))
+    rep.sweep_blocks("space.form_skew_axiom", [(holds, lambda c: "(u, v) = {!r}".format(
+        tuple(tuple(map(r.scalar, x)) for x in codes[c].tolist())))], "vector pairs", used_seed)
     return rep
 
 
@@ -267,11 +264,11 @@ def verify_form_parameter(space, cap=DEFAULT_CAP, seed=DEFAULT_SEED) -> Report:
                                  for ij in (np.divmod(p, width) for p in blocks(cases))),
                          unit, used_seed)
 
-    def arr(i):  # the elements at positions i; a run of them decoded once
-        lo, hi = int(i.min()), int(i.max()) + 1
-        if hi - lo > len(i):
-            return space.heis_arr(elems[i])
-        return tuple(x[i - lo] for x in space.heis_arr(elems[lo:hi]))
+    def arr(i):  # the elements at positions i
+        return space.heis_arr(elems[i])
+
+    def run(i):  # the elements at a run of positions i[0] <= ... <= i[-1], each decoded once
+        return tuple(x[i - i[0]] for x in space.heis_arr(elems[i[0]:i[-1] + 1]))
 
     def inside(xi):
         return param.contains_batch(space, *xi)
@@ -292,6 +289,6 @@ def verify_form_parameter(space, cap=DEFAULT_CAP, seed=DEFAULT_SEED) -> Report:
           n, lambda i, j: inside(space.heis_add_arr(arr(i), arr(j))),
           lambda i, j: repr((named(elems[i]), named(elems[j]))), "pairs", used_seed)
     sweep("param.action_stable", range(n * r.card), r.card,
-          lambda i, b: inside(space.heis_act_arr(arr(i), r.codes_arr(b))),
+          lambda i, b: inside(space.heis_act_arr(run(i), r.codes_arr(b))),
           lambda i, b: repr((named(elems[i]), r.scalar(int(b)))), "pairs")
     return rep

@@ -13,7 +13,7 @@ import numpy as np
 
 from .forms import FormParameter, OddQuadraticSpace, zero_space
 from .generators import Xi, Xij, format_word, generators
-from .matrices import Mat, mulmod, mulmod_unpacked
+from .matrices import Mat, _readonly, mulmod, mulmod_unpacked
 from .report import DEFAULT_CAP, CapExceeded, NotInvertible, WorkbenchError
 from .rings import member, place_values
 
@@ -31,7 +31,11 @@ class ProductParameter(FormParameter):
     @cached_property
     def codes(self):
         """V0's parameter plus (0, s), 2s, 4s, ... for each generator s = e +
-        bar(e) of lmin, e a basis scalar, until S + (0, 2^j s) = S."""
+        bar(e) of lmin, e a basis scalar, until S + (0, 2^j s) = S.  Every
+        admissible V0 parameter already holds (0, lmin) and is closed under
+        the sum, so for them this is one membership pass per s; it adds
+        codes only to an explicit V0 set that is not a parameter, closing it
+        under lmin as L0 requires."""
         v0, r = self.v0, self.v0.ring
         codes = v0.parameter.elements(v0)
         basis = r.codes_arr(place_values(r.base_modulus, r.degree**2))
@@ -42,7 +46,7 @@ class ProductParameter(FormParameter):
                 if member(codes, moved).all():
                     break
                 codes, step = np.union1d(codes, moved), r.arr_add(step, step)
-        return codes
+        return _readonly(codes)
 
     @staticmethod
     def _q(space, disp):
@@ -113,10 +117,13 @@ class HyperbolicSpace(OddQuadraticSpace):
         return self.select(range(self.v0.heis_span()), self.parameter)
 
     def in_l0(self, xi) -> bool:
-        """Whether xi, a pair (u, a), is an element of ring values (its code
-        gives it back) whose code is in `l0`."""
-        code = self.v0.heis_codes(self.v0.heis_rows([xi]))
-        return self.v0.heis_element(code[0]) == xi and bool(member(self.l0, code)[0])
+        """Whether xi is a pair (u, a) of ring values, u of V0's rank, whose
+        code is in `l0`."""
+        v0, ok = self.v0, self.ring.is_scalar
+        if not (type(xi) is tuple and len(xi) == 2 and type(xi[0]) is tuple
+                and len(xi[0]) == v0.rank and all(map(ok, xi[0] + xi[1:]))):
+            return False
+        return bool(member(self.l0, v0.heis_codes(v0.heis_rows([xi])))[0])
 
     # -- indices -----------------------------------------------------------
 
@@ -194,9 +201,10 @@ VECTORS = 1024
 def equiv_mod_param(hs: HyperbolicSpace, f: Mat, g: Mat) -> bool:
     """(fv - gv, B(gv - fv, gv)) in the parameter for every module vector v.
 
-    The vectors go VECTORS at a time, in the order of `hs.vectors()`, as the
-    (dim k) x k block columns of one array, so f - g and lam^-1 G g act on a
-    block in one product each and the arrays stay small on any module.
+    The vectors go VECTORS at a time, in lexicographic order of their scalar
+    codes, as the (dim k) x k block columns of one array, so f - g and
+    lam^-1 G g act on a block in one product each and the arrays stay small
+    on any module.
     """
     r = hs.ring
     total = hs.vector_count()

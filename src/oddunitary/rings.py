@@ -10,7 +10,7 @@ and bar(A) = c A^T on M_k(Z/m).
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from math import gcd
 
 import numpy as np
@@ -55,7 +55,8 @@ class Ring:
         """The sorted codes of {a + bar(a)}, the scalars of the minimal form
         parameter, from one array pass over every scalar."""
         a = self.codes_arr(np.arange(self.card))
-        return np.flatnonzero(np.bincount(self.arr_codes(self.arr_add(a, self.arr_bar(a)))))
+        sums = self.arr_codes(self.arr_add(a, self.arr_bar(a)))
+        return _readonly(np.flatnonzero(np.bincount(sums)))
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -96,7 +97,8 @@ class Ring:
         return (-a) % self.base_modulus
 
     def arr_mul(self, *xs):
-        if self.degree == 1 and self.exact_dim:  # (m - 1)^2 < 2^63: elementwise
+        # (m - 1)^2 < 2^63: elementwise, cheaper than a stack of 1 x 1 matmuls
+        if self.degree == 1 and self.exact_dim:
             return reduce(lambda a, b: a * b % self.base_modulus, xs)
         return reduce(lambda a, b: mulmod(self, a, b).astype(np.int64), xs)
 
@@ -117,10 +119,9 @@ class Ring:
         return self._scale(dot.astype(np.int64, copy=False))
 
 
-@cache
 def place_values(base, digits):
-    """base^(digits-1), ..., base, 1 as a read-only int64 array."""
-    return _readonly(np.array([base**e for e in range(digits - 1, -1, -1)], dtype=np.int64))
+    """base^(digits-1), ..., base, 1 as int64."""
+    return np.array([base**e for e in range(digits - 1, -1, -1)], dtype=np.int64)
 
 
 def member(ranked, codes):
@@ -170,7 +171,7 @@ class ResidueRing(Ring):
     @cached_property
     def lmin(self):
         """{a + c a} = gcd(1 + c, m) Z/m, an additive subgroup."""
-        return np.arange(0, self.modulus, gcd(1 + self.c, self.modulus))
+        return _readonly(np.arange(0, self.modulus, gcd(1 + self.c, self.modulus)))
 
     def elements(self):
         return range(self.modulus)

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,12 @@ def basis_vec(hs, c):
     """The basis vector of column c of a hyperbolic space."""
     r = hs.ring
     return tuple(r.one if k == c else r.zero for k in range(hs.rank))
+
+
+def vectors(space):
+    """Every module vector, as a tuple of ring values, in lexicographic order
+    of the scalar codes."""
+    return itertools.product(list(space.ring.elements()), repeat=space.rank)
 
 
 def elements(space, codes):

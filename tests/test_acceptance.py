@@ -37,7 +37,7 @@ from oddunitary.steinberg import (
     u1_decompose,
 )
 
-from conftest import act, u1_uniqueness_check
+from conftest import act, u1_uniqueness_check, vectors
 
 SEED = 3293
 EU6_Z2_ORDER = 20160  # regression baseline computed by the BFS oracle
@@ -83,7 +83,7 @@ def _assoc_exhaustive(space):
     this identity over all of V^3 is exhaustive associativity over the whole
     Heisenberg group.
     """
-    vecs = list(space.vectors())
+    vecs = list(vectors(space))
     idx = {v: i for i, v in enumerate(vecs)}
     m = space.ring.modulus
     n = len(vecs)
@@ -113,7 +113,7 @@ def test_criterion_2_heisenberg_form_parameter_suite():
                 sp = make_hyperbolic(ring, n)
                 assert _assoc_exhaustive(sp)
 
-                elems = list(itertools.product(sp.vectors(), sp.ring.elements()))
+                elems = list(itertools.product(vectors(sp), sp.ring.elements()))
                 for xi in elems:
                     neg = sp.heis_neg(xi)
                     assert sp.heis_add(xi, neg) == sp.heis_identity
@@ -128,8 +128,8 @@ def test_criterion_2_heisenberg_form_parameter_suite():
                 # distributivity of the action over the sum reduces to
                 # bar(a) lam^-1 B(u,v) a = B(ua, va); scan it over V^2 x R,
                 # then spot the unreduced law directly on the smaller space
-                for u in sp.vectors():
-                    for v in sp.vectors():
+                for u in vectors(sp):
+                    for v in vectors(sp):
                         buv = sp.form(u, v)
                         for a in vals:
                             lhs = ring.prod(ring.bar(a), ring.lam_inv, buv, a)

@@ -30,7 +30,7 @@ from oddunitary import (
 from oddunitary.generators import generators
 from oddunitary.hyperbolic import GroupClosure, ProductParameter, dump_closure, gen_matrix
 
-from conftest import apply, basis_vec, elements
+from conftest import apply, basis_vec, elements, vectors
 from oddunitary.matrices import mulmod_unpacked
 
 
@@ -235,7 +235,7 @@ def test_spaces_share_the_rings_minimal_scalars(hs_rich):
     # {a + bar(a)} depends only on the ring, so only the ring lists it
     hs = hs_rich
     assert not hasattr(hs, "lmin") and not hasattr(hs.v0, "lmin")
-    assert hs.ring.lmin.tolist() == [0, 1, 2]
+    assert hs.ring.lmin.tolist() == [0, 1, 2] and not hs.ring.lmin.flags.writeable
 
 
 def test_parameter_caps_count_their_elements(hs_z3_n3):
@@ -354,7 +354,7 @@ def test_equiv_batch_matches_reference(z3, z5n, m2z2, hs_rich):
         other = Mat.from_arr(r, np.random.default_rng(3).integers(0, r.base_modulus, (size, size)))
 
         def reference(f, g):
-            for v in hs.vectors():
+            for v in vectors(hs):
                 fv, gv = apply(f, v), apply(g, v)
                 d = tuple(hs.ring.sub(x, y) for x, y in zip(fv, gv))
                 disp = (d, hs.form(tuple(hs.ring.neg(x) for x in d), gv))
@@ -732,6 +732,11 @@ def test_v0_part_matches_naive_sums(hs_rich):
         part = hs.parameter.codes
         assert elements(hs.v0, part) == _naive_v0_part(hs)
         assert hs.l0 is part and (np.diff(part) > 0).all()
+        # the stored listings are shared (with the ring's lmin, or with V0's
+        # explicit codes when nothing is added), so none of them is writable
+        listed = hs.v0.parameter.elements(hs.v0)
+        assert not part.flags.writeable
+        assert isinstance(hs.v0.parameter, MaxParameter) or not listed.flags.writeable
     assert [len(hs.l0) for hs in spaces[-3:]] == [2, 4, 4]
 
 

@@ -192,14 +192,19 @@ def test_relation_instance_rejects_params_outside_their_domains(
         (hs_rich, "R4", (1, 2, 3, ((0, 0), 3), 2)),
         (hs_rich, "R2", (1, hs_rich.v0.heis_identity, ((0, 5), 0))),
         (hs_rich, "R4", (1, 2, 3, hs_rich.v0.heis_identity, 3)),
-        (hs_rich, "R4", (1, 2, 3, ((0,), 0), 1)),
-        (hs_rich, "R4", (1, 2, 3, ((0, -1), 0), 1)),
         (hs_m2, "R1", (1, 2, ((0, 1), (1, 2)), one)),
         (hs_m2, "R1", (1, 2, ((0, 1),), one)),
         (hs_m2, "R1", (1, 2, 1, one)),
     ]:
         with pytest.raises(ValueError):
             relation_instance(hs, rid, params)
+    # malformed one-index arguments: a short vector, an entry that is not a
+    # scalar, no scalar part, a list
+    for xi in (((0,), 0), ((0, -1), 0), ((0, 0),), [(0, 0), 0]):
+        with pytest.raises(ValueError, match="outside the l0 domain"):
+            relation_instance(hs_rich, "R4", (1, 2, 3, xi, 1))
+        with pytest.raises(WorkbenchError, match="not in the V0-supported"):
+            hs_rich.transvection_i(1, xi)
 
 
 def test_relation_instance_r4_params_are_indices_then_arguments(hs_rich):
