@@ -81,6 +81,8 @@ def cmd_enumerate_eu(cfg, args) -> Report:
     rep = Report()
     closure = hyperbolic.enumerate_eu(hs, cap)
     rep.add("eu.enumerate", "pass", witness=f"order={closure.order}")
+    layers = closure.layers
+    rep.add("eu.layers", "pass", witness=f"layers={layers} diameter={len(layers) - 1}")
     if args.out:
         with open(args.out, "w") as fh:
             hyperbolic.dump_closure(closure, fh)

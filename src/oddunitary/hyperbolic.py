@@ -262,27 +262,29 @@ FLUSH = 1 << 16  # products deduplicated at once, at least: the flush is max(FLU
 
 
 def _code_plan(m, d):
-    """How a d x d matrix over Z/m becomes its code, its d^2 entries as base-m
-    digits, first most significant: each matrix row in segments of at most
-    the digits that float64 holds exactly (the columns of the returned place
-    values, (d, segments)), and the segments in order, as many to a uint64
-    word as fit (m^digits <= 2^64); returns the places, the (word, m^length)
-    of every segment in order, and the number of words."""
-    size = 1
-    while size < d and m ** (size + 1) <= 2**52:
-        size += 1
-    bounds = [(lo, min(d, lo + size)) for lo in range(0, d, size)]
-    places = np.zeros((d, len(bounds)))
-    for k, (lo, hi) in enumerate(bounds):
+    """How a d x d matrix over Z/m becomes its code: its d^2 entries, row-major,
+    as base-m digits, first most significant, as many to a uint64 word as fit
+    (m^digits <= 2^64), each word cut into segments of at most the digits that
+    float64 holds exactly (m^digits <= 2^52), so a segment may span matrix
+    rows.  Returns the place values (d^2, segments) that give the segments of
+    a flattened matrix, and per word the m^length of each of its segments."""
+    def most(bound, limit):
+        k = 1
+        while k < limit and m ** (k + 1) <= bound:
+            k += 1
+        return k
+
+    per_word = most(2**64, d * d)
+    per_seg = most(2**52, per_word)
+    segs, words = [], []
+    for lo in range(0, d * d, per_word):
+        hi = min(d * d, lo + per_word)
+        words.append([m ** (min(hi, s + per_seg) - s) for s in range(lo, hi, per_seg)])
+        segs.extend((s, min(hi, s + per_seg)) for s in range(lo, hi, per_seg))
+    places = np.zeros((d * d, len(segs)))
+    for k, (lo, hi) in enumerate(segs):
         places[lo:hi, k] = [m ** (hi - 1 - j) for j in range(lo, hi)]
-    steps, word, digits = [], 0, 0
-    for _ in range(d):
-        for lo, hi in bounds:
-            if m ** (digits + hi - lo) > 2**64:
-                word, digits = word + 1, 0
-            digits += hi - lo
-            steps.append((word, m ** (hi - lo)))
-    return places, steps, word + 1
+    return places, words
 
 
 class GroupClosure:
@@ -310,7 +312,9 @@ class GroupClosure:
         self._what = what
         ident = hs.identity
         self._d = ident.arr.shape[0]
-        self._plan = _code_plan(hs.ring.base_modulus, self._d)
+        m = hs.ring.base_modulus
+        self._plan = _code_plan(m, self._d)
+        self._bits = (m ** self._d**2 - 1).bit_length()  # of a code
         self._rows = ident.arr.reshape(1, -1).copy()
         self._key = np.dtype((np.void, ident.arr.nbytes))  # a row's bytes
         self._parent = np.array([-1])
@@ -350,21 +354,26 @@ class GroupClosure:
         """The codes of the matrices (:, g, :) of each block of a stack (N, d,
         G, d) of residues, in (block, g) order, as a uint64 or void array (N G,)."""
         n, d, g, _ = res.shape
-        segs = res.reshape(-1, d) @ self._plan[0]
-        return self._words(segs.astype(np.uint64).reshape(n, d, g, -1))
+        flat = res.transpose(0, 2, 1, 3).reshape(n, g, d * d)
+        return self._words(np.moveaxis(flat @ self._plan[0], 2, 0))
 
     def _words(self, segs):
-        """`_code` from the segment values (N, d, G, segments) of the rows."""
-        n, d, g, _ = segs.shape
-        _, steps, words = self._plan
-        codes = np.zeros((n, g, words), dtype=np.uint64)
-        for (w, scale), (i, k) in zip(steps, np.ndindex(d, segs.shape[3])):
-            word = codes[:, :, w]
-            word *= np.uint64(scale)
-            word += segs[:, i, :, k]
-        if words == 1:
+        """`_code` from the segment values (segments, N, G): each word is its
+        first segment, times m^length plus the next, and so on."""
+        words = self._plan[1]
+        codes = np.empty(segs.shape[1:] + (len(words),), dtype=np.uint64)
+        k = 0
+        for w, scales in enumerate(words):
+            word = codes[..., w]
+            np.copyto(word, segs[k], casting="unsafe")  # exact: below 2^52
+            for scale in scales[1:]:
+                k += 1
+                word *= np.uint64(scale)
+                word += segs[k].astype(np.uint64)
+            k += 1
+        if len(words) == 1:
             return codes.ravel()
-        return codes.view(np.dtype((np.void, 8 * words))).ravel()
+        return codes.view(np.dtype((np.void, 8 * len(words)))).ravel()
 
     def index(self, key):
         """The position of the element whose row bytes are `key`, or -1."""
@@ -409,41 +418,47 @@ class GroupClosure:
         """What `_expand` needs to multiply by the generators from `first` on
         that are the first copy of a matrix other than the identity, or None
         if there is none: their indices in `gens`, their stack (G, d, d), the
-        columns of their supports (where each differs from the identity) side
-        by side (d, C), and two place-value matrices that give the segments of
-        a product's rows: `weights` (C, G segments), block diagonal, for the
-        support columns of each generator, and `base` (d, G segments) for
-        the columns outside its support, which the product keeps."""
+        place values `base` (G segments, d^2) of the entries outside each
+        generator's support (the columns where it differs from the identity),
+        which a product keeps from its parent, and one group per support
+        size s: the positions of its generators among the G, their support
+        columns as rows (G_s s, d) and the place values of those columns'
+        entries (G_s, s, segments, d)."""
         firsts = {self.hs.identity.key(): -1}
         for k, (_, m) in enumerate(self.gens):
             firsts.setdefault(m.key(), k)
         index = np.array([k for k in firsts.values() if k >= first], dtype=np.intp)
         if not len(index):
             return None
-        places, ident = self._plan[0], self.hs.identity.arr
+        d, ident = self._d, self.hs.identity.arr
+        places = self._plan[0].reshape(d, d, -1)
         mats = [self.gens[k][1].arr for k in index]
         support = [np.flatnonzero((a != ident).any(axis=0)) for a in mats]
-        cols = np.concatenate(support)
-        owner = np.repeat(np.arange(len(mats)), [len(c) for c in support])
-        weights = np.zeros((len(cols), len(mats), places.shape[1]))
-        weights[np.arange(len(cols)), owner] = places[cols]
-        base = np.repeat(places[:, None], len(mats), axis=1)
-        base[cols, owner] = 0
-        columns = np.hstack([a[:, c] for a, c in zip(mats, support)])
-        return (index, np.stack(mats), columns,
-                weights.reshape(len(cols), -1), base.reshape(len(places), -1))
+        base = np.repeat(places.transpose(2, 0, 1)[None], len(mats), axis=0)
+        for g, cols in enumerate(support):
+            base[g, :, :, cols] = 0
+        sizes = np.array([len(cols) for cols in support])
+        groups = []
+        for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
+            at = np.flatnonzero(sizes == size)
+            group = [(mats[g][:, support[g]].T, places[:, support[g]].transpose(1, 2, 0))
+                     for g in at]
+            cols, weights = map(np.stack, zip(*group))
+            groups.append((at, cols.reshape(-1, d), weights))
+        return index, np.stack(mats), base.reshape(-1, d * d), groups
 
     def _expand(self, lo, hi, products):
         """Multiply elements lo..hi-1 by the generators of `products` (from
         `_products`) and keep the new products, in (element, generator)
         order; returns hi.  E g differs from E only in the columns of g's
-        support, so only those are multiplied; a product's segments are
-        its new columns against `weights` plus E's other columns against
-        `base`, sums of digits times places below m^digits <= 2^52, so
-        exact in float64.  The products of max(FLUSH, order) at a time are
-        coded in blocks of BLOCK and then deduplicated at once by `_keep`."""
-        d = self._d
-        index, stack, columns, weights, base = products
+        support, so only those are multiplied, one GEMM per support size;
+        a product's segments are its new columns against their place values
+        plus E's other entries against `base`, sums of digits times places
+        below m^digits <= 2^52, so exact in float64.  The products of
+        max(FLUSH, order) at a time are coded in blocks of BLOCK and then
+        deduplicated at once by `_keep`."""
+        d, ring = self._d, self.hs.ring
+        index, stack, base, groups = products
         ng = len(stack)
         step = max(1, BLOCK // ng)
         start = lo
@@ -451,22 +466,23 @@ class GroupClosure:
             stop = min(hi, start + step * max(1, max(FLUSH, self.order) // (step * ng)))
             codes = []
             for s in range(start, stop, step):
-                t = min(stop, s + step)
-                rows = self._rows[s:t].reshape(-1, d)
-                segs = mulmod_unpacked(self.hs.ring, rows, columns) @ weights + rows @ base
-                codes.append(self._words(segs.astype(np.uint64).reshape(t - s, d, ng, -1)))
+                rows = self._rows[s:min(stop, s + step)]
+                n = len(rows)
+                segs = (base @ rows.T).reshape(ng, -1, n)
+                for at, cols, places in groups:
+                    new = mulmod_unpacked(ring, cols, rows.reshape(-1, d).T)
+                    new = new.reshape(*places.shape[:2], n, d).swapaxes(2, 3)
+                    segs[at] += (places @ new).sum(axis=1)
+                codes.append(self._words(segs.transpose(1, 2, 0)))
             self._keep(np.concatenate(codes), start, index, stack)
             start = stop
         return hi
 
     def _keep(self, codes, start, index, gens):
         """Add the products whose codes are new, in order of first position in
-        the stream `codes` of (element start + p // ng, generator p % ng);
-        `gens` stacks the generators at `index` in `self.gens`."""
-        by_code = np.argsort(codes)
-        ranked = codes[by_code]
-        runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        uniq, firsts = ranked[runs], np.minimum.reduceat(by_code, runs)
+        the stream `codes` (which this overwrites) of (element start + p // ng,
+        generator p % ng); `gens` stacks the generators at `index` in `self.gens`."""
+        uniq, firsts = self._firsts(codes)
         at = np.searchsorted(self._codes, uniq)
         new = self._codes.take(at, mode="clip") != uniq  # past the end: last < code
         if not new.any():
@@ -481,27 +497,65 @@ class GroupClosure:
         self._append(parent, gen, gens, index)
         slots = np.empty(len(pos), dtype=np.intp)
         slots[by_pos] = np.arange(found, self._order)
-        self._codes = np.insert(self._codes, at[new], uniq[new])
-        self._slots = np.insert(self._slots, at[new], slots)
+        # the index grown once: the k-th new code lands k places after its
+        # insertion point, the old entries fill the rest in order
+        at = at[new] + np.arange(len(pos))
+        old = np.ones(len(self._codes) + len(pos), dtype=bool)
+        old[at] = False
+        self._codes = _merged(self._codes, old, at, uniq[new])
+        self._slots = _merged(self._slots, old, at, slots)
+
+    def _firsts(self, codes):
+        """The distinct codes of a stream, ascending, and the first position of
+        each; overwrites `codes`.  While a code and a position fit in 64 bits,
+        one in-place sort of code << shift | position orders both at once;
+        otherwise (full 64-bit or multi-word codes) an argsort and the least
+        position of each run of equal codes."""
+        shift = len(codes).bit_length()
+        if self._bits + shift <= 64:
+            codes <<= np.uint64(shift)
+            codes |= np.arange(len(codes), dtype=np.uint64)
+            codes.sort()
+            ranked = codes >> np.uint64(shift)
+            runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+            return ranked[runs], (codes[runs] & np.uint64((1 << shift) - 1)).astype(np.intp)
+        by_code = np.argsort(codes)
+        ranked = codes[by_code]
+        runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        return ranked[runs], np.minimum.reduceat(by_code, runs)
 
     def _append(self, parent, gen, gens, index):
         """Store the elements just counted in `order`, the products of the
-        rows `parent` by `gens[gen]`, recomputed BLOCK at a time."""
-        end, d = self.order, self._d
+        rows `parent` by `gens[gen]`: per generator, one GEMM of BLOCK matrix
+        rows at a time (taller products, threaded by BLAS, raised the peak
+        RSS of a capped Z/2, n = 4 closure by about 20 MB)."""
+        end, d, ring = self.order, self._d, self.hs.ring
         if end > len(self._rows):
             size = max(2 * len(self._rows), end)
             self._rows, self._parent, self._gen, self._depth = (
                 _grown(a, size)
                 for a in (self._rows, self._parent, self._gen, self._depth))
         begin = end - len(parent)
-        for s in range(0, len(parent), BLOCK):
-            p, g = parent[s:s + BLOCK], gen[s:s + BLOCK]
-            rows = mulmod(self.hs.ring, self._rows[p].reshape(-1, d, d), gens[g])
-            self._rows[begin + s:begin + s + len(p)] = rows.reshape(-1, d * d)
+        by_gen = np.argsort(gen, kind="stable")
+        bounds = np.searchsorted(gen[by_gen], np.arange(len(gens) + 1))
+        for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            for s in range(lo, hi, BLOCK // d):
+                at = by_gen[s:min(hi, s + BLOCK // d)]
+                rows = mulmod_unpacked(ring, self._rows[parent[at]].reshape(-1, d), gens[g])
+                self._rows[begin + at] = rows.reshape(len(at), -1)
         new = slice(begin, end)
         self._parent[new] = parent
         self._gen[new] = index[gen]
         self._depth[new] = self._depth[parent] + 1
+
+
+def _merged(a, old, at, values):
+    """`a` with `values` put at the positions `at` of the result and its own
+    entries, in order, at the positions where `old` is set."""
+    out = np.empty(len(old), dtype=a.dtype)
+    out[at] = values
+    out[old] = a
+    return out
 
 
 def _grown(a, size):

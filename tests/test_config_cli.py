@@ -301,6 +301,8 @@ def test_cli_enumerate_eu_dump_z2_n3(capsys, tmp_path):
                           "--out", str(out), "enumerate-eu")
     assert code == 0
     assert lines[0]["witness"] == "order=20160"
+    assert lines[1] == {"check": "eu.layers", "status": "pass", "witness":
+                        "layers=[1, 12, 96, 542, 2058, 5316, 7530, 4058, 541, 6] diameter=9"}
     # pinned before the batched closure engine replaced the per-element loop
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "2c55e4fe7a5e0c6fdad06f3adb2e3c4a3f5b3ab8b4f34148f8da0d07ac4c93b9")
@@ -405,7 +407,7 @@ SMALL_RANK_RUNS = [
     (1, ["verify-space"], 0, ("param.action_stable", "pass")),
     (1, ["verify-relations"], 1, ("relations.R9", "vacuous", "0 instances")),
     (1, ["decompose-u1", "X1(;0)"], 0, ("u1.eval_preserved", "pass")),
-    (1, ["enumerate-eu"], 0, ("eu.enumerate", "pass", "order=1")),
+    (1, ["enumerate-eu"], 0, ("eu.layers", "pass", "layers=[1] diameter=0")),
     (1, ["check-perfect"], 1, ("generation.u1_pair_closure", "pass", "order=1")),
     (1, ["free-identities"], 0, ("freewords.C6", "pass")),
     (1, ["check-dagger"], 2, ("cli", "error",
@@ -415,7 +417,7 @@ SMALL_RANK_RUNS = [
     (2, ["verify-space"], 0, ("param.action_stable", "pass")),
     (2, ["verify-relations"], 1, ("relations.R9", "pass", "32 instances")),
     (2, ["decompose-u1", "X2(;0)"], 0, ("u1.eval_preserved", "pass")),
-    (2, ["enumerate-eu"], 0, ("eu.enumerate", "pass", "order=36")),
+    (2, ["enumerate-eu"], 0, ("eu.layers", "pass", "layers=[1, 4, 8, 10, 8, 4, 1] diameter=6")),
     (2, ["check-perfect"], 2, ("cli", "error", "no admissible witness index; rank too small")),
     (2, ["free-identities"], 0, ("freewords.C6", "pass")),
     (2, ["check-dagger"], 2, ("cli", "error",

@@ -573,6 +573,17 @@ def _assert_words_hold_the_digits(cl, m, d):
     assert all(m ** (d * d) % v == 0 for v in spans)
 
 
+def _assert_plan_holds(cl, m, d):
+    """The code plan's invariants: every segment's largest value (all its
+    digits m - 1) is below 2^52, so exact in float64, the words hold the
+    digits, and there are as many words as uint64s of whole digits need."""
+    places, words = cl._plan
+    assert ((m - 1) * places.astype(np.int64)).sum(axis=0).max() < 2**52
+    _assert_words_hold_the_digits(cl, m, d)
+    per_word = max(k for k in range(1, 65) if m**k <= 2**64)
+    assert len(words) == -(-d * d // per_word) == cl._codes.itemsize // 8
+
+
 @pytest.mark.parametrize("space,words", [("hs_z2_n4", 1), ("hs_rich", 2)])
 def test_engine_on_both_code_widths(request, space, words):
     # d = 8: over Z/2 the codes use all 64 bits of one uint64 (the identity's
@@ -591,7 +602,7 @@ def test_engine_on_both_code_widths(request, space, words):
     assert cl._codes.itemsize == 8 * words
     if words == 1:
         assert cl._codes.dtype == np.uint64 and int(cl._codes.max()) >= 2**63
-    _assert_words_hold_the_digits(cl, hs.ring.modulus, 8)
+    _assert_plan_holds(cl, hs.ring.modulus, 8)
     # keys that are not rows of the closure
     assert hs.identity.key() in cl and hs.transvection_ij(3, 1, 1).key() not in cl
     assert b"" not in cl and bytes(65) not in cl and bytes(64) not in cl
@@ -601,16 +612,16 @@ def test_engine_on_both_code_widths(request, space, words):
 
 
 def test_engine_with_rows_coded_in_segments():
-    # 419^6 > 2^52: each matrix row is coded as two float64-exact segments,
-    # and the 36 digits take six uint64 words, one matrix row each
+    # 419^6 > 2^52 and 419^8 > 2^64: the 36 digits take six uint64 words of
+    # up to 7 digits, each cut into float64-exact segments of up to 5
     hs = make_hyperbolic(make_ring("residue", 419), 3)
     gens = [(None, gen_matrix(hs, Xij(1, 2, 1)))]
     cl = enumerate_eu(hs, gens=gens)
     mats, words = naive_closure(hs, gens)
     assert cl.order == 419 and list(cl) == list(mats)
     assert _mats(cl) == mats and _words(cl) == words
-    assert cl._codes.itemsize == 6 * 8 and len(cl._plan[0][0]) == 2
-    _assert_words_hold_the_digits(cl, 419, 6)
+    assert cl._codes.itemsize == 6 * 8 and len(cl._plan[1]) == 6
+    _assert_plan_holds(cl, 419, 6)
 
 
 _A, _B = ((0, 1), (1, 1)), ((1, 0), (0, 0))  # M_2(Z/2) arguments
@@ -670,6 +681,45 @@ def test_codes_from_the_parents_match_full_products(monkeypatch, engine_spaces, 
         full = mulmod_unpacked(hs.ring, cl._rows[start:start + n].reshape(-1, d), np.hstack(gens))
         assert codes == cl._code(full.reshape(n, d, len(gens), d)).tobytes()
     assert len({id(cl) for cl, *_ in kept}) == len(cases)
+
+
+@pytest.mark.parametrize("space,fits", [("hs_z2_n3", True), ("hs_z2_n4", False)])
+def test_keep_packs_code_and_position_only_where_they_fit(request, space, fits):
+    # a stream of 300 products of the identity (9 position bits): codes of 36
+    # bits leave room for the position, full 64-bit codes do not.  A and A'
+    # differ only in entry (0, 0), the top digit of a code, so a packed key
+    # that lost the top bits would take them for one code.  The first copies
+    # of M and N sit at 255 and 256, on both sides of 2^8.
+    hs = request.getfixturevalue(space)
+    d, ident = hs.identity.arr.shape[0], hs.identity.arr
+    rng = np.random.default_rng(7)
+    a, b, c, e, m, n = rng.integers(0, 2, (6, d, d)).astype(ident.dtype)
+    a2 = a.copy()
+    a2[0, 0] ^= 1
+    pool = [ident, a, a2, b, c, e]
+    stream = np.stack([pool[p % 6] if p < 255 else m if p == 255 else n if p == 256
+                       else [n, m, a2, b][p % 4] for p in range(300)])
+    cl = GroupClosure(hs)
+    assert (cl._bits + (300).bit_length() <= 64) == fits
+    codes = cl._code(stream.transpose(1, 0, 2)[None])
+    firsts = {}
+    for p, code in enumerate(codes.tolist()):
+        firsts.setdefault(code, p)
+    assert len(firsts) == 8
+    uniq, pos = cl._firsts(codes.copy())
+    assert uniq.tolist() == sorted(firsts) and pos.tolist() == [firsts[k] for k in sorted(firsts)]
+    # the new rows: the first copy of each matrix other than the identity
+    cl._keep(codes, 0, np.arange(len(stream)), stream)
+    seen, expect = {ident.tobytes()}, []
+    for p, mat in enumerate(stream):
+        if mat.tobytes() not in seen:
+            seen.add(mat.tobytes())
+            expect.append(p)
+    assert expect == [1, 2, 3, 4, 5, 255, 256]
+    assert cl.order == 1 + len(expect) and cl.word(6) == (255,) and cl.word(7) == (256,)
+    assert (cl._rows[1:cl.order] == stream[expect].reshape(len(expect), -1)).all()
+    assert [cl.index(stream[p].tobytes()) for p in expect] == list(range(1, cl.order))
+    assert (np.diff(cl._codes.astype(object)) > 0).all()
 
 
 def test_commutator_seeds_keep_their_first_order(z3n):

@@ -17,7 +17,6 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # names that nothing runs yet, each with the ROADMAP item that will run it
 RESERVED = {
-    "layers": "item 6: `enumerate-eu` prints the closure's layer sizes",
     "kernel_is_central": "items 1-2: the Spin and W(E8) extensions call it",
 }
 
