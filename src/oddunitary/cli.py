@@ -109,12 +109,13 @@ def cmd_check_perfect(cfg, args) -> Report:
         for check in ("perfect.commutator_closure", "generation.u1_pair_closure"):
             rep.add(check, "error", witness=str(exc))
         return rep
+    # both subgroups lie in EU, so each equals it exactly when the orders agree
     rep.add("perfect.commutator_closure",
-            "pass" if set(cc) == set(closure.keys()) else "fail",
+            "pass" if cc.order == closure.order else "fail",
             witness=f"order={closure.order}")
     rep.add("generation.u1_pair_closure",
-            "pass" if set(sub) == set(closure.keys()) else "fail",
-            witness=f"order={len(sub)}")
+            "pass" if sub.order == closure.order else "fail",
+            witness=f"order={sub.order}")
     return rep
 
 

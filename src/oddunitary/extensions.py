@@ -192,16 +192,12 @@ def verify_section(E: ProductExtension, table: dict, strategy="exhaustive",
     """Every relation family with S substituted for X, plus eps(sigma) = id."""
     hs = E.hs
     rep = Report()
-    gens = list(table)
-    same = np.equal([E.eps(t).arr for t in table.values()],
-                    [gen_matrix(hs, g).arr for g in gens])
-    bad = np.flatnonzero(~same.reshape(len(gens), hs.identity.arr.size).all(axis=1))
-    bad = bad[:1].tolist()
-    rep.add("section.eps_sigma", "fail" if bad else "pass",
-            witness=repr(gens[bad[0]]) if bad else None)
-    if bad and stop_on_fail:
+    bad = next((g for g, t in table.items() if E.eps(t) != gen_matrix(hs, g)), None)
+    rep.add("section.eps_sigma", "pass" if bad is None else "fail",
+            witness=None if bad is None else repr(bad))
+    if bad is not None and stop_on_fail:
         return rep
-    by_code = dict(zip(gen_codes(hs, gens).tolist(), table.values()))
+    by_code = dict(zip(gen_codes(hs, table).tolist(), table.values()))
     memo = E.letter_memo(by_code.__getitem__)
     rep.extend(sweep_relations(hs, "section", lambda codes: E.eval_rows(codes, memo),
                                strategy, seed, samples, stop_on_fail=stop_on_fail))

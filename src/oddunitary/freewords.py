@@ -1,24 +1,24 @@
 """Free-group words with exact reduction; the commutation identities C1-C6.
 
-A word is a tuple of (letter, exponent) with exponent +1 or -1.  The
-identities are verified by free reduction, which suffices: word identities
-that reduce to the empty word hold in every group under every substitution.
+A word is a tuple of (letter, exponent) with exponent +1 or -1, built with
+the word algebra of `generators`.  The identities are verified by free
+reduction, which suffices: word identities that reduce to the empty word
+hold in every group under every substitution.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from functools import cache
+from itertools import chain
+from typing import Callable
 
-from .generators import winv as inverse, wmul as concat
+from .generators import commutator_word, winv, wmul, word
 from .report import DEFAULT_SEED, Report
 
-IDENTITY_IDS = ("C1", "C2", "C3", "C4", "C5", "C6")
 ROUNDS = 100  # seeded random substitutions per identity
 MAX_LEN = 8  # letters of a random substituted word, at most
-
-
-def gen(symbol) -> tuple:
-    return ((symbol, 1),)
 
 
 def reduce_word(w) -> tuple:
@@ -34,91 +34,91 @@ def reduce_word(w) -> tuple:
 
 def conj(x, y) -> tuple:
     """^x y = x y x^-1, reduced."""
-    return reduce_word(concat(x, y, inverse(x)))
+    return reduce_word(wmul(x, y, winv(x)))
 
 
 def comm(x, y) -> tuple:
     """Left-normed commutator [x, y] = x y x^-1 y^-1, reduced."""
-    return reduce_word(concat(x, y, inverse(x), inverse(y)))
+    return reduce_word(commutator_word(x, y))
 
 
 def substitute(w, assignment) -> tuple:
     """Replace each letter by the assigned word (a free-group endomorphism)."""
-    out = []
-    for s, e in w:
-        repl = assignment[s]
-        out.extend(repl if e == 1 else inverse(repl))
-    return reduce_word(tuple(out))
+    return reduce_word(chain.from_iterable(
+        assignment[s] if e == 1 else winv(assignment[s]) for s, e in w))
 
 
-def _identity_sides(cid: str, m: int = 4):
-    x, y, z = gen("x"), gen("y"), gen("z")
-    if cid == "C1":
-        return comm(concat(x, y), z), concat(conj(x, comm(y, z)), comm(x, z))
-    if cid == "C2":
-        return comm(x, concat(y, z)), concat(comm(x, y), conj(y, comm(x, z)))
-    if cid == "C3":
-        ys = [gen(f"y{k}") for k in range(1, m + 1)]
-        lhs = comm(x, concat(*ys))
-        parts = []
-        prefix = ()
-        for yk in ys:
-            parts.append(conj(prefix, comm(x, yk)))
-            prefix = concat(prefix, yk)
-        return lhs, concat(*parts)
-    if cid == "C4":
-        return (
-            concat(comm(x, y), comm(x, z)),
-            concat(comm(x, concat(y, z)), comm(y, comm(z, x))),
-        )
-    if cid == "C5":
-        lhs = concat(
-            conj(y, comm(x, comm(inverse(y), z))),
-            conj(z, comm(y, comm(inverse(z), x))),
-            conj(x, comm(z, comm(inverse(x), y))),
-        )
-        return lhs, ()
-    if cid == "C6":
-        return (
-            conj(z, comm(y, comm(inverse(z), x))),
-            comm(conj(z, y), comm(x, z)),
-        )
-    raise ValueError(f"unknown identity id {cid!r}")
+@dataclass(frozen=True)
+class Identity:
+    """A word identity, checked at each product length m in `ms`: `letters(m)`
+    names its letters, and `sides` builds its two sides from their words."""
+
+    ms: tuple
+    letters: Callable
+    sides: Callable
 
 
-def identity_variables(cid: str, m: int = 4):
-    if cid == "C3":
-        return ("x",) + tuple(f"y{k}" for k in range(1, m + 1))
+def _xyz(m):
     return ("x", "y", "z")
+
+
+# Adding an identity means adding one entry here.
+IDENTITIES = {
+    "C1": Identity((4,), _xyz, lambda x, y, z: (
+        comm(wmul(x, y), z), wmul(conj(x, comm(y, z)), comm(x, z)))),
+    "C2": Identity((4,), _xyz, lambda x, y, z: (
+        comm(x, wmul(y, z)), wmul(comm(x, y), conj(y, comm(x, z))))),
+    # [x, y1 ... ym] = prod_k ^(y1 ... y(k-1)) [x, yk]
+    "C3": Identity((2, 3, 4, 5, 6, 7, 8),
+                   lambda m: ("x",) + tuple(f"y{k}" for k in range(1, m + 1)),
+                   lambda x, *ys: (comm(x, wmul(*ys)), wmul(
+                       *(conj(wmul(*ys[:k]), comm(x, y)) for k, y in enumerate(ys))))),
+    "C4": Identity((4,), _xyz, lambda x, y, z: (
+        wmul(comm(x, y), comm(x, z)), wmul(comm(x, wmul(y, z)), comm(y, comm(z, x))))),
+    # the Hall-Witt identity: its three conjugates cycle (x, y, z)
+    "C5": Identity((4,), _xyz, lambda x, y, z: (
+        wmul(*(conj(b, comm(a, comm(winv(b), c))) for a, b, c in
+               ((x, y, z), (y, z, x), (z, x, y)))), ())),
+    "C6": Identity((4,), _xyz, lambda x, y, z: (
+        conj(z, comm(y, comm(winv(z), x))), comm(conj(z, y), comm(x, z)))),
+}
+IDENTITY_IDS = tuple(IDENTITIES)
+
+
+@cache
+def _sides(identity: Identity, m: int):
+    """The two sides of `identity` at length m in its letters, built once."""
+    return identity.sides(*map(word, identity.letters(m)))
 
 
 def verify_identity(cid: str, assignment=None, m: int = 4) -> bool:
     """Substitute, reduce both sides, compare; default assignment is the letters."""
+    if cid not in IDENTITIES:
+        raise ValueError(f"unknown identity id {cid!r}")
     if not 2 <= m <= 8:
-        raise ValueError("C3 product length must be between 2 and 8")
-    lhs, rhs = _identity_sides(cid, m)
+        raise ValueError(f"product length m={m} outside 2..8")
+    identity = IDENTITIES[cid]
+    lhs, rhs = _sides(identity, m)
     if assignment is None:
-        assignment = {v: gen(v) for v in identity_variables(cid, m)}
+        assignment = {v: word(v) for v in identity.letters(m)}
     return substitute(lhs, assignment) == substitute(rhs, assignment)
 
 
 def random_assignment(cid: str, rng: random.Random, m: int = 4) -> dict:
-    symbols = ["a", "b", "c", "d"]
-    out = {}
-    for v in identity_variables(cid, m):
-        length = rng.randint(0, MAX_LEN)
-        w = tuple([(rng.choice(symbols), rng.choice((1, -1))) for _ in range(length)])
-        out[v] = reduce_word(w)
-    return out
+    """A random reduced word in a, b, c, d for each letter of `cid` at length m."""
+    return {v: reduce_word([(rng.choice("abcd"), rng.choice((1, -1)))
+                            for _ in range(rng.randint(0, MAX_LEN))])
+            for v in IDENTITIES[cid].letters(m)}
 
 
-def _substitutions(cid, ms, rng):
-    """(m, assignment): the letters themselves for each m, then ROUNDS
+def _substitutions(cid, rng):
+    """(m, assignment): the letters themselves at each length, then ROUNDS
     seeded random words."""
-    for m in ms:
-        yield m, {v: gen(v) for v in identity_variables(cid, m)}
+    identity = IDENTITIES[cid]
+    for m in identity.ms:
+        yield m, {v: word(v) for v in identity.letters(m)}
     for _ in range(ROUNDS):
-        m = rng.choice(ms)
+        m = rng.choice(identity.ms)
         yield m, random_assignment(cid, rng, m)
 
 
@@ -126,9 +126,7 @@ def verify_identities(seed=DEFAULT_SEED) -> Report:
     """C1-C6 with canonical letters plus seeded random word substitutions."""
     rep = Report()
     for cid in IDENTITY_IDS:
-        ms = (2, 3, 4, 5, 6, 7, 8) if cid == "C3" else (4,)
-        rep.sweep(f"freewords.{cid}",
-                  _substitutions(cid, ms, random.Random(f"{seed}|{cid}")),
+        rep.sweep(f"freewords.{cid}", _substitutions(cid, random.Random(f"{seed}|{cid}")),
                   lambda case: verify_identity(cid, case[1], m=case[0]),
                   lambda case: "m={}, {!r}".format(*case), "substitutions", seed)
     return rep

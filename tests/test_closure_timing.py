@@ -36,3 +36,11 @@ def test_cyclic_closure_exits_on_its_order():
     assert closure_timing.measure([sys.executable, "-c", small], ENV)[2] == 0
     wrong = small.replace("!= 101", "!= 102")
     assert closure_timing.measure([sys.executable, "-c", wrong], ENV)[2] == 1
+
+
+def test_children_run_with_one_blas_thread():
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    check = f"import os, sys; sys.exit([os.environ.get(k) for k in {names!r}] != ['1'] * 3)"
+    assert closure_timing.measure([sys.executable, "-c", check], closure_timing.child_env())[2] == 0
+    bare = {k: v for k, v in ENV.items() if k not in names}
+    assert closure_timing.measure([sys.executable, "-c", check], bare)[2] == 1

@@ -4,18 +4,18 @@ import pytest
 
 from oddunitary import freewords
 from oddunitary.freewords import (
+    IDENTITIES,
     IDENTITY_IDS,
+    Identity,
     comm,
-    concat,
     conj,
-    gen,
-    inverse,
     random_assignment,
     reduce_word,
     substitute,
     verify_identities,
     verify_identity,
 )
+from oddunitary.generators import winv as inverse, wmul as concat, word as gen
 
 x, y = gen("x"), gen("y")
 
@@ -96,3 +96,28 @@ def test_substitute_is_homomorphism():
     lhs = substitute(reduce_word(concat(w1, w2)), assignment)
     rhs = reduce_word(concat(substitute(w1, assignment), substitute(w2, assignment)))
     assert lhs == rhs
+
+
+def test_each_identity_and_length_builds_its_sides_once():
+    freewords._sides.cache_clear()
+    rep = verify_identities(seed=3293)
+    assert rep.ok
+    # one length for each of five identities, seven for C3
+    assert freewords._sides.cache_info().misses == 12 == sum(
+        len(identity.ms) for identity in IDENTITIES.values())
+
+
+@pytest.mark.parametrize("cid", IDENTITY_IDS)
+def test_a_wrong_side_fails_only_its_identity(monkeypatch, cid):
+    right = IDENTITIES[cid]
+    # the right-hand side times the first letter's word: never equal
+    monkeypatch.setitem(IDENTITIES, cid, Identity(right.ms, right.letters, lambda *ws: (
+        right.sides(*ws)[0], concat(right.sides(*ws)[1], ws[0]))))
+    rep = verify_identities(seed=3293)
+    assert [r.check for r in rep.failures()] == [f"freewords.{cid}"]
+    assert [r.status for r in rep] == ["fail" if r.check == f"freewords.{cid}" else "pass"
+                                       for r in rep]
+    m = right.ms[0]
+    assert rep.failures()[0].witness == "m={}, {!r}".format(
+        m, {v: gen(v) for v in right.letters(m)})
+    assert not verify_identity(cid, m=m)

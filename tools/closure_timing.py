@@ -10,12 +10,13 @@ The runs are `check-perfect` on each `configs/*.cfg` at the default cap
 record and exit 1) and the cyclic closure of X12(1) over Z/10007 at
 n = 2, 10,007 elements in as many breadth-first layers of one element,
 which exits 0 when it finds that order.  Each is run RUNS times, one
-process per run, with the package from `src/` next to this script and its
-output discarded.  One line per run gives the median wall time, the median
-peak resident set size of the child (its `ru_maxrss`, from `os.wait4`;
-Linux counts in it the peak of this process, which starts the child, but
-that is a bare interpreter, below every run's own peak) and the exit code
-of every run, so that a flaky exit shows.  Run it on two checkouts, one
+process per run, with the package from `src/` next to this script, one
+BLAS thread (as the benchmark runs) and its output discarded.  One line
+per run gives the median wall time, the median peak resident set size of
+the child (its `ru_maxrss`, from `os.wait4`; Linux counts in it the peak
+of this process, which starts the child, but that is a bare interpreter,
+below every run's own peak) and the exit code of every run, so that a
+flaky exit shows.  Run it on two checkouts, one
 after the other on an otherwise idle host, to compare them.
 """
 
@@ -49,6 +50,13 @@ def runs():
     yield "z10007_n2.cyclic-closure", [sys.executable, "-c", CYCLIC]
 
 
+def child_env():
+    """This process's environment with the package from `src/` on the path
+    and one BLAS thread, as `perfbench/run.py` pins it."""
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
+                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
 def measure(command, env=None):
     """Run `command` once; return its wall time in s, its peak RSS in MB and
     its exit code."""
@@ -63,7 +71,7 @@ def measure(command, env=None):
 
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = child_env()
     print(f"{'run':<28} {'wall_s':>7} {'peak_rss_mb':>12}  exit")
     for name, command in runs():
         walls, peaks, codes = zip(*(measure(command, env) for _ in range(RUNS)))
