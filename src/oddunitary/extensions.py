@@ -8,7 +8,10 @@ commutators of preimages, over the generator pairs that prove the group
 perfect, and verified against every relation family.  The dagger and
 section checks run on the relation sweep's chunk loop
 (`steinberg.sweep_family`), which evaluates chunks of letter-code words at
-once (`eval_rows`), each letter built once per check (`letter_memo`).
+once (`eval_rows`), each letter built once per check (`letter_memo`).  A
+section table is read through the space's generator index (`gen_index`):
+one lookup per entry, eps(sigma) = id as one comparison of stacked
+matrices, and the letter codes from the index.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from _blake2 import blake2b
 
 import numpy as np
 
-from .generators import Xij, decode_gen, format_word, gen_codes, generators, word
+from .generators import Xij, decode_gen, format_word, generators, word
 from .hyperbolic import HyperbolicSpace, gen_matrix
 from .matrices import Mat
 from .report import DEFAULT_SEED, Report, WorkbenchError
@@ -189,17 +192,27 @@ def section_eval(E: ProductExtension, table: list, codes):
 
 def verify_section(E: ProductExtension, table: dict, strategy="exhaustive",
                    seed=DEFAULT_SEED, samples=256, stop_on_fail=False) -> Report:
-    """Every relation family with S substituted for X, plus eps(sigma) = id."""
+    """Every relation family with S substituted for X, plus eps(sigma) = id,
+    whose witness is the first wrong entry in table order.  Each generator
+    needs one entry, in any order; a missing one or another key raises ValueError."""
     hs = E.hs
+    position, codes, mats = hs.gen_index
+    keys = list(table)
+    try:
+        at = [position[g] for g in keys]
+    except KeyError as err:
+        raise ValueError(f"not a generator: {err.args[0]!r}") from None
+    if len(at) < len(position):
+        missing = next(g for g in position if g not in table)
+        raise ValueError(f"no section entry for {missing!r}")
+    wrong = (np.array([E.eps(t).arr for t in table.values()]) != mats[at]).any(axis=(1, 2))
+    bad = repr(keys[wrong.argmax()]) if wrong.any() else None
     rep = Report()
-    bad = next((g for g, t in table.items() if E.eps(t) != gen_matrix(hs, g)), None)
-    rep.add("section.eps_sigma", "pass" if bad is None else "fail",
-            witness=None if bad is None else repr(bad))
+    rep.add("section.eps_sigma", "pass" if bad is None else "fail", witness=bad)
     if bad is not None and stop_on_fail:
         return rep
-    by_code = dict(zip(gen_codes(hs, table).tolist(), table.values()))
-    memo = E.letter_memo(by_code.__getitem__)
-    rep.extend(sweep_relations(hs, "section", lambda codes: E.eval_rows(codes, memo),
+    memo = E.letter_memo(dict(zip(codes[at].tolist(), table.values())).__getitem__)
+    rep.extend(sweep_relations(hs, "section", lambda rows: E.eval_rows(rows, memo),
                                strategy, seed, samples, stop_on_fail=stop_on_fail))
     return rep
 
@@ -208,6 +221,8 @@ def mutate_section(E: ProductExtension, table: dict, gen, delta: int) -> dict:
     """Multiply one S-entry by a central element (id, delta)."""
     if delta % E.a_order == 0:
         raise ValueError("mutation must use a nontrivial central element")
+    if gen not in table:
+        raise ValueError(f"no section entry for {gen!r}")
     out = dict(table)
     out[gen] = E.mul(out[gen], (E.hs.identity, delta % E.a_order))
     return out

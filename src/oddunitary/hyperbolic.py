@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .forms import FormParameter, OddQuadraticSpace, zero_space
-from .generators import Xi, Xij, format_word, generators
+from .generators import Xi, Xij, format_word, gen_codes, generators
 from .matrices import Mat, _readonly, mulmod, mulmod_unpacked
 from .report import DEFAULT_CAP, CapExceeded, NotInvertible, WorkbenchError
 from .rings import member, place_values
@@ -106,6 +106,15 @@ class HyperbolicSpace(OddQuadraticSpace):
         super().__init__(ring, gram, parameter)
         self.identity = Mat.identity(ring, self.rank)
         self.gen_mats = {}  # generator -> its transvection, filled by gen_matrix
+
+    @cached_property
+    def gen_index(self):
+        """The generators of `generators(self)`: a dict of their positions,
+        their codes, and their transvections as one stack of `Mat.arr`, in
+        that order.  Built on first use, for the section checks."""
+        gens = list(generators(self))
+        return ({g: k for k, g in enumerate(gens)}, gen_codes(self, gens),
+                np.stack([gen_matrix(self, g).arr for g in gens]))
 
     @cached_property
     def l0(self):

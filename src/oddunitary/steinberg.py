@@ -50,8 +50,9 @@ class LetterMemo:
     the code of each slot, and `sorted` and `slots` are the codes in
     increasing order and their slots.  Slot 0 holds `identity`, the value of
     the code 0 and of an empty row.  `letter(c)` builds the values of a
-    code c != 0 the first time a chunk holds it, one entry per stack, and
-    `OutsideL0` is raised instead for a letter outside `hs.l0`.  The first
+    code c != 0 the first time a chunk holds it, one entry per stack (each
+    batch joins a stack as one array of its dtype), and `OutsideL0` is
+    raised instead for a letter outside `hs.l0`.  The first
     stack holds matrices (`Mat.arr`), which `products` multiplies along the
     rows.
     """
@@ -72,7 +73,7 @@ class LetterMemo:
             if outside_l0(self.hs, new).any():
                 raise OutsideL0("a letter X_i(xi) with xi outside the parameter")
             built = zip(*map(self.letter, new.tolist()))
-            self.values = tuple(np.concatenate([old, np.stack(part)])
+            self.values = tuple(np.concatenate([old, np.array(part, dtype=old.dtype)])
                                 for old, part in zip(self.values, built))
             self.codes = np.concatenate([self.codes, new])
             self.slots = self.codes.argsort()

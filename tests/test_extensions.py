@@ -389,13 +389,14 @@ def test_eps_sigma_names_the_first_wrong_entry(ext_z2, section_z2):
     hs = ext_z2.hs
     gens = list(section_z2)
     wrong = hs.transvection_ij(1, 2, 1)
-    for picks in ([7], [40, 7], [len(gens) - 1]):
-        table = dict(section_z2)
+    # the table's keys in generator order, then reversed
+    for reverse, picks in itertools.product((False, True), ([7], [40, 7], [len(gens) - 1])):
+        table = dict(reversed(section_z2.items()) if reverse else section_z2.items())
         for k in picks:
             table[gens[k]] = (wrong, table[gens[k]][1])
         # the entry-by-entry reference
         first = next(g for g, t in table.items() if ext_z2.eps(t) != gen_matrix(hs, g))
-        assert first == gens[min(picks)]
+        assert first == gens[max(picks) if reverse else min(picks)]
         got = verify_section(ext_z2, table, stop_on_fail=True)
         assert [(r.check, r.status, r.witness) for r in got] == [
             ("section.eps_sigma", "fail", repr(first))]
@@ -423,6 +424,84 @@ def _per_case_section_records(E, table):
                          lambda c, rid=rid: f"{rid}{c[0]!r}"):
             break
     return rep
+
+
+@pytest.mark.parametrize("space, order", [("hs_z2_n4", 2), ("hs_z3v0_n4", 3)])
+def test_section_records_match_the_per_case_sweep_in_any_key_order(space, order):
+    # the seeded chooser's preimages of the generators (nonzero central
+    # parts, so a relation fails), keyed in generator order and reversed
+    hs = ROW_SPACES[space]
+    ext = product_extension(hs, order, chooser_seed=3293)
+    chosen = {g: ext.chooser(gen_matrix(hs, g)) for g in generators(hs)}
+    for table in (chosen, dict(reversed(chosen.items()))):
+        got = verify_section(ext, table, stop_on_fail=True)
+        assert got.to_json_lines() == _per_case_section_records(ext, table).to_json_lines()
+        assert not got.ok
+
+
+def test_verify_section_rejects_a_key_outside_the_generators(ext_z2, section_z2):
+    # Xij(1, 2, 5) is no generator over Z/2, and `gen_codes` gives it the
+    # code of Xij(1, 4, 1), since `arr_codes` does not reduce 5
+    for key in (Xij(1, 2, 5), Xij(1, 1, 1), "junk"):
+        table = dict(section_z2)
+        table[key] = section_z2[Xij(1, 2, 1)]
+        with pytest.raises(ValueError, match=re.escape(f"not a generator: {key!r}")):
+            verify_section(ext_z2, table)
+
+
+def test_verify_section_rejects_a_missing_generator(ext_z2, section_z2):
+    table = dict(section_z2)
+    del table[Xij(1, 4, 1)]
+    message = re.escape(f"no section entry for {Xij(1, 4, 1)!r}")
+    with pytest.raises(ValueError, match=message):
+        verify_section(ext_z2, table, stop_on_fail=True)
+
+
+def test_mutate_section_rejects_an_absent_generator(ext_z2, section_z2):
+    table = dict(section_z2)
+    del table[Xij(1, 2, 0)]
+    message = re.escape(f"no section entry for {Xij(1, 2, 0)!r}")
+    with pytest.raises(ValueError, match=message):
+        mutate_section(ext_z2, table, Xij(1, 2, 0), 1)
+
+
+@pytest.mark.parametrize("space", sorted(ROW_SPACES))
+def test_gen_index_matches_codes_and_transvections(space):
+    hs = ROW_SPACES[space]
+    assert "gen_index" not in make_hyperbolic(hs.ring, 4, hs.v0).__dict__  # lazy
+    position, codes, mats = hs.gen_index
+    gens = list(generators(hs))
+    assert list(position.items()) == [(g, k) for k, g in enumerate(gens)]
+    assert codes.tolist() == gen_codes(hs, gens).tolist()
+    assert mats.dtype == hs.ring.dtype
+    assert mats.shape == (len(gens),) + hs.identity.arr.shape
+    for g, m in zip(gens, mats):
+        assert (m == gen_matrix(hs, g).arr).all()
+    # the one-index letters of the symplectic V0 are not all trivial
+    nontrivial = {type(g) for g, m in zip(gens, mats) if (m != hs.identity.arr).any()}
+    assert nontrivial == ({Xij, Xi} if hs.v0.rank else {Xij})
+    assert hs.gen_index is hs.gen_index
+
+
+def test_letter_stacks_keep_their_dtypes(hs_z3v0_n4):
+    # matrices in the ring's entry dtype and central parts in int64, from
+    # a chooser with nonzero central parts, inverses included
+    hs = hs_z3v0_n4
+    ext = product_extension(hs, 3, chooser_seed=3293)
+    gens = list(generators(hs))[::7]
+    codes = gen_codes(hs, gens)
+    elements = dict(zip(codes.tolist(), (ext.chooser(gen_matrix(hs, g)) for g in gens)))
+    memo = ext.letter_memo(elements.__getitem__)
+    slots = memo.slots_of(np.stack([codes, -codes]))
+    mats, parts = memo.values
+    assert mats.dtype == hs.ring.dtype and parts.dtype == np.int64
+    for k, c in enumerate(codes.tolist()):
+        for row, x in ((0, elements[c]), (1, ext.inv(elements[c]))):
+            assert (mats[slots[row, k]] == x[0].arr).all() and parts[slots[row, k]] == x[1]
+    assert any(parts)
+    memo = steinberg.letter_memo(hs)
+    memo.slots_of(codes[None])
+    assert memo.values[0].dtype == hs.ring.dtype and len(memo.values[0]) == len(gens) + 1
 
 
 @pytest.mark.parametrize("chunk", [256, 7, 5])
