@@ -7,6 +7,7 @@ left-to-right (first generator applied first).
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -268,6 +269,7 @@ def eu_generators(hs: HyperbolicSpace):
 
 BLOCK = 8192  # products per numpy block of the closure engine
 FLUSH = 1 << 16  # products deduplicated at once, at least: the flush is max(FLUSH, order)
+TABLE_ROWS = 1 << 12  # most row vectors m^d for which a closure multiplies by lookup tables
 
 
 def _code_plan(m, d):
@@ -299,19 +301,27 @@ def _code_plan(m, d):
 class GroupClosure:
     """Closure of generator matrices under right multiplication, breadth first.
 
-    Elements are the rows of one packed unsigned array over Z/m (`Mat.arr`
-    flattened, so a row's bytes are `Mat.key()`), numbered in discovery order.
-    Each element has one code, its entries as base-m digits: a uint64 while
-    m^(d^2) <= 2^64, else the bytes of the uint64 words that hold the digits.
-    The codes, sorted, with the position of each element, are the closure's
-    only index, so `index(mat.key())` and `mat.key() in closure` are one
-    binary search.  Each element stores its parent, the index in `gens` of
-    the generator that reached it, and its depth, the length of that word;
-    `mat(i)` and `word(i)` build the `Mat` or the word at position i.
-    Only the first copy of each distinct generator matrix other than the
-    identity is multiplied: if g_k = g_j with j < k, E g_k = E g_j comes
-    earlier in the product stream or is already an element, and E I = E, so
-    a skipped product is never new.
+    Elements are numbered in discovery order; their row bytes are those of
+    `Mat.key()`.  Each element has one code, its entries as base-m digits: a
+    uint64 while m^(d^2) <= 2^64, else the bytes of the uint64 words that
+    hold the digits.  The codes, sorted, with the position of each element,
+    are the closure's only index, so `index(mat.key())` and `mat.key() in
+    closure` are one binary search.  Each element stores its parent, the
+    index in `gens` of the generator that reached it, and its depth, the
+    length of that word; `mat(i)` and `word(i)` build the `Mat` or the word
+    at position i.  Only the first copy of each distinct generator matrix
+    other than the identity is multiplied: if g_k = g_j with j < k, E g_k =
+    E g_j comes earlier in the product stream or is already an element, and
+    E I = E, so a skipped product is never new.
+
+    A product is taken one of two ways, fixed per closure by m and d.  Row r
+    of E g is (row r of E) g, so g permutes the M = m^d row vectors.  While
+    a code is one uint64 and M <= TABLE_ROWS, each generator becomes lookup
+    tables over the row codes (a row vector's digits as a number below M),
+    each element is stored as its d row codes, and a product's code and row
+    codes are gathers (`_table_codes`, `_append`).  Otherwise each element
+    is stored as its packed entries over Z/m, and the products come from
+    GEMMs on the generator's support (`_gemm_codes`, `_append`).
     """
 
     def __init__(self, hs: HyperbolicSpace, cap=DEFAULT_CAP, what="closure"):
@@ -320,18 +330,25 @@ class GroupClosure:
         self._cap = cap
         self._what = what
         ident = hs.identity
-        self._d = ident.arr.shape[0]
+        d = self._d = ident.arr.shape[0]
         m = hs.ring.base_modulus
-        self._plan = _code_plan(m, self._d)
-        self._bits = (m ** self._d**2 - 1).bit_length()  # of a code
-        self._rows = ident.arr.reshape(1, -1).copy()
+        self._plan = _code_plan(m, d)
+        self._bits = (m ** d**2 - 1).bit_length()  # of a code
         self._key = np.dtype((np.void, ident.arr.nbytes))  # a row's bytes
+        self._digits = None  # on the table path, the digits of each row code
+        self._elems = ident.arr.reshape(1, -1).copy()  # one element a row
+        if self._bits <= 64 and m**d <= TABLE_ROWS:
+            places = place_values(m, d)
+            self._digits = (np.arange(m**d)[:, None] // places % m).astype(ident.arr.dtype)
+            self._elems = (ident.arr @ places).astype(np.min_scalar_type(m**d - 1))[None]
         self._parent = np.array([-1])
         self._gen = np.array([-1], dtype=np.int32)
         self._depth = np.array([0], dtype=np.int32)
         self._order = 1
         self._codes = self._code(ident.arr[None, :, None])  # sorted
         self._slots = np.zeros(1, dtype=np.intp)  # the element of each code
+        self._distinct = {ident.key(): -1}  # matrix key: index in gens of its first copy
+        self._index, self._parts = [], []  # the multiplied generators and their `_part`
 
     @property
     def order(self):
@@ -342,9 +359,9 @@ class GroupClosure:
 
     def __iter__(self):
         """Row bytes in discovery order."""
-        for start in range(0, self._order, FLUSH):
-            rows = self._rows[start:min(self._order, start + FLUSH)]
-            yield from rows.view(self._key).ravel().tolist()
+        return itertools.chain.from_iterable(
+            self._entries(start, min(self._order, start + FLUSH)).view(self._key).ravel().tolist()
+            for start in range(0, self._order, FLUSH))
 
     def __contains__(self, key):
         return self.index(key) >= 0
@@ -358,6 +375,13 @@ class GroupClosure:
         """Number of elements at each word length; for a closure from the
         identity under all generators, the breadth-first layer sizes."""
         return np.bincount(self._depth[:self.order]).tolist()
+
+    def _entries(self, lo, hi):
+        """The packed entries of elements lo..hi-1, one flattened matrix a row."""
+        elems = self._elems[lo:hi]
+        if self._digits is None:
+            return elems
+        return self._digits.take(elems, axis=0).reshape(len(elems), -1)
 
     def _code(self, res):
         """The codes of the matrices (:, g, :) of each block of a stack (N, d,
@@ -388,7 +412,7 @@ class GroupClosure:
         """The position of the element whose row bytes are `key`, or -1."""
         if not isinstance(key, bytes) or len(key) != self._key.itemsize:
             return -1
-        row = np.frombuffer(key, dtype=self._rows.dtype)
+        row = np.frombuffer(key, dtype=self.hs.ring.dtype)
         if (row >= self.hs.ring.base_modulus).any():
             return -1
         code = self._code(row.reshape(1, self._d, 1, self._d))
@@ -397,8 +421,8 @@ class GroupClosure:
 
     def mat(self, i):
         """The element at position i, as a `Mat`."""
-        row = self._rows[:self._order][i]  # the rows past the order are not elements
-        return Mat.from_arr(self.hs.ring, row.reshape(self._d, self._d))
+        i = range(self._order)[i]  # the rows past the order are not elements
+        return Mat.from_arr(self.hs.ring, self._entries(i, i + 1).reshape(self._d, self._d))
 
     def word(self, i):
         """The word of the element at position i, as indices into `gens`."""
@@ -412,85 +436,109 @@ class GroupClosure:
         """Add generators [(label, Mat)] and close: every element times each
         new generator, then every new element times all generators, in queue
         order, until no new element appears."""
-        old, first = self.order, len(self.gens)
+        old, first, known = self.order, len(self.gens), len(self._index)
         self.gens.extend(gens)
-        new = self._products(first)
-        if new is None:  # no new generator, or each is the identity or a repeat
+        for k in range(first, len(self.gens)):
+            mat = self.gens[k][1]
+            if self._distinct.setdefault(mat.key(), k) == k:
+                self._index.append(k)
+                self._parts.append(self._part(mat.arr))
+        if len(self._index) == known:  # no new generator, or each is the identity or a repeat
             return
+        new = self._products(known)
         self._expand(0, old, new)
-        every = new if first == 0 else self._products(0)
+        every = new if known == 0 else self._products(0)
         head = old
         while head < self.order:
             head = self._expand(head, self.order, every)
 
-    def _products(self, first):
-        """What `_expand` needs to multiply by the generators from `first` on
-        that are the first copy of a matrix other than the identity, or None
-        if there is none: their indices in `gens`, their stack (G, d, d), the
-        place values `base` (G segments, d^2) of the entries outside each
-        generator's support (the columns where it differs from the identity),
-        which a product keeps from its parent, and one group per support
-        size s: the positions of its generators among the G, their support
-        columns as rows (G_s s, d) and the place values of those columns'
-        entries (G_s, s, segments, d)."""
-        firsts = {self.hs.identity.key(): -1}
-        for k, (_, m) in enumerate(self.gens):
-            firsts.setdefault(m.key(), k)
-        index = np.array([k for k in firsts.values() if k >= first], dtype=np.intp)
-        if not len(index):
-            return None
-        d, ident = self._d, self.hs.identity.arr
+    def _part(self, a):
+        """What `_products` needs of one generator matrix `a`, built once.  On
+        the table path: the code of v a for every row vector v, at the place
+        of each row r, as uint64 (d, M); the last row's place is 1, so
+        tables[-1] holds the row codes themselves.  Otherwise: `a`, the
+        place values (segments, d^2) of the entries outside its support (the
+        columns where it differs from the identity), which a product keeps
+        from its parent, its support columns as rows (s, d), and the place
+        values of those columns' entries (s, segments, d)."""
+        d, m = self._d, self.hs.ring.base_modulus
+        if self._digits is not None:
+            codes = mulmod_unpacked(self.hs.ring, self._digits, a) @ place_values(m, d)
+            return np.multiply.outer(place_values(m**d, d).astype(np.uint64), codes.astype(np.uint64))
         places = self._plan[0].reshape(d, d, -1)
-        mats = [self.gens[k][1].arr for k in index]
-        support = [np.flatnonzero((a != ident).any(axis=0)) for a in mats]
-        base = np.repeat(places.transpose(2, 0, 1)[None], len(mats), axis=0)
-        for g, cols in enumerate(support):
-            base[g, :, :, cols] = 0
-        sizes = np.array([len(cols) for cols in support])
+        cols = np.flatnonzero((a != self.hs.identity.arr).any(axis=0))
+        base = places.transpose(2, 0, 1).copy()
+        base[:, :, cols] = 0
+        return a, base.reshape(-1, d * d), a[:, cols].T, places[:, cols].transpose(1, 2, 0)
+
+    def _products(self, first):
+        """The indices in `gens` of the multiplied generators from the
+        `first`-th on, and their `_part`s stacked for `_expand`: on the
+        table path, the tables (d, M, G); otherwise their stack (G, d, d),
+        the place values outside each support (G segments, d^2), and one
+        group per support size s: the positions of its generators among the
+        G, their support columns as rows (G_s s, d) and those columns' place
+        values (G_s, s, segments, d)."""
+        index, parts = np.array(self._index[first:], dtype=np.intp), self._parts[first:]
+        if self._digits is not None:
+            return index, np.stack(parts, axis=2)
+        mats, bases, cols, places = zip(*parts)
+        sizes = np.array([len(c) for c in cols])
         groups = []
         for size in sorted(set(sizes.tolist())):  # np.unique would import numpy.ma
             at = np.flatnonzero(sizes == size)
-            group = [(mats[g][:, support[g]].T, places[:, support[g]].transpose(1, 2, 0))
-                     for g in at]
-            cols, weights = map(np.stack, zip(*group))
-            groups.append((at, cols.reshape(-1, d), weights))
-        return index, np.stack(mats), base.reshape(-1, d * d), groups
+            groups.append((at, np.concatenate([cols[g] for g in at]),
+                           np.stack([places[g] for g in at])))
+        return index, (np.stack(mats), np.concatenate(bases), groups)
 
     def _expand(self, lo, hi, products):
         """Multiply elements lo..hi-1 by the generators of `products` (from
         `_products`) and keep the new products, in (element, generator)
-        order; returns hi.  E g differs from E only in the columns of g's
-        support, so only those are multiplied, one GEMM per support size;
-        a product's segments are its new columns against their place values
-        plus E's other entries against `base`, sums of digits times places
-        below m^digits <= 2^52, so exact in float64.  The products of
-        max(FLUSH, order) at a time are coded in blocks of BLOCK and then
-        deduplicated at once by `_keep`."""
-        d, ring = self._d, self.hs.ring
-        index, stack, base, groups = products
-        ng = len(stack)
+        order; returns hi.  The products of max(FLUSH, order) at a time are
+        coded in blocks of BLOCK and then deduplicated at once by `_keep`."""
+        index, work = products
+        ng = len(index)
         step = max(1, BLOCK // ng)
+        codes_of = self._gemm_codes if self._digits is None else self._table_codes
         start = lo
         while start < hi:
             stop = min(hi, start + step * max(1, max(FLUSH, self.order) // (step * ng)))
-            codes = []
-            for s in range(start, stop, step):
-                rows = self._rows[s:min(stop, s + step)]
-                n = len(rows)
-                segs = (base @ rows.T).reshape(ng, -1, n)
-                for at, cols, places in groups:
-                    new = mulmod_unpacked(ring, cols, rows.reshape(-1, d).T)
-                    new = new.reshape(*places.shape[:2], n, d).swapaxes(2, 3)
-                    segs[at] += (places @ new).sum(axis=1)
-                codes.append(self._words(segs.transpose(1, 2, 0)))
-            self._keep(np.concatenate(codes), start, index, stack)
+            codes = [codes_of(self._elems[s:min(stop, s + step)], work)
+                     for s in range(start, stop, step)]
+            self._keep(np.concatenate(codes), start, index, work)
             start = stop
         return hi
 
-    def _keep(self, codes, start, index, gens):
+    def _table_codes(self, elems, tables):
+        """The codes of a block's products from its row codes (n, d): the sum
+        over rows r of tables[r] at row code r, d gathers of (n, G)."""
+        codes = tables[0].take(elems[:, 0], axis=0)
+        for r in range(1, self._d):
+            codes += tables[r].take(elems[:, r], axis=0)
+        return codes.ravel()
+
+    def _gemm_codes(self, rows, work):
+        """The codes of a block's products from its entries (n, d^2).  E g
+        differs from E only in the columns of g's support, so only those are
+        multiplied, one GEMM per support size; a product's segments are its
+        new columns against their place values plus E's other entries
+        against the place values outside the support, sums of digits times
+        places below m^digits <= 2^52, so exact in float64."""
+        d, ring = self._d, self.hs.ring
+        stack, base, groups = work
+        n, ng = len(rows), len(stack)
+        segs = (base @ rows.T).reshape(ng, -1, n)
+        for at, cols, places in groups:
+            new = mulmod_unpacked(ring, cols, rows.reshape(-1, d).T)
+            new = new.reshape(*places.shape[:2], n, d).swapaxes(2, 3)
+            segs[at] += (places @ new).sum(axis=1)
+        return self._words(segs.transpose(1, 2, 0))
+
+    def _keep(self, codes, start, index, work):
         """Add the products whose codes are new, in order of first position in
-        the stream `codes` (which this overwrites) of (element start + p // ng,
-        generator p % ng); `gens` stacks the generators at `index` in `self.gens`."""
+        the stream `codes` (which this overwrites) of (element start + p // G,
+        generator p % G), where `index` and `work` are the G generators'
+        `_products`."""
         uniq, firsts = self._firsts(codes)
         at = np.searchsorted(self._codes, uniq)
         new = self._codes.take(at, mode="clip") != uniq  # past the end: last < code
@@ -502,8 +550,8 @@ class GroupClosure:
         self._order += len(pos)
         by_pos = np.argsort(pos)
         pos = pos[by_pos]
-        parent, gen = start + pos // len(gens), pos % len(gens)
-        self._append(parent, gen, gens, index)
+        parent, gen = start + pos // len(index), pos % len(index)
+        self._append(parent, gen, index, work)
         slots = np.empty(len(pos), dtype=np.intp)
         slots[by_pos] = np.arange(found, self._order)
         # the index grown once: the k-th new code lands k places after its
@@ -533,26 +581,35 @@ class GroupClosure:
         runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
         return ranked[runs], np.minimum.reduceat(by_code, runs)
 
-    def _append(self, parent, gen, gens, index):
+    def _append(self, parent, gen, index, work):
         """Store the elements just counted in `order`, the products of the
-        rows `parent` by `gens[gen]`: per generator, one GEMM of BLOCK matrix
-        rows at a time (taller products, threaded by BLAS, raised the peak
-        RSS of a capped Z/2, n = 4 closure by about 20 MB)."""
-        end, d, ring = self.order, self._d, self.hs.ring
-        if end > len(self._rows):
-            size = max(2 * len(self._rows), end)
-            self._rows, self._parent, self._gen, self._depth = (
+        elements `parent` by the generators at `gen` of `work`.  On the table
+        path their row codes are one gather from the tables' last row;
+        otherwise, per generator, one GEMM of BLOCK matrix rows at a time
+        (taller products, threaded by BLAS, raised the peak RSS of a capped
+        Z/2, n = 4 closure by about 20 MB)."""
+        end, d = self.order, self._d
+        if end > len(self._elems):
+            size = max(2 * len(self._elems), end)
+            self._elems, self._parent, self._gen, self._depth = (
                 _grown(a, size)
-                for a in (self._rows, self._parent, self._gen, self._depth))
+                for a in (self._elems, self._parent, self._gen, self._depth))
         begin = end - len(parent)
-        by_gen = np.argsort(gen, kind="stable")
-        bounds = np.searchsorted(gen[by_gen], np.arange(len(gens) + 1))
-        for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-            for s in range(lo, hi, BLOCK // d):
-                at = by_gen[s:min(hi, s + BLOCK // d)]
-                rows = mulmod_unpacked(ring, self._rows[parent[at]].reshape(-1, d), gens[g])
-                self._rows[begin + at] = rows.reshape(len(at), -1)
         new = slice(begin, end)
+        if self._digits is not None:
+            maps = work[-1]  # (M, G): the row code of v g at (code of v, g)
+            rows = self._elems.take(parent, axis=0).astype(np.intp)
+            self._elems[new] = maps.ravel().take(rows * maps.shape[1] + gen[:, None])
+        else:
+            stack = work[0]
+            by_gen = np.argsort(gen, kind="stable")
+            bounds = np.searchsorted(gen[by_gen], np.arange(len(stack) + 1))
+            for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+                for s in range(lo, hi, BLOCK // d):
+                    at = by_gen[s:min(hi, s + BLOCK // d)]
+                    rows = mulmod_unpacked(self.hs.ring, self._elems[parent[at]].reshape(-1, d),
+                                           stack[g])
+                    self._elems[begin + at] = rows.reshape(len(at), -1)
         self._parent[new] = parent
         self._gen[new] = index[gen]
         self._depth[new] = self._depth[parent] + 1

@@ -56,6 +56,33 @@ def test_quartiles_of_one_and_of_several_runs():
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
 
 
+def test_verdict_of_each_kind():
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
+    verdict = bench_pairs.verdict
+
+    def pairs(change):
+        return list(zip(parent, change))
+
+    faster = [p - 0.1 for p in parent]
+    assert verdict(pairs(faster), "lower", 0.15) == "gain"
+    # 8 of 10 pairs better is not enough, nor a median gain within PARENT's IQR
+    assert verdict(pairs(faster[:8] + parent[8:]), "lower", 0.15) == "same"
+    assert verdict(pairs([p - 0.01 for p in parent]), "lower", 0.15) == "same"
+    # higher is better: the same runs read as a gain and as worse
+    assert verdict(pairs([p * 1.2 for p in parent]), "higher", 0.15) == "gain"
+    assert verdict(pairs([p * 1.2 for p in parent]), "lower", 0.15) == "worse"
+    assert verdict(pairs([p * 0.8 for p in parent]), "higher", 0.15) == "worse"
+    assert verdict(pairs([p * 1.1 for p in parent]), "lower", 0.15) == "same"
+    assert verdict(pairs(parent), "lower", 0.15) == "same"
+    # a bound tighter than PARENT's own spread cannot tell
+    assert verdict(pairs(parent), "lower", 0.01) == "unresolved"
+    assert verdict(pairs([p * 1.02 for p in parent]), "lower", 0.01) == "worse"
+    wide = [1.0, 1.5] * 5  # IQR 0.5, over 15% of the median 1.25
+    assert verdict(list(zip(wide, wide)), "lower", 0.15) == "unresolved"
+    assert verdict(list(zip(wide, [0.5] * 10)), "lower", 0.15) == "gain"
+    assert bench_pairs.wins(pairs(faster[:8] + parent[8:]), "lower") == 8
+
+
 def test_main_alternates_and_summarizes(tmp_path, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for root in (parent, change):
@@ -84,10 +111,10 @@ def test_main_alternates_and_summarizes(tmp_path, capsys):
     assert out[8:13] == ["pair first parent_passes change_passes", "0 parent 100 120",
                          "1 change 90 110", "2 parent 95 115", "3 change 105 125"]
     verdict = next(line for line in out if line.startswith("verdict_s "))
-    assert verdict.endswith("better in 4 of 4 (lower)")
+    assert verdict.endswith("better in 4 of 4 (lower) gain")
     assert "0.515 [0.5075, 0.5225] -> 0.405 [0.3975, 0.4125]" in verdict
     rss = next(line for line in out if line.startswith("peak_rss_mb "))
-    assert rss.endswith("better in 0 of 4 (lower)")
+    assert rss.endswith("better in 0 of 4 (lower) same")  # +3.0%, under the 5% bound
     assert out[-2:] == ["parent peak_rss_mb = 34.0000 + 0.060000 x passes",
                         "change peak_rss_mb = 34.0000 + 0.060000 x passes"]
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oddunitary import hyperbolic
 from oddunitary.cli import main
 from oddunitary.config import (
     DEFAULT_CONFIG,
@@ -295,17 +296,21 @@ def test_cli_enumerate_eu_dump(capsys, tmp_path):
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def test_cli_enumerate_eu_dump_z2_n3(capsys, tmp_path):
-    out = tmp_path / "closure.dump"
-    code, lines = run_cli(capsys, "--config", str(CONFIGS / "z2_n3.cfg"),
-                          "--out", str(out), "enumerate-eu")
-    assert code == 0
-    assert lines[0]["witness"] == "order=20160"
-    assert lines[1] == {"check": "eu.layers", "status": "pass", "witness":
-                        "layers=[1, 12, 96, 542, 2058, 5316, 7530, 4058, 541, 6] diameter=9"}
-    # pinned before the batched closure engine replaced the per-element loop
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "2c55e4fe7a5e0c6fdad06f3adb2e3c4a3f5b3ab8b4f34148f8da0d07ac4c93b9")
+def test_cli_enumerate_eu_dump_z2_n3(capsys, tmp_path, monkeypatch):
+    # on both product paths: lookup tables (m^d = 64), and GEMMs with
+    # TABLE_ROWS = 0
+    for table_rows in (hyperbolic.TABLE_ROWS, 0):
+        monkeypatch.setattr(hyperbolic, "TABLE_ROWS", table_rows)
+        out = tmp_path / f"closure{table_rows}.dump"
+        code, lines = run_cli(capsys, "--config", str(CONFIGS / "z2_n3.cfg"),
+                              "--out", str(out), "enumerate-eu")
+        assert code == 0
+        assert lines[0]["witness"] == "order=20160"
+        assert lines[1] == {"check": "eu.layers", "status": "pass", "witness":
+                            "layers=[1, 12, 96, 542, 2058, 5316, 7530, 4058, 541, 6] diameter=9"}
+        # pinned before the batched closure engine replaced the per-element loop
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2c55e4fe7a5e0c6fdad06f3adb2e3c4a3f5b3ab8b4f34148f8da0d07ac4c93b9")
 
 
 def test_cli_check_perfect_cap_reports_every_closure_check(capsys):

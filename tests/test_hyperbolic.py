@@ -28,6 +28,7 @@ from oddunitary import (
     unitary_member,
 )
 from oddunitary.generators import generators
+from oddunitary import hyperbolic
 from oddunitary.hyperbolic import GroupClosure, ProductParameter, dump_closure, gen_matrix
 
 from conftest import apply, basis_vec, elements, vectors
@@ -276,9 +277,9 @@ def test_enumerate_eu_regression_order(eu_z2_n3):
 
 def test_closure_positions_stop_at_the_order(z3):
     cl = enumerate_eu(make_hyperbolic(z3, 1))
-    assert cl.order == 24 and len(cl._rows) > 24  # grown past the order
+    assert cl.order == 24 and len(cl._elems) > 24  # grown past the order
     assert cl.mat(-1) == cl.mat(23) and cl.word(-1) == cl.word(23)
-    for at in (24, len(cl._rows), -25):
+    for at in (24, len(cl._elems), -25):
         with pytest.raises(IndexError):
             cl.mat(at)
         with pytest.raises(IndexError):
@@ -518,12 +519,12 @@ def test_engine_with_two_byte_entries():
 
 
 def _spy_stacks(monkeypatch):
-    """The generator stack of every `_keep` call, as lists of matrices."""
+    """The generators of every `_keep` call, as lists of matrices."""
     stacks, keep = [], GroupClosure._keep
 
-    def spy(self, codes, start, index, gens):
-        stacks.append([Mat(self.hs.ring, g) for g in gens])
-        keep(self, codes, start, index, gens)
+    def spy(self, codes, start, index, work):
+        stacks.append([self.gens[k][1] for k in index])
+        keep(self, codes, start, index, work)
 
     monkeypatch.setattr(GroupClosure, "_keep", spy)
     return stacks
@@ -651,19 +652,12 @@ def engine_spaces(hs_z2_n4, hs_rich, m2z2):
             "m2z2_n2": make_hyperbolic(m2z2, 2)}
 
 
-@pytest.mark.parametrize("space", list(_ENGINE_CASES))
-def test_codes_from_the_parents_match_full_products(monkeypatch, engine_spaces, space):
-    # Z/2 at d = 8 fills one uint64, hs_rich takes two words, Z/419 two
-    # segments per row, Z/257 uint16 rows, M_2(Z/2) rows of 2 x 2 blocks
-    hs = engine_spaces[space]
+_TABLE_SIDE = {"z2_n4", "m2z2_n2"}  # the rest: codes of several words, or m^d > TABLE_ROWS
+
+
+def _engine_cases(hs, space):
+    """The generator lists of one `_ENGINE_CASES` space, as lists of `Mat`."""
     sparse, factors, v0_gens = _ENGINE_CASES[space]
-    kept, keep = [], GroupClosure._keep
-
-    def spy(self, codes, start, first, gens):
-        kept.append((self, codes.tobytes(), start, gens))
-        keep(self, codes, start, first, gens)
-
-    monkeypatch.setattr(GroupClosure, "_keep", spy)
     dense = math.prod((gen_matrix(hs, g) for g in factors[1:]), start=gen_matrix(hs, factors[0]))
     assert (dense.arr != hs.identity.arr).any(axis=0).sum() >= hs.identity.arr.shape[0] - 2
     cases = [[hs.identity if g is None else gen_matrix(hs, g) for g in sparse], [dense]]
@@ -671,16 +665,62 @@ def test_codes_from_the_parents_match_full_products(monkeypatch, engine_spaces, 
         v0_cols = slice(2 * hs.n * hs.ring.degree, None)
         assert all((gen_matrix(hs, g).arr != hs.identity.arr)[:, v0_cols].any() for g in v0_gens)
         cases.append([gen_matrix(hs, g) for g in v0_gens])
-    for mats in cases:
-        cl = enumerate_eu(hs, gens=[(None, m) for m in mats])
+    return cases
+
+
+def _closures(monkeypatch, hs, cases, table_rows):
+    """The EU closure of each case under TABLE_ROWS = table_rows, and every
+    stream handed to `_keep` as (closure, code bytes, start, index)."""
+    kept, keep = [], GroupClosure._keep
+
+    def spy(self, codes, start, index, work):
+        kept.append((self, codes.tobytes(), start, index.tolist()))
+        keep(self, codes, start, index, work)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GroupClosure, "_keep", spy)
+        patch.setattr(hyperbolic, "TABLE_ROWS", table_rows)
+        closures = [enumerate_eu(hs, gens=[(None, m) for m in mats]) for mats in cases]
+    return closures, kept
+
+
+@pytest.mark.parametrize("space", list(_ENGINE_CASES))
+def test_codes_from_the_parents_match_full_products(monkeypatch, engine_spaces, space):
+    # Z/2 at d = 8 fills one uint64, hs_rich takes two words, Z/419 two
+    # segments per row, Z/257 uint16 rows, M_2(Z/2) rows of 2 x 2 blocks
+    hs = engine_spaces[space]
+    cases = _engine_cases(hs, space)
+    closures, kept = _closures(monkeypatch, hs, cases, hyperbolic.TABLE_ROWS)
+    for cl in closures:
+        assert (cl._digits is not None) == (space in _TABLE_SIDE)
         expect, words = naive_closure(hs, cl.gens)
         assert list(cl) == list(expect) and _words(cl) == words
     # every stream of codes handed to `_keep` is `_code` of the full products
-    for cl, codes, start, gens in kept:
-        n, d = len(codes) // (cl._codes.itemsize * len(gens)), cl._d
-        full = mulmod_unpacked(hs.ring, cl._rows[start:start + n].reshape(-1, d), np.hstack(gens))
-        assert codes == cl._code(full.reshape(n, d, len(gens), d)).tobytes()
+    for cl, codes, start, index in kept:
+        n, d = len(codes) // (cl._codes.itemsize * len(index)), cl._d
+        gens = np.hstack([cl.gens[k][1].arr for k in index])
+        full = mulmod_unpacked(hs.ring, cl._entries(start, start + n).reshape(-1, d), gens)
+        assert codes == cl._code(full.reshape(n, d, len(index), d)).tobytes()
     assert len({id(cl) for cl, *_ in kept}) == len(cases)
+
+
+@pytest.mark.parametrize("space", list(_ENGINE_CASES))
+def test_both_product_paths_agree(monkeypatch, engine_spaces, space):
+    # TABLE_ROWS = 0 sends every closure down the GEMM path; TABLE_ROWS = m^d
+    # sends those with one-word codes down the table path, Z/257 at n = 1
+    # (uint32 row codes) included
+    hs = engine_spaces[space]
+    cases = _engine_cases(hs, space)
+    rows = hs.ring.base_modulus ** hs.identity.arr.shape[0]
+    (tables, kept), (gemms, expect) = (
+        _closures(monkeypatch, hs, cases, limit) for limit in (rows, 0))
+    assert all(cl._digits is None for cl in gemms)
+    assert all((cl._digits is not None) == (cl._bits <= 64) for cl in tables)
+    for cl, ref in zip(tables, gemms):
+        assert cl.order == ref.order and cl.layers == ref.layers
+        assert [cl.word(i) for i in range(cl.order)] == [ref.word(i) for i in range(ref.order)]
+        assert (cl._entries(0, cl.order) == ref._entries(0, ref.order)).all()
+    assert [k[1:] for k in kept] == [k[1:] for k in expect]
 
 
 @pytest.mark.parametrize("space,fits", [("hs_z2_n3", True), ("hs_z2_n4", False)])
@@ -709,7 +749,8 @@ def test_keep_packs_code_and_position_only_where_they_fit(request, space, fits):
     uniq, pos = cl._firsts(codes.copy())
     assert uniq.tolist() == sorted(firsts) and pos.tolist() == [firsts[k] for k in sorted(firsts)]
     # the new rows: the first copy of each matrix other than the identity
-    cl._keep(codes, 0, np.arange(len(stream)), stream)
+    cl._index, cl._parts = list(range(len(stream))), [cl._part(a) for a in stream]
+    cl._keep(codes, 0, *cl._products(0))
     seen, expect = {ident.tobytes()}, []
     for p, mat in enumerate(stream):
         if mat.tobytes() not in seen:
@@ -717,7 +758,7 @@ def test_keep_packs_code_and_position_only_where_they_fit(request, space, fits):
             expect.append(p)
     assert expect == [1, 2, 3, 4, 5, 255, 256]
     assert cl.order == 1 + len(expect) and cl.word(6) == (255,) and cl.word(7) == (256,)
-    assert (cl._rows[1:cl.order] == stream[expect].reshape(len(expect), -1)).all()
+    assert (cl._entries(1, cl.order) == stream[expect].reshape(len(expect), -1)).all()
     assert [cl.index(stream[p].tobytes()) for p in expect] == list(range(1, cl.order))
     assert (np.diff(cl._codes.astype(object)) > 0).all()
 
@@ -738,7 +779,7 @@ def test_commutator_seeds_keep_their_first_order(z3n):
 
 @pytest.mark.slow
 def test_eu6_z3_negation_closure(z3n):
-    # Omega+_6(3): about 35 s and 800 MB, so deselected unless `pytest -m slow`
+    # Omega+_6(3): about 24 s and 600 MB, so deselected unless `pytest -m slow`
     cl = enumerate_eu(make_hyperbolic(z3n, 3), cap=7_000_000)
     assert cl.order == 3**6 * (3**2 - 1) * (3**3 - 1) * (3**4 - 1) // 2 == 6_065_280
     assert cl.layers == [1, 24, 384, 4636, 43659, 309784, 1518622, 3246412, 931936, 9756, 66]

@@ -12,11 +12,12 @@ other.  The side that goes first alternates, PARENT first in pairs 0, 2,
 the spread of either side.  It prints each run's pass count and metrics
 as the run ends, then the pass counts by pair; per end-to-end metric of CHANGE's
 `BENCHMARK.json`, each side's median and quartiles, the ratio of the
-medians (CHANGE / PARENT) and in how many pairs CHANGE was better; and
-per side the least-squares line of `peak_rss_mb` against the pass count.  The benchmark keeps the records of
-every pass, so a faster side runs more passes and reads more memory; two
-lines with the same intercept show that the program's own memory did not
-move.  Exit 1 when any run is incorrect: an exit code other than 0, no
+medians (CHANGE / PARENT), in how many pairs CHANGE was better and the
+verdict (`verdict`: gain, worse, unresolved or same); and per side the
+least-squares line of `peak_rss_mb` against the pass count.  The
+benchmark keeps the records of every pass, so a faster side runs more
+passes and reads more memory; two lines with the same intercept show
+that the program's own memory did not move.  Exit 1 when any run is incorrect: an exit code other than 0, no
 result line, or `"correct": false`.
 """
 
@@ -80,23 +81,47 @@ def fit(passes, rss):
     return intercept, slope
 
 
+def wins(both, better):
+    """In how many (PARENT, CHANGE) pairs CHANGE is strictly better."""
+    return sum((c < p) if better == "lower" else (c > p) for p, c in both)
+
+
+def verdict(both, better, bound):
+    """The reading of one metric from its (PARENT, CHANGE) values by pair:
+    `gain` when CHANGE is better in at least 9/10 of the pairs (ties count
+    for neither) and its median is better than PARENT's by more than
+    PARENT's interquartile distance; else `worse` when CHANGE's median is
+    worse than PARENT's by more than `bound` (a fraction of PARENT's
+    median); else `unresolved` when PARENT's interquartile distance is
+    wider than that bound; else `same`."""
+    (q1, parent, q3), change = quartiles([p for p, _ in both]), quartiles([c for _, c in both])[1]
+    sign = 1 if better == "lower" else -1
+    if 10 * wins(both, better) >= 9 * len(both) and sign * (parent - change) > q3 - q1:
+        return "gain"
+    if sign * (change - parent) > bound * abs(parent):
+        return "worse"
+    if q3 - q1 > bound * abs(parent):
+        return "unresolved"
+    return "same"
+
+
 def summary(runs, metrics):
     """The report lines.  `runs[k][s]` is the parsed run of pair k, side s;
-    `metrics` maps each metric name to its better direction."""
+    `metrics` maps each metric name to its better direction and bound."""
     lines = ["pair first " + " ".join(f"{side}_passes" for side in SIDES)]
     for k, pair in enumerate(runs):
         lines.append(f"{k} {SIDES[k % 2]} " + " ".join(str(run[0]) for run in pair))
-    for name, better in metrics.items():
+    for name, (better, bound) in metrics.items():
         both = [(p[2][name], c[2][name]) for p, c in runs
                 if name in p[2] and name in c[2]]
         if not both:
             continue
         stats = [quartiles([pair[s] for pair in both]) for s in (0, 1)]
-        wins = sum((c < p) if better == "lower" else (c > p) for p, c in both)
         ratio = stats[1][1] / stats[0][1] if stats[0][1] else float("nan")
         lines.append(f"{name} " + " -> ".join(
             f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]" for q in stats)
-            + f" ratio {ratio:.4f} better in {wins} of {len(both)} ({better})")
+            + f" ratio {ratio:.4f} better in {wins(both, better)} of {len(both)} ({better})"
+            + f" {verdict(both, better, bound)}")
     for s, side in enumerate(SIDES):
         points = [(pair[s][0], pair[s][2]["peak_rss_mb"]) for pair in runs
                   if pair[s][0] is not None and "peak_rss_mb" in pair[s][2]]
@@ -116,7 +141,7 @@ def main(argv=None, bench=run_bench) -> int:
     parser.add_argument("--seconds", type=float, default=40.0)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     runs = [[None, None] for _ in range(args.pairs)]
     bad = 0
     for k, s in run_order(args.pairs):
