@@ -268,7 +268,8 @@ def eu_generators(hs: HyperbolicSpace):
 
 
 BLOCK = 8192  # products per numpy block of the closure engine
-FLUSH = 1 << 16  # products deduplicated at once, at least: the flush is max(FLUSH, order)
+FLUSH = 1 << 16  # products deduplicated at once, at least: the flush is max(FLUSH, order);
+# also the coset elements built at once, at most, unless one coset is larger
 TABLE_ROWS = 1 << 12  # most row vectors m^d for which a closure multiplies by lookup tables
 
 
@@ -299,7 +300,9 @@ def _code_plan(m, d):
 
 
 class GroupClosure:
-    """Closure of generator matrices under right multiplication, breadth first.
+    """Closure of generator matrices under right multiplication: breadth
+    first from the identity, then by right cosets of the closure so far for
+    each later `extend`.
 
     Elements are numbered in discovery order; their row bytes are those of
     `Mat.key()`.  Each element has one code, its entries as base-m digits: a
@@ -319,9 +322,9 @@ class GroupClosure:
     a code is one uint64 and M <= TABLE_ROWS, each generator becomes lookup
     tables over the row codes (a row vector's digits as a number below M),
     each element is stored as its d row codes, and a product's code and row
-    codes are gathers (`_table_codes`, `_append`).  Otherwise each element
+    codes are gathers (`_table_codes`, `_rows`).  Otherwise each element
     is stored as its packed entries over Z/m, and the products come from
-    GEMMs on the generator's support (`_gemm_codes`, `_append`).
+    GEMMs on the generator's support (`_gemm_codes`, `_rows`).
     """
 
     def __init__(self, hs: HyperbolicSpace, cap=DEFAULT_CAP, what="closure"):
@@ -349,6 +352,8 @@ class GroupClosure:
         self._slots = np.zeros(1, dtype=np.intp)  # the element of each code
         self._distinct = {ident.key(): -1}  # matrix key: index in gens of its first copy
         self._index, self._parts = [], []  # the multiplied generators and their `_part`
+        self._block = 1  # elements per coset block of the running `extend`: the order before it
+        self._capped = False  # set by CapExceeded: the closure is part-built
 
     @property
     def order(self):
@@ -372,8 +377,11 @@ class GroupClosure:
 
     @property
     def layers(self):
-        """Number of elements at each word length; for a closure from the
-        identity under all generators, the breadth-first layer sizes."""
+        """Number of elements at each depth, the length of the stored word;
+        for a closure from the identity under all generators in one
+        `extend`, the breadth-first layer sizes.  For a subgroup closure,
+        grown over several `extend`s, a depth is a stored word's length
+        and not a breadth-first layer."""
         return np.bincount(self._depth[:self.order]).tolist()
 
     def _entries(self, lo, hi):
@@ -433,9 +441,23 @@ class GroupClosure:
         return tuple(reversed(w))
 
     def extend(self, gens):
-        """Add generators [(label, Mat)] and close: every element times each
-        new generator, then every new element times all generators, in queue
-        order, until no new element appears."""
+        """Add generators [(label, Mat)] and close.  The closure so far, H,
+        is a group of h elements, so the result is a disjoint union of right
+        cosets H x.  Positions are read in blocks of h: block 0 is H, and
+        each later block is an earlier one times a generator, kept in H's
+        element order, so its first element is its representative.  Block
+        0's representative, the identity, is multiplied by each new
+        generator and every later block's by all generators, in queue
+        order, until no new coset appears; a new product brings in its
+        whole block times that generator (`_cosets`).  A fresh closure has
+        h = 1, so this is the breadth-first closure.  An element's depth is
+        the length of its stored word (H's word, then the representative's),
+        which for a closure grown over several `extend`s is not a
+        breadth-first layer.  After `CapExceeded` the closure is part-built
+        and not a group, and any further `extend` raises `WorkbenchError`."""
+        if self._capped:
+            raise WorkbenchError(f"{self._what} stopped at cap {self._cap} and is not a group; "
+                                 "it cannot be extended")
         old, first, known = self.order, len(self.gens), len(self._index)
         self.gens.extend(gens)
         for k in range(first, len(self.gens)):
@@ -445,12 +467,17 @@ class GroupClosure:
                 self._parts.append(self._part(mat.arr))
         if len(self._index) == known:  # no new generator, or each is the identity or a repeat
             return
+        self._block = old
         new = self._products(known)
-        self._expand(0, old, new)
-        every = new if known == 0 else self._products(0)
-        head = old
-        while head < self.order:
-            head = self._expand(head, self.order, every)
+        try:
+            self._expand(0, old, new)
+            every = new if known == 0 else self._products(0)
+            head = old
+            while head < self.order:
+                head = self._expand(head, self.order, every)
+        except CapExceeded:
+            self._capped = True
+            raise
 
     def _part(self, a):
         """What `_products` needs of one generator matrix `a`, built once.  On
@@ -492,19 +519,21 @@ class GroupClosure:
         return index, (np.stack(mats), np.concatenate(bases), groups)
 
     def _expand(self, lo, hi, products):
-        """Multiply elements lo..hi-1 by the generators of `products` (from
-        `_products`) and keep the new products, in (element, generator)
-        order; returns hi.  The products of max(FLUSH, order) at a time are
-        coded in blocks of BLOCK and then deduplicated at once by `_keep`."""
+        """Multiply the representatives of the blocks in lo..hi-1 (the
+        elements lo, lo + h, ..., for blocks of h) by the generators of
+        `products` (from `_products`) and keep the new cosets, in
+        (representative, generator) order; returns hi.  The products of
+        max(FLUSH, order) at a time are coded in blocks of BLOCK and then
+        deduplicated at once by `_keep`."""
         index, work = products
-        ng = len(index)
-        step = max(1, BLOCK // ng)
+        ng, h = len(index), self._block
+        step = max(1, BLOCK // ng)  # representatives per block of products
         codes_of = self._gemm_codes if self._digits is None else self._table_codes
         start = lo
         while start < hi:
-            stop = min(hi, start + step * max(1, max(FLUSH, self.order) // (step * ng)))
-            codes = [codes_of(self._elems[s:min(stop, s + step)], work)
-                     for s in range(start, stop, step)]
+            stop = min(hi, start + h * step * max(1, max(FLUSH, self.order) // (step * ng)))
+            codes = [codes_of(self._elems[s:min(stop, s + h * step):h], work)
+                     for s in range(start, stop, h * step)]
             self._keep(np.concatenate(codes), start, index, work)
             start = stop
         return hi
@@ -534,32 +563,91 @@ class GroupClosure:
             segs[at] += (places @ new).sum(axis=1)
         return self._words(segs.transpose(1, 2, 0))
 
+    def _row_codes(self, elems):
+        """The codes of elements in their stored form (n, d) or (n, d^2): on
+        the table path the row codes read as base-M digits, otherwise `_code`
+        of the entries."""
+        if self._digits is None:
+            return self._code(elems.reshape(len(elems), self._d, 1, self._d))
+        codes = elems[:, 0].astype(np.uint64)
+        for r in range(1, self._d):
+            codes *= np.uint64(len(self._digits))
+            codes += elems[:, r]
+        return codes
+
     def _keep(self, codes, start, index, work):
-        """Add the products whose codes are new, in order of first position in
-        the stream `codes` (which this overwrites) of (element start + p // G,
-        generator p % G), where `index` and `work` are the G generators'
-        `_products`."""
+        """Add the cosets of the products whose codes are new, in order of
+        first position in the stream `codes` (which this overwrites) of
+        (representative start + (p // G) h, generator p % G), where `index`
+        and `work` are the G generators' `_products`.  For blocks of one
+        element the new products are the new elements, their codes already
+        known and sorted."""
         uniq, firsts = self._firsts(codes)
         at = np.searchsorted(self._codes, uniq)
         new = self._codes.take(at, mode="clip") != uniq  # past the end: last < code
         if not new.any():
             return
-        found, pos = self._order, firsts[new]
-        if found + len(pos) > self._cap:
-            raise CapExceeded(f"{self._what} exceeded cap {self._cap}")
-        self._order += len(pos)
+        pos = firsts[new]
         by_pos = np.argsort(pos)
         pos = pos[by_pos]
-        parent, gen = start + pos // len(index), pos % len(index)
-        self._append(parent, gen, index, work)
+        reps, gen = start + pos // len(index) * self._block, pos % len(index)
+        if self._block > 1:
+            self._cosets(reps, gen, index, work)
+            return
+        added = self._grow(len(pos))
+        self._rows(reps, gen, work, self._elems[added])
+        self._append(added, reps, gen, index)
         slots = np.empty(len(pos), dtype=np.intp)
-        slots[by_pos] = np.arange(found, self._order)
-        # the index grown once: the k-th new code lands k places after its
-        # insertion point, the old entries fill the rest in order
-        at = at[new] + np.arange(len(pos))
-        old = np.ones(len(self._codes) + len(pos), dtype=bool)
+        slots[by_pos] = np.arange(added.start, added.stop)
+        self._merge(uniq[new], at[new], slots)
+
+    def _cosets(self, reps, gen, index, work):
+        """Add the blocks of the representatives `reps` times the generators
+        at `gen` of `work`, whose products are new, in that order.  Each is
+        a right coset of H, all of whose elements are new, so none is tested
+        for membership (their codes are located in the index only to merge
+        them); one whose representative lies in an earlier one of them is
+        the same coset and is dropped.  They are built FLUSH elements (at
+        least one block) at a time, and near the cap at most one block past
+        it."""
+        h = self._block
+        done = 0
+        while done < len(reps):
+            room = (self._cap - self._order) // h  # blocks that still fit
+            take = slice(done, done + max(1, min(room + 1, FLUSH // h)))
+            done = take.stop
+            r, s = reps[take], gen[take]
+            elems = np.empty((len(r) * h,) + self._elems.shape[1:], dtype=self._elems.dtype)
+            self._rows(r, s, work, elems)
+            codes = self._row_codes(elems)
+            rep_codes = codes[::h].copy()
+            uniq, firsts = self._firsts(codes)
+            at = np.searchsorted(self._codes, uniq)
+            first = firsts // h  # the first block of this step that holds each code
+            of_rep = np.searchsorted(uniq, rep_codes)
+            kept = first[of_rep] == np.arange(len(r))
+            if take.start:  # the blocks of an earlier step are in the index
+                kept &= self._codes.take(at[of_rep], mode="clip") != uniq[of_rep]
+            if not kept.all():
+                fresh = kept[first]  # the codes of the kept blocks: distinct, and new
+                uniq, at = uniq[fresh], at[fresh]
+                firsts = firsts[fresh] - (np.cumsum(~kept) * h)[first[fresh]]
+                elems = elems.reshape(len(kept), h, -1)[kept].reshape(-1, elems.shape[1])
+                r, s = r[kept], s[kept]
+            added = self._grow(len(elems))
+            self._elems[added] = elems
+            self._append(added, (r[:, None] + np.arange(h)).ravel(), np.repeat(s, h), index)
+            self._merge(uniq, at, added.start + firsts)
+
+    def _merge(self, codes, at, slots):
+        """Merge new codes, ascending, with their insertion points `at` in
+        the index and their elements' positions, into the index at once:
+        the k-th new code lands k places after its insertion point, the old
+        entries fill the rest in order."""
+        at = at + np.arange(len(codes))
+        old = np.ones(len(self._codes) + len(codes), dtype=bool)
         old[at] = False
-        self._codes = _merged(self._codes, old, at, uniq[new])
+        self._codes = _merged(self._codes, old, at, codes)
         self._slots = _merged(self._slots, old, at, slots)
 
     def _firsts(self, codes):
@@ -581,38 +669,53 @@ class GroupClosure:
         runs = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
         return ranked[runs], np.minimum.reduceat(by_code, runs)
 
-    def _append(self, parent, gen, index, work):
-        """Store the elements just counted in `order`, the products of the
-        elements `parent` by the generators at `gen` of `work`.  On the table
-        path their row codes are one gather from the tables' last row;
-        otherwise, per generator, one GEMM of BLOCK matrix rows at a time
-        (taller products, threaded by BLAS, raised the peak RSS of a capped
-        Z/2, n = 4 closure by about 20 MB)."""
-        end, d = self.order, self._d
+    def _rows(self, reps, gen, work, out):
+        """Write to `out` the stored form of the products of the blocks of h
+        elements from `reps` on by the generators at `gen` of `work`, block
+        after block.  On the table path their row codes are one gather from
+        the tables' last row; otherwise, per generator, one GEMM of BLOCK
+        matrix rows at a time (taller products, threaded by BLAS, raised the
+        peak RSS of a capped Z/2, n = 4 closure by about 20 MB)."""
+        d, h = self._d, self._block
+        if self._digits is not None:
+            maps = work[-1]  # (M, G): the row code of v g at (code of v, g)
+            rows = self._elems[:self._order].reshape(-1, h, d).take(reps // h, axis=0).astype(np.intp)
+            rows *= maps.shape[1]
+            rows += gen[:, None, None]
+            out[:] = maps.ravel().take(rows).reshape(-1, d)
+            return
+        parent = reps
+        if h > 1:  # each element of each block
+            parent, gen = (reps[:, None] + np.arange(h)).ravel(), np.repeat(gen, h)
+        stack = work[0]
+        by_gen = np.argsort(gen, kind="stable")
+        bounds = np.searchsorted(gen[by_gen], np.arange(len(stack) + 1))
+        for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            for s in range(lo, hi, BLOCK // d):
+                at = by_gen[s:min(hi, s + BLOCK // d)]
+                rows = mulmod_unpacked(self.hs.ring, self._elems[parent[at]].reshape(-1, d), stack[g])
+                out[at] = rows.reshape(len(at), -1)
+
+    def _grow(self, count):
+        """The positions of `count` more elements, as a slice, with room for
+        them; raises `CapExceeded` if they take the order past the cap."""
+        begin, end = self._order, self._order + count
+        if end > self._cap:
+            raise CapExceeded(f"{self._what} exceeded cap {self._cap}")
         if end > len(self._elems):
             size = max(2 * len(self._elems), end)
             self._elems, self._parent, self._gen, self._depth = (
                 _grown(a, size)
                 for a in (self._elems, self._parent, self._gen, self._depth))
-        begin = end - len(parent)
-        new = slice(begin, end)
-        if self._digits is not None:
-            maps = work[-1]  # (M, G): the row code of v g at (code of v, g)
-            rows = self._elems.take(parent, axis=0).astype(np.intp)
-            self._elems[new] = maps.ravel().take(rows * maps.shape[1] + gen[:, None])
-        else:
-            stack = work[0]
-            by_gen = np.argsort(gen, kind="stable")
-            bounds = np.searchsorted(gen[by_gen], np.arange(len(stack) + 1))
-            for g, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-                for s in range(lo, hi, BLOCK // d):
-                    at = by_gen[s:min(hi, s + BLOCK // d)]
-                    rows = mulmod_unpacked(self.hs.ring, self._elems[parent[at]].reshape(-1, d),
-                                           stack[g])
-                    self._elems[begin + at] = rows.reshape(len(at), -1)
+        return slice(begin, end)
+
+    def _append(self, new, parent, gen, index):
+        """Count the elements at the positions `new`, whose rows are stored,
+        with their parents and the positions in `index` of their generators."""
         self._parent[new] = parent
         self._gen[new] = index[gen]
         self._depth[new] = self._depth[parent] + 1
+        self._order = new.stop
 
 
 def _merged(a, old, at, values):
@@ -640,8 +743,10 @@ def enumerate_eu(hs: HyperbolicSpace, cap=DEFAULT_CAP, gens=None) -> GroupClosur
 def subgroup_closure(hs: HyperbolicSpace, mats, cap=DEFAULT_CAP) -> GroupClosure:
     """Closure of the given matrices under product, adding generators lazily.
 
-    Generators already inside the running closure are skipped, which keeps
-    the breadth-first work proportional to the effective generating set.
+    Generators already inside the running closure are skipped; each other
+    one extends the closed group so far by whole right cosets, multiplying
+    only their representatives (`GroupClosure.extend`).  An element's depth
+    is the length of its stored word, not a breadth-first layer.
     """
     cl = GroupClosure(hs, cap)
     for g in mats:
@@ -663,8 +768,10 @@ def commutator_closure(hs: HyperbolicSpace, gens=None, cap=DEFAULT_CAP) -> Group
     # where it first appears
     seeds = mulmod(r, mulmod(r, mulmod(r, a[:, None], a), ai[:, None]), ai)
     seeds = seeds.reshape(-1, *a.shape[1:])
-    _, firsts = np.unique(seeds.reshape(len(seeds), -1), axis=0, return_index=True)
-    return subgroup_closure(hs, [Mat(r, seeds[i]) for i in np.sort(firsts)], cap)
+    firsts = {}
+    for i, seed in enumerate(seeds):
+        firsts.setdefault(seed.tobytes(), i)
+    return subgroup_closure(hs, [Mat(r, seeds[i]) for i in firsts.values()], cap)
 
 
 def dump_closure(cl: GroupClosure, stream):

@@ -723,6 +723,114 @@ def test_both_product_paths_agree(monkeypatch, engine_spaces, space):
     assert [k[1:] for k in kept] == [k[1:] for k in expect]
 
 
+def _commutator_seeds(mats):
+    """Each distinct commutator a b a^-1 b^-1 of the matrices, in order of
+    first appearance."""
+    seeds = {}
+    for a in mats:
+        for b in mats:
+            c = a * b * a.inv() * b.inv()
+            seeds.setdefault(c.key(), c)
+    return list(seeds.values())
+
+
+def _spy_cosets(patch):
+    """Per `_cosets` call, the number of blocks it was given and the number
+    it kept."""
+    calls, cosets = [], GroupClosure._cosets
+
+    def spy(self, reps, gen, index, work):
+        order = self.order
+        cosets(self, reps, gen, index, work)
+        calls.append((len(reps), (self.order - order) // self._block))
+
+    patch.setattr(GroupClosure, "_cosets", spy)
+    return calls
+
+
+def _coset_closures(monkeypatch, hs, cases, table_rows):
+    """The subgroup and the commutator closure of each case under
+    TABLE_ROWS = table_rows, and the `_cosets` calls as `_spy_cosets`."""
+    with monkeypatch.context() as patch:
+        calls = _spy_cosets(patch)
+        patch.setattr(hyperbolic, "TABLE_ROWS", table_rows)
+        closures = [close for mats in cases for close in (
+            subgroup_closure(hs, mats), commutator_closure(hs, [(None, m) for m in mats]))]
+    return closures, calls
+
+
+def _assert_words_replay(cl):
+    """The word of each of 64 elements spread over the closure, first and
+    last included, multiplied out, is the element, found at its own
+    position."""
+    for i in sorted(set(np.linspace(0, cl.order - 1, 64).astype(int).tolist())):
+        mat = math.prod((cl.gens[k][1] for k in cl.word(i)), start=cl.hs.identity)
+        assert mat == cl.mat(i) and cl.index(mat.key()) == i
+
+
+@pytest.mark.parametrize("space", list(_ENGINE_CASES))
+def test_subgroup_closures_by_cosets(monkeypatch, engine_spaces, space):
+    # each extend over a closed subgroup H adds whole right cosets of H; on
+    # both product paths, as in `test_both_product_paths_agree`
+    hs = engine_spaces[space]
+    cases = _engine_cases(hs, space)
+    rows = hs.ring.base_modulus ** hs.identity.arr.shape[0]
+    (tables, calls), (gemms, gemm_calls) = (
+        _coset_closures(monkeypatch, hs, cases, limit) for limit in (rows, 0))
+    assert all(cl._digits is None for cl in gemms)
+    seeds = [s for mats in cases for s in (mats, _commutator_seeds(mats))]
+    for cl, ref, mats in zip(tables, gemms, seeds, strict=True):
+        expect, _ = naive_closure(hs, [(None, m) for m in mats])
+        assert cl.order == len(expect) and set(cl) == set(expect)
+        _assert_words_replay(cl)
+        assert cl.order == ref.order and cl.layers == ref.layers
+        assert [cl.word(i) for i in range(cl.order)] == [ref.word(i) for i in range(ref.order)]
+        assert (cl._entries(0, cl.order) == ref._entries(0, ref.order)).all()
+    assert calls == gemm_calls
+    if space in ("z2_n4", "rich"):
+        # two new representatives of one batch in the same coset: the later
+        # block is dropped
+        assert any(given > kept for given, kept in calls)
+
+
+def test_coset_batches_do_not_change_the_closure(monkeypatch, hs_z2_n3, eu_z2_n3):
+    # FLUSH = 1 builds one block per step, so a representative can lie in a
+    # block that an earlier step of its batch added
+    cl = commutator_closure(hs_z2_n3)
+    with monkeypatch.context() as patch:
+        calls = _spy_cosets(patch)
+        patch.setattr(hyperbolic, "FLUSH", 1)
+        cut = commutator_closure(hs_z2_n3)
+    assert any(given > kept for given, kept in calls)
+    assert cl.order == cut.order == eu_z2_n3.order and set(cl) == set(eu_z2_n3)
+    assert [cl.word(i) for i in range(cl.order)] == [cut.word(i) for i in range(cut.order)]
+    assert (cl._entries(0, cl.order) == cut._entries(0, cut.order)).all()
+    _assert_words_replay(cl)
+
+
+def test_extend_after_the_cap_raises(monkeypatch, z3n):
+    hs = make_hyperbolic(z3n, 2)
+    gens = eu_generators(hs)
+    past, rows = [], GroupClosure._rows
+
+    def spy(self, reps, gen, work, out):  # how far past the cap a step of blocks reaches
+        rows(self, reps, gen, work, out)
+        if self._block > 1:
+            past.append(self.order + len(out) - self._cap)
+
+    monkeypatch.setattr(GroupClosure, "_rows", spy)
+    for cap in (2, 20, 100):  # stopped in the first extend, or in a later one
+        cl = GroupClosure(hs, cap)
+        past.clear()
+        with pytest.raises(CapExceeded, match=f"exceeded cap {cap}$"):
+            for gen in gens:
+                cl.extend([gen])
+        assert cl.order <= cap and max(past, default=0) <= cl._block  # one block past it, at most
+        for more in (gens[-1:], [], gens[:1]):
+            with pytest.raises(WorkbenchError, match=f"stopped at cap {cap} and is not a group"):
+                cl.extend(more)
+
+
 @pytest.mark.parametrize("space,fits", [("hs_z2_n3", True), ("hs_z2_n4", False)])
 def test_keep_packs_code_and_position_only_where_they_fit(request, space, fits):
     # a stream of 300 products of the identity (9 position bits): codes of 36
@@ -791,9 +899,9 @@ def _naive_lmin(r):
 
 def _naive_v0_part(hs):
     """Every V0 parameter element plus every lmin scalar."""
-    r = hs.ring
+    r, lmin = hs.ring, _naive_lmin(hs.ring)
     return {(u0, r.add(a0, s)) for u0, a0 in elements(hs.v0, hs.v0.parameter.elements(hs.v0))
-            for s in _naive_lmin(r)}
+            for s in lmin}
 
 
 def _symplectic(ring, parameter):
@@ -835,13 +943,14 @@ def _plane_product_elements(hs):
     """The hyperbolic parameter as sums of one element per plane,
     {((a, b), bar(a) lam^-1 b + s) : s in lmin}, and one of the V0 part."""
     r, n = hs.ring, hs.n
+    lmin, v0_part = _naive_lmin(r), _naive_v0_part(hs)
     plane = sorted({((a, b), r.add(r.prod(r.bar(a), r.lam_inv, b), s))
-                    for a in r.elements() for b in r.elements() for s in _naive_lmin(r)})
+                    for a in r.elements() for b in r.elements() for s in lmin})
     out = set()
     for parts in itertools.product(plane, repeat=n):
         u = tuple(p[0][0] for p in parts) + tuple(p[0][1] for p in reversed(parts))
         s = r.sum(*(p[1] for p in parts))
-        out.update((u + u0, r.add(s, t)) for u0, t in _naive_v0_part(hs))
+        out.update((u + u0, r.add(s, t)) for u0, t in v0_part)
     return frozenset(out)
 
 
